@@ -14,9 +14,7 @@ from .core import (
     RelativeView,
     from_nubs,
     from_independence_list,
-    is_independent,
     enumerate_independence_sets,
-    nubs_of,
     is_parallel,
     relative_configuration,
     valuation_of,
@@ -35,7 +33,6 @@ from .mobius import (
     mobius_polynomial,
     mobius_transform,
     relative_mobius,
-    rest_polynomial,
 )
 from .poly import (
     AlgebraicRoot,

@@ -1,9 +1,17 @@
 """Command line interface: parse a configuration, run one operation,
 emit a deterministic JSON report on stdout.
 
+Each handler builds at most one ``MobiusFamily`` per configuration it
+analyses and reads every reported quantity from it; ``space``,
+``verify`` and ``sample`` get theirs through ``canonical_space``.
+``verify`` reports ``routes_agree``: whether the dense sign-word route
+(``atoms_from_intersections`` over all 2^n subsets) reproduces the
+canonical atoms.
+
 Exit codes: 0 on success, 1 when a verification command found a
 violation (or the requested t is out of range), 2 on usage, parse, or
-validation errors.
+validation errors, 3 on an internal error (reported on one stderr line,
+never as a traceback).
 """
 
 from __future__ import annotations
@@ -17,9 +25,10 @@ from typing import Any, Sequence
 
 from . import core, mobius, probspace, structure
 from .core import Configuration, Valuation
-from .mobius import Classification, RestBound
+from .mobius import RestBound
 from .poly import (
     AlgebraicRoot,
+    Polynomial,
     format_rational,
     parse_rational,
     poly_to_strings,
@@ -37,8 +46,8 @@ class ParseError(ValueError):
         self.line = line
 
 
-# Declares, for the coverage test, the one subcommand through which each
-# library operation is reachable.
+# Declares, for the coverage test, the one subcommand whose report
+# covers each library operation.
 OPERATION_COMMANDS = {
     # poly
     "add": "mobius",
@@ -54,7 +63,6 @@ OPERATION_COMMANDS = {
     "from_independence_list": "check-identities",
     "is_independent": "space",
     "enumerate_independence_sets": "space",
-    "nubs_of": "builtin",
     "is_parallel": "relative",
     "relative_configuration": "relative",
     "valuation_of": "space",
@@ -62,12 +70,11 @@ OPERATION_COMMANDS = {
     # mobius
     "mobius_polynomial": "mobius",
     "relative_mobius": "relative",
-    "mobius_transform": "verify",
+    "mobius_transform": "space",
     "inversion_check": "check-identities",
     "derivative_identity_residual": "check-identities",
     "critical_root": "critical-root",
     "classify": "classify",
-    "rest_polynomial": "mobius",
     # probspace
     "atoms_from_intersections": "verify",
     "event_probability": "verify",
@@ -87,24 +94,6 @@ OPERATION_COMMANDS = {
     "symmetric_counts": "symmetric-counts",
     "builtin": "builtin",
 }
-
-COMMANDS = (
-    "mobius",
-    "relative",
-    "critical-root",
-    "classify",
-    "space",
-    "verify",
-    "sample",
-    "decompose",
-    "right-angled",
-    "series",
-    "cf-count",
-    "symmetric-counts",
-    "builtin",
-    "check-identities",
-)
-
 
 def parse_config_json(text: str) -> tuple[Configuration, Valuation]:
     try:
@@ -243,16 +232,6 @@ def _rest_json(rest: Fraction | RestBound) -> Any:
     }
 
 
-def _classification_json(config: Configuration, result: Classification) -> dict:
-    return {
-        "mu": None,  # filled by callers that have the polynomial at hand
-        "t0": _root_json(result.critical_root),
-        "type": result.config_type,
-        "rest": _rest_json(result.rest_at_t0),
-        "attained_at": [config.labels_of(x) for x in result.attained_at],
-    }
-
-
 def _load(args: argparse.Namespace) -> tuple[Configuration, Valuation]:
     if getattr(args, "name", None) and getattr(args, "input", None):
         raise ParseError("give either --input or --name, not both")
@@ -272,19 +251,8 @@ def _load(args: argparse.Namespace) -> tuple[Configuration, Valuation]:
     return parse_config(text)
 
 
-def _cap(args: argparse.Namespace) -> int:
-    return args.max_n
-
-
-def _sorted_masks(masks) -> list[int]:
-    return sorted(masks, key=lambda m: (m.bit_count(), m))
-
-
 def _cmd_mobius(args, config, valuation) -> tuple[dict, int]:
-    mu = mobius.mobius_polynomial(config, valuation, _cap(args))
-    rest = mobius.rest_polynomial(config, valuation, _cap(args))
-    if rest != mu:
-        raise AssertionError("rest polynomial must alias the Mobius polynomial")
+    mu = mobius.mobius_polynomial(config, valuation, args.max_n)
     return {"mu": poly_to_strings(mu)}, 0
 
 
@@ -294,14 +262,7 @@ def _cmd_relative(args, config, valuation) -> tuple[dict, int]:
     names = [s for s in args.set.split(",") if s]
     anchor = config.mask_of_labels(names)
     view = core.relative_configuration(config, anchor)
-    parallel = [
-        a
-        for a in range(config.n)
-        if not (anchor >> a) & 1 and core.is_parallel(config, anchor, 1 << a)
-    ]
-    if core.mask_from_indices(parallel) != view.vertices:
-        raise AssertionError("parallel vertices disagree with the relative view")
-    poly = mobius.relative_mobius(config, valuation, anchor, _cap(args))
+    poly = mobius.relative_mobius(config, valuation, anchor, args.max_n)
     return {
         "set": config.labels_of(anchor),
         "vertices": config.labels_of(view.vertices),
@@ -311,9 +272,7 @@ def _cmd_relative(args, config, valuation) -> tuple[dict, int]:
 
 
 def _cmd_critical_root(args, config, valuation) -> tuple[dict, int]:
-    root, attained = mobius.critical_root(config, valuation, _cap(args))
-    if probspace.probabilistic_range(config, valuation, _cap(args)) != root:
-        raise AssertionError("probabilistic range disagrees with the critical root")
+    root, attained = mobius.critical_root(config, valuation, args.max_n)
     return {
         "t0": _root_json(root),
         "attained_at": [config.labels_of(x) for x in attained],
@@ -321,15 +280,24 @@ def _cmd_critical_root(args, config, valuation) -> tuple[dict, int]:
 
 
 def _cmd_classify(args, config, valuation) -> tuple[dict, int]:
-    result = mobius.classify(config, valuation, _cap(args))
-    payload = _classification_json(config, result)
-    payload["mu"] = poly_to_strings(mobius.mobius_polynomial(config, valuation, _cap(args)))
-    return payload, 0
+    family = mobius.MobiusFamily(config, valuation, args.max_n)
+    result = family.classify()
+    return {
+        "mu": poly_to_strings(family.mu()),
+        "t0": _root_json(result.critical_root),
+        "type": result.config_type,
+        "rest": _rest_json(result.rest_at_t0),
+        "attained_at": [config.labels_of(x) for x in result.attained_at],
+    }, 0
 
 
-def _space_or_error(args, config, valuation):
-    t = parse_rational(args.t)
-    return probspace.canonical_space(config, valuation, t, _cap(args))
+def _space(args, config, valuation) -> probspace.ConfiguredSpace:
+    """The canonical space at ``--t``; ``main`` reports OutOfRange."""
+    if args.t is None:
+        raise ParseError(f"the {args.command} command needs --t")
+    return probspace.canonical_space(
+        config, valuation, parse_rational(args.t), args.max_n
+    )
 
 
 def _out_of_range_payload(config, exc: probspace.OutOfRange) -> dict:
@@ -342,12 +310,7 @@ def _out_of_range_payload(config, exc: probspace.OutOfRange) -> dict:
 
 
 def _cmd_space(args, config, valuation) -> tuple[dict, int]:
-    if args.t is None:
-        raise ParseError("the space command needs --t")
-    try:
-        space = _space_or_error(args, config, valuation)
-    except probspace.OutOfRange as exc:
-        return _out_of_range_payload(config, exc), 1
+    space = _space(args, config, valuation)
     atoms = [
         {"x": config.labels_of(x), "mass": format_rational(mass)}
         for x, mass in space.sorted_atoms()
@@ -361,15 +324,11 @@ def _cmd_space(args, config, valuation) -> tuple[dict, int]:
 
 
 def _cmd_verify(args, config, valuation) -> tuple[dict, int]:
-    if args.t is None:
-        raise ParseError("the verify command needs --t")
-    try:
-        space = _space_or_error(args, config, valuation)
-    except probspace.OutOfRange as exc:
-        return _out_of_range_payload(config, exc), 1
+    space = _space(args, config, valuation)
     report = probspace.verify_realization(space)
-    # Cross-check through the sign-word route: prescribing the
-    # intersection probabilities must reproduce the atom masses.
+    # Independent cross-check through the dense sign-word route:
+    # prescribing the intersection probabilities must reproduce the
+    # canonical atom masses.
     t = space.t
     q = {
         mask: (
@@ -380,15 +339,10 @@ def _cmd_verify(args, config, valuation) -> tuple[dict, int]:
         for mask in range(1 << config.n)
     }
     word_atoms = probspace.atoms_from_intersections(config.n, q)
-    routes_agree = True
-    for word, mass in word_atoms.items():
-        expected = space.atoms.get(word.positives, Fraction(0))
-        if mass != expected:
-            routes_agree = False
-    for x, mass in space.atoms.items():
-        h = mobius.mobius_transform(config, valuation, x, _cap(args))
-        if h(t) != mass:
-            routes_agree = False
+    routes_agree = all(
+        mass == space.atoms.get(word.positives, Fraction(0))
+        for word, mass in word_atoms.items()
+    )
     payload = {
         "t": format_rational(space.t),
         "marginals_ok": report.marginals_ok,
@@ -404,12 +358,7 @@ def _cmd_verify(args, config, valuation) -> tuple[dict, int]:
 
 
 def _cmd_sample(args, config, valuation) -> tuple[dict, int]:
-    if args.t is None:
-        raise ParseError("the sample command needs --t")
-    try:
-        space = _space_or_error(args, config, valuation)
-    except probspace.OutOfRange as exc:
-        return _out_of_range_payload(config, exc), 1
+    space = _space(args, config, valuation)
     tallies = probspace.sample(space, args.count, args.seed)
     counts = [
         {"x": config.labels_of(x), "n": tallies[x]}
@@ -423,35 +372,40 @@ def _cmd_sample(args, config, valuation) -> tuple[dict, int]:
     }, 0
 
 
+def _component_product(
+    decomposition: structure.Decomposition, valuation: Valuation, max_n: int
+) -> Polynomial:
+    """Product of the Mobius polynomials of the nub-connected components."""
+    product = Polynomial([1])
+    for part in decomposition.components:
+        product = product * mobius.mobius_polynomial(
+            part.config, valuation.restrict(part.index_map), max_n
+        )
+    return product
+
+
 def _cmd_decompose(args, config, valuation) -> tuple[dict, int]:
     decomposition = structure.components(config)
-    parts = []
-    for part in decomposition.components:
-        parts.append(
-            {
-                "vertices": config.labels_of(part.vertices),
-                "nubs": [part.config.labels_of(nub) for nub in part.config.nubs],
-            }
-        )
-    whole = mobius.mobius_polynomial(config, valuation, _cap(args))
-    product = None
-    for part in decomposition.components:
-        factor = mobius.mobius_polynomial(
-            part.config, valuation.restrict(part.index_map), _cap(args)
-        )
-        product = factor if product is None else product * factor
-    product_ok = product is not None and product == whole or config.n == 0
+    parts = [
+        {
+            "vertices": config.labels_of(part.vertices),
+            "nubs": [part.config.labels_of(nub) for nub in part.config.nubs],
+        }
+        for part in decomposition.components
+    ]
+    whole = mobius.mobius_polynomial(config, valuation, args.max_n)
+    product = _component_product(decomposition, valuation, args.max_n)
     return {
         "components": parts,
         "irreducible": structure.is_irreducible(config),
-        "product_check": bool(product_ok),
+        "product_check": product == whole,
     }, 0
 
 
 def _cmd_right_angled(args, config, valuation) -> tuple[dict, int]:
     if not structure.is_right_angled(config):
         return {"right_angled": False}, 0
-    report = structure.right_angled_properties(config, valuation, _cap(args))
+    report = structure.right_angled_properties(config, valuation, args.max_n)
     payload = {
         "right_angled": True,
         "type_one": report.type_one,
@@ -471,7 +425,7 @@ def _cmd_right_angled(args, config, valuation) -> tuple[dict, int]:
 
 
 def _cmd_series(args, config, valuation) -> tuple[dict, int]:
-    series = structure.trace_series(config, valuation, args.order, _cap(args))
+    series = structure.trace_series(config, valuation, args.order, args.max_n)
     return {
         "order": args.order,
         "coefficients": [format_rational(c) for c in series.coefficients],
@@ -481,14 +435,14 @@ def _cmd_series(args, config, valuation) -> tuple[dict, int]:
 def _cmd_cf_count(args, config, valuation) -> tuple[dict, int]:
     weighted = any(w != 1 for w in valuation.weights)
     count = structure.trace_count_cf(
-        config, args.length, valuation if weighted else None, _cap(args)
+        config, args.length, valuation if weighted else None, args.max_n
     )
     value = format_rational(Fraction(count)) if weighted else int(count)
     return {"length": args.length, "count": value}, 0
 
 
 def _cmd_symmetric_counts(args, config, valuation) -> tuple[dict, int]:
-    report = structure.symmetric_counts(config, _cap(args))
+    report = structure.symmetric_counts(config, args.max_n)
     return {
         "counts": list(report.counts),
         "eta": list(report.eta),
@@ -498,7 +452,7 @@ def _cmd_symmetric_counts(args, config, valuation) -> tuple[dict, int]:
 
 
 def _cmd_builtin(args, config, valuation) -> tuple[dict, int]:
-    rebuilt = core.from_nubs(config.n, core.nubs_of(config), config.labels)
+    rebuilt = core.from_nubs(config.n, config.nubs, config.labels)
     if core.canonical_key(rebuilt) != core.canonical_key(config):
         raise AssertionError("builtin round-trip changed the configuration")
     payload = config_to_json(config, valuation)
@@ -514,21 +468,17 @@ def _cmd_check_identities(args) -> tuple[dict, int]:
     for trial in range(args.trials):
         config = structure.random_configuration(args.n, rng)
         valuation = structure.random_valuation(config, rng)
-        if not mobius.derivative_identity_residual(config, valuation, args.max_n).is_zero:
+        family = mobius.MobiusFamily(config, valuation, args.max_n)
+        if not family.derivative_identity_residual().is_zero:
             failures.append(f"trial {trial}: derivative identity residual nonzero")
-        if not mobius.inversion_check(config, valuation, args.max_n):
+        if not family.inversion_check():
             failures.append(f"trial {trial}: inversion identity failed")
-        whole = mobius.mobius_polynomial(config, valuation, args.max_n)
-        product = None
-        for part in structure.components(config).components:
-            factor = mobius.mobius_polynomial(
-                part.config, valuation.restrict(part.index_map), args.max_n
-            )
-            product = factor if product is None else product * factor
-        if config.n and product != whole:
+        product = _component_product(structure.components(config), valuation, args.max_n)
+        if product != family.mu():
             failures.append(f"trial {trial}: decomposition product mismatch")
-        members = list(core.enumerate_independence_sets(config, args.max_n))
-        rebuilt = core.from_independence_list(config.n, members, config.labels, args.max_n)
+        rebuilt = core.from_independence_list(
+            config.n, family.members(), config.labels, args.max_n
+        )
         if rebuilt.nubs != config.nubs:
             failures.append(f"trial {trial}: independence-list round trip changed nubs")
     payload = {
@@ -607,6 +557,8 @@ _HANDLERS = {
     "builtin": _cmd_builtin,
 }
 
+COMMANDS = (*_HANDLERS, "check-identities")
+
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
@@ -621,23 +573,26 @@ def main(argv: Sequence[str] | None = None) -> int:
             digest = hashlib.sha256(digest_blob.encode()).hexdigest()[:16]
         else:
             config, valuation = _load(args)
-            payload, code = _HANDLERS[args.command](args, config, valuation)
             digest = _digest(config, valuation)
-    except ParseError as exc:
+            try:
+                payload, code = _HANDLERS[args.command](args, config, valuation)
+            except probspace.OutOfRange as exc:
+                payload, code = _out_of_range_payload(config, exc), 1
+        line = _canonical_json(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "command": args.command,
+                "input_digest": digest,
+                "payload": payload,
+            }
+        )
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (core.ConfigurationError, structure.UnknownDataset, structure.SelfLoop,
-            structure.BadParameters, structure.NotRightAngled,
-            mobius.TrivialConfiguration, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "input_digest": digest,
-        "payload": payload,
-    }
-    print(_canonical_json(report))
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    print(line)
     if args.pretty:
         print(_pretty_summary(args.command, payload), file=sys.stderr)
     return code

@@ -35,9 +35,7 @@ __all__ = [
     "default_labels",
     "from_nubs",
     "from_independence_list",
-    "is_independent",
     "enumerate_independence_sets",
-    "nubs_of",
     "is_parallel",
     "relative_configuration",
     "valuation_of",
@@ -141,6 +139,7 @@ class Configuration:
         return mask
 
     def is_independent(self, x: int) -> bool:
+        """True iff no nub is contained in x."""
         if x & ~self.vertex_mask:
             raise VertexOutOfRange("vertex set uses bits outside 0..n-1")
         return all(nub & x != nub for nub in self.nubs)
@@ -275,11 +274,6 @@ def from_independence_list(
     return from_nubs(n, nubs, labels)
 
 
-def is_independent(config: Configuration, x: int) -> bool:
-    """True iff no nub is contained in x."""
-    return config.is_independent(x)
-
-
 def enumerate_independence_sets(
     config: Configuration, max_vertices: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[int]:
@@ -307,11 +301,6 @@ def enumerate_independence_sets(
                 yield from walk(y, a + 1)
 
     return walk(0, 0)
-
-
-def nubs_of(config: Configuration) -> tuple[int, ...]:
-    """The stored antichain in canonical order (by size, then mask)."""
-    return config.nubs
 
 
 def is_parallel(config: Configuration, x: int, y: int) -> bool:

@@ -55,7 +55,6 @@ __all__ = [
     "derivative_identity_residual",
     "critical_root",
     "classify",
-    "rest_polynomial",
 ]
 
 TYPE_I = "I"
@@ -237,20 +236,12 @@ def _alternating_sum(
     return Polynomial(coeffs)
 
 
-def _family(
-    config: Configuration,
-    valuation: Valuation | None,
-    max_vertices: int = DEFAULT_ENUMERATION_CAP,
-) -> MobiusFamily:
-    return MobiusFamily(config, valuation, max_vertices)
-
-
 def mobius_polynomial(
     config: Configuration,
     valuation: Valuation | None = None,
     max_vertices: int = DEFAULT_ENUMERATION_CAP,
 ) -> Polynomial:
-    return _family(config, valuation, max_vertices).mu()
+    return MobiusFamily(config, valuation, max_vertices).mu()
 
 
 def relative_mobius(
@@ -259,7 +250,7 @@ def relative_mobius(
     x: int,
     max_vertices: int = DEFAULT_ENUMERATION_CAP,
 ) -> Polynomial:
-    return _family(config, valuation, max_vertices).relative(x)
+    return MobiusFamily(config, valuation, max_vertices).relative(x)
 
 
 def mobius_transform(
@@ -268,7 +259,7 @@ def mobius_transform(
     x: int,
     max_vertices: int = DEFAULT_ENUMERATION_CAP,
 ) -> Polynomial:
-    return _family(config, valuation, max_vertices).transform(x)
+    return MobiusFamily(config, valuation, max_vertices).transform(x)
 
 
 def inversion_check(
@@ -276,7 +267,7 @@ def inversion_check(
     valuation: Valuation | None = None,
     max_vertices: int = DEFAULT_ENUMERATION_CAP,
 ) -> bool:
-    return _family(config, valuation, max_vertices).inversion_check()
+    return MobiusFamily(config, valuation, max_vertices).inversion_check()
 
 
 def derivative_identity_residual(
@@ -284,7 +275,7 @@ def derivative_identity_residual(
     valuation: Valuation | None = None,
     max_vertices: int = DEFAULT_ENUMERATION_CAP,
 ) -> Polynomial:
-    return _family(config, valuation, max_vertices).derivative_identity_residual()
+    return MobiusFamily(config, valuation, max_vertices).derivative_identity_residual()
 
 
 def critical_root(
@@ -292,7 +283,7 @@ def critical_root(
     valuation: Valuation | None = None,
     max_vertices: int = DEFAULT_ENUMERATION_CAP,
 ) -> tuple[AlgebraicRoot, tuple[int, ...]]:
-    return _family(config, valuation, max_vertices).critical_root()
+    return MobiusFamily(config, valuation, max_vertices).critical_root()
 
 
 def classify(
@@ -300,13 +291,4 @@ def classify(
     valuation: Valuation | None = None,
     max_vertices: int = DEFAULT_ENUMERATION_CAP,
 ) -> Classification:
-    return _family(config, valuation, max_vertices).classify()
-
-
-def rest_polynomial(
-    config: Configuration,
-    valuation: Valuation | None = None,
-    max_vertices: int = DEFAULT_ENUMERATION_CAP,
-) -> Polynomial:
-    """The rest R(t) of the canonical space equals mu(t)."""
-    return mobius_polynomial(config, valuation, max_vertices)
+    return MobiusFamily(config, valuation, max_vertices).classify()

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .core import Configuration, DEFAULT_ENUMERATION_CAP, Valuation
-from .mobius import MobiusFamily, TrivialConfiguration
+from .mobius import MobiusFamily
 from .poly import AlgebraicRoot
 
 __all__ = [
@@ -255,10 +255,7 @@ def probabilistic_range(
     max_vertices: int = DEFAULT_ENUMERATION_CAP,
 ) -> AlgebraicRoot:
     """The critical root t0: the range of feasible t is exactly [0, t0]."""
-    if config.n == 0:
-        raise TrivialConfiguration("the empty configuration has no critical root")
-    family = MobiusFamily(config, valuation, max_vertices)
-    return family.critical_root()[0]
+    return MobiusFamily(config, valuation, max_vertices).critical_root()[0]
 
 
 _MASK64 = (1 << 64) - 1

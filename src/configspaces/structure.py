@@ -270,25 +270,44 @@ def trace_count_cf(
             mask |= closure[a]
         allowed_after[c] = mask
 
+    inside: dict[int, list[int]] = {}
+
+    def cliques_inside(allowed: int) -> list[int]:
+        """Cliques within `allowed`, in the descending order of a submask walk."""
+        if allowed not in inside:
+            subs = inside[allowed] = []
+            sub = allowed
+            while sub:
+                if sub in clique_set:
+                    subs.append(sub)
+                sub = (sub - 1) & allowed
+        return inside[allowed]
+
+    # needed[remaining] holds the masks `allowed` whose entry the count
+    # reaches, found top-down; the table is then filled bottom-up in
+    # `remaining`, so long lengths need no deep call stack.
+    needed: list[set[int]] = [set() for _ in range(length + 1)]
+    needed[length].add(config.vertex_mask)
+    for remaining in range(length, 0, -1):
+        for allowed in needed[remaining]:
+            for sub in cliques_inside(allowed):
+                if sub.bit_count() < remaining:
+                    needed[remaining - sub.bit_count()].add(allowed_after[sub])
+
     # tails[(allowed, remaining)] = weighted count of clique sequences of
     # total size `remaining` whose first clique fits inside `allowed`.
     tails: dict[tuple[int, int], int | Fraction] = {}
-
-    def tail(allowed: int, remaining: int):
-        if remaining == 0:
-            return one
-        key = (allowed, remaining)
-        if key not in tails:
+    for remaining in range(1, length + 1):
+        for allowed in needed[remaining]:
             total = zero
-            sub = allowed
-            while sub:
-                if sub in clique_set and sub.bit_count() <= remaining:
-                    total += weights[sub] * tail(allowed_after[sub], remaining - sub.bit_count())
-                sub = (sub - 1) & allowed
-            tails[key] = total
-        return tails[key]
-
-    return tail(config.vertex_mask, length)
+            for sub in inside[allowed]:
+                size = sub.bit_count()
+                if size == remaining:
+                    total += weights[sub] * one
+                elif size < remaining:
+                    total += weights[sub] * tails[(allowed_after[sub], remaining - size)]
+            tails[(allowed, remaining)] = total
+    return tails[(config.vertex_mask, length)] if length else one
 
 
 @dataclass(frozen=True)

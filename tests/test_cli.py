@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from configspaces import cli
 from configspaces.cli import (
     COMMANDS,
     OPERATION_COMMANDS,
@@ -11,7 +12,8 @@ from configspaces.cli import (
     parse_config,
 )
 from configspaces.core import valuation_of
-from configspaces.structure import builtin
+from configspaces.mobius import MobiusFamily
+from configspaces.structure import builtin, components, trace_series
 
 TEXT_CONFIG = """
 # three vertices, one triple nub
@@ -180,6 +182,24 @@ def test_series_and_cf_count(capsys):
     assert payload_of(out)["count"] == 2380
 
 
+def test_cf_count_long_length(capsys):
+    # One DP step per clique must not grow the call stack with the length.
+    code, out, _ = run(capsys, "cf-count", "--name", "path-3", "--length", "3000")
+    assert code == 0
+    count = payload_of(out)["count"]
+    assert isinstance(count, int)
+    assert count == trace_series(builtin("path-3"), order=3000).coefficients[3000]
+    for name in ("fig1-right", "path-6"):
+        code, out, _ = run(capsys, "series", "--name", name, "--order", "12")
+        assert code == 0
+        coefficients = payload_of(out)["coefficients"]
+        for length in range(13):
+            argv = ("cf-count", "--name", name, "--length", str(length))
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert str(payload_of(out)["count"]) == coefficients[length]
+
+
 def test_series_rejects_non_right_angled(capsys):
     code, out, err = run(capsys, "series", "--name", "star-4-3")
     assert code == 2
@@ -239,6 +259,52 @@ def test_validation_error_exit_code(capsys, tmp_path):
     assert "nub" in err
 
 
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(args, config, valuation):
+        raise RuntimeError("handler broke")
+
+    monkeypatch.setitem(cli._HANDLERS, "mobius", broken)
+    code, out, err = run(capsys, "mobius", "--name", "fig1-left")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["error: internal: RuntimeError: handler broke"]
+    assert "Traceback" not in err
+
+
+def test_one_family_per_configuration(capsys, monkeypatch, tmp_path):
+    built = []
+    original_init = MobiusFamily.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MobiusFamily, "__init__", counting_init)
+    commands = [
+        ("mobius", "--name", "fig1-left"),
+        ("relative", "--name", "star-4-3", "--set", "a"),
+        ("critical-root", "--name", "star-5-3"),
+        ("classify", "--name", "fig1-right"),
+        ("space", "--name", "star-4-3", "--t", "1/2"),
+        ("verify", "--name", "star-5-3", "--t", "1/4"),
+        ("sample", "--name", "path-6", "--t", "1/8", "--count", "50"),
+        ("right-angled", "--name", "path-6"),
+        ("series", "--name", "fig1-right"),
+        ("symmetric-counts", "--name", "fig1-left"),
+    ]
+    for argv in commands:
+        built.clear()
+        code, _, _ = run(capsys, *argv)
+        assert (argv[0], code, len(built)) == (argv[0], 0, 1)
+    path = tmp_path / "cfg.txt"
+    path.write_text("vertices: a b c d e\nnub: a b\nnub: c d\n")
+    parts = len(components(parse_config(path.read_text())[0]).components)
+    built.clear()
+    code, _, _ = run(capsys, "decompose", "--input", str(path))
+    assert code == 0
+    assert len(built) == 1 + parts == 4
+
+
 def test_pretty_flag(capsys):
     code, out, err = run(capsys, "classify", "--name", "star-3-2", "--pretty")
     assert code == 0
@@ -264,11 +330,11 @@ def test_operation_registry_is_total():
         "add", "mul", "derivative", "evaluate", "series_inverse", "sturm_count",
         "first_positive_root", "compare_roots",
         "from_nubs", "from_independence_list", "is_independent",
-        "enumerate_independence_sets", "nubs_of", "is_parallel",
+        "enumerate_independence_sets", "is_parallel",
         "relative_configuration", "valuation_of", "canonical_key",
         "mobius_polynomial", "relative_mobius", "mobius_transform",
         "inversion_check", "derivative_identity_residual", "critical_root",
-        "classify", "rest_polynomial",
+        "classify",
         "atoms_from_intersections", "event_probability", "canonical_space",
         "verify_realization", "probabilistic_range", "sample",
         "components", "is_irreducible", "is_right_angled",

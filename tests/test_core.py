@@ -17,10 +17,8 @@ from configspaces.core import (
     enumerate_independence_sets,
     from_independence_list,
     from_nubs,
-    is_independent,
     is_parallel,
     mask_from_indices,
-    nubs_of,
     relative_configuration,
     valuation_of,
 )
@@ -98,9 +96,9 @@ def test_from_independence_list_errors():
 
 def test_is_independent_examples():
     s32 = star(3, 2)
-    assert is_independent(s32, 0b011)
-    assert not is_independent(s32, 0b111)
-    assert is_independent(s32, 0)
+    assert s32.is_independent(0b011)
+    assert not s32.is_independent(0b111)
+    assert s32.is_independent(0)
 
 
 def test_enumerate_counts():
@@ -119,7 +117,7 @@ def test_enumerate_cap():
 def test_nubs_roundtrip():
     c = from_nubs(5, [{0, 1}, {2, 3, 4}])
     rebuilt = from_independence_list(5, enumerate_independence_sets(c))
-    assert nubs_of(rebuilt) == nubs_of(c)
+    assert rebuilt.nubs == c.nubs
 
 
 def test_is_parallel():

@@ -16,7 +16,6 @@ from configspaces.mobius import (
     mobius_polynomial,
     mobius_transform,
     relative_mobius,
-    rest_polynomial,
 )
 from configspaces.poly import Polynomial, compare_roots, first_positive_root
 from configspaces.structure import (
@@ -245,8 +244,8 @@ def test_type_one_iff_mu_vanishes_at_root(rng):
 
 def test_rest_polynomial():
     s32 = star(3, 2)
-    rest = rest_polynomial(s32)
-    assert rest == mobius_polynomial(s32)
+    rest = mobius_polynomial(s32)
+    assert rest == powerset_mobius(s32)
     assert rest(Fraction(1, 2)) == Fraction(1, 4)
     assert rest(0) == 1
 

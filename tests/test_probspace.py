@@ -29,6 +29,20 @@ def _uniform_star_intersections(n, k, t):
     }
 
 
+def test_star53_critical_root_by_dense_route():
+    # Every intersection probability of star(5,3) is forced, so the dense
+    # route alone decides feasibility: t0 = 1/3, and the empty word keeps
+    # mass mu(1/3) = 2/27 > 0 there, so star(5,3) is type II.  This is why
+    # criterion 3's printed table stays red (README, "Known-red acceptance
+    # check").
+    atoms = atoms_from_intersections(5, _uniform_star_intersections(5, 3, Fraction(1, 3)))
+    assert atoms[SignedWord(0, 0b11111)] == Fraction(2, 27)
+    with pytest.raises(InfeasibleIntersections):
+        atoms_from_intersections(
+            5, _uniform_star_intersections(5, 3, Fraction(1, 3) + Fraction(1, 10**6))
+        )
+
+
 def test_atoms_single_event():
     atoms = atoms_from_intersections(1, {0: Fraction(1), 1: Fraction(1, 3)})
     assert atoms[SignedWord(1, 0)] == Fraction(1, 3)
