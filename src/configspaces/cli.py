@@ -6,7 +6,10 @@ analyses and reads every reported quantity from it; ``space``,
 ``verify`` and ``sample`` get theirs through ``canonical_space``.
 ``verify`` reports ``routes_agree``: whether the dense sign-word route
 (``atoms_from_intersections`` over all 2^n subsets) reproduces the
-canonical atoms.
+canonical atoms.  That route takes independence from the nubs, closed
+upward over all 2^n masks, not from the enumerated family, and runs its
+transform on integer numerators; it is bounded at n <= 20, and ``verify``
+refuses larger configurations (exit 2) before allocating anything.
 
 Exit codes: 0 on success, 1 when a verification command found a
 violation (or the requested t is out of range), 2 on usage, parse, or
@@ -37,6 +40,10 @@ from .poly import (
 
 SCHEMA_VERSION = "1"
 
+#: verify's dense cross-check builds tables over all 2^n vertex subsets;
+#: larger configurations are refused before anything is allocated.
+_DENSE_CHECK_MAX_N = 20
+
 
 class ParseError(ValueError):
     """Input file could not be parsed; carries line information."""
@@ -61,7 +68,9 @@ OPERATION_COMMANDS = {
     # core
     "from_nubs": "builtin",
     "from_independence_list": "check-identities",
-    "is_independent": "space",
+    # relative_configuration tests the anchor and every added vertex;
+    # space builds its family by enumeration and never calls it.
+    "is_independent": "relative",
     "enumerate_independence_sets": "space",
     "is_parallel": "relative",
     "relative_configuration": "relative",
@@ -77,6 +86,8 @@ OPERATION_COMMANDS = {
     "classify": "classify",
     # probspace
     "atoms_from_intersections": "verify",
+    # verify's nub exclusivity check sums the atoms through it; its
+    # marginals and joint probabilities come from one zeta transform.
     "event_probability": "verify",
     "canonical_space": "space",
     "verify_realization": "verify",
@@ -323,26 +334,55 @@ def _cmd_space(args, config, valuation) -> tuple[dict, int]:
     }, 0
 
 
+def _dependence_indicator(config: Configuration) -> bytes:
+    """One byte per subset of the vertices: 1 where it contains a nub.
+
+    The nubs are closed upward one vertex at a time over the whole 2^n
+    table at once: the bytes are the digits of one integer, and adding
+    vertex i copies every cell without i onto the cell 2^i bytes above.
+    """
+    size = 1 << config.n
+    cells = bytearray(size)
+    for nub in config.nubs:
+        cells[nub] = 1
+    table = int.from_bytes(cells, "little")
+    for i in range(config.n):
+        half = 1 << i
+        pattern = (b"\x01" * half + b"\x00" * half) * (size // (2 * half))
+        table |= (table & int.from_bytes(pattern, "little")) << (8 * half)
+    return table.to_bytes(size, "little")
+
+
 def _cmd_verify(args, config, valuation) -> tuple[dict, int]:
+    if config.n > _DENSE_CHECK_MAX_N:
+        raise core.TooLarge(
+            f"verify's dense cross-check covers all 2^n subsets; {config.n} "
+            f"vertices exceeds its limit of {_DENSE_CHECK_MAX_N}"
+        )
     space = _space(args, config, valuation)
     report = probspace.verify_realization(space)
     # Independent cross-check through the dense sign-word route:
     # prescribing the intersection probabilities must reproduce the
-    # canonical atom masses.
+    # canonical atom masses.  Independence comes from the nubs over all
+    # 2^n masks, not from the enumerated family.
     t = space.t
-    q = {
-        mask: (
-            valuation.of(mask) * t ** mask.bit_count()
-            if config.is_independent(mask)
-            else Fraction(0)
-        )
-        for mask in range(1 << config.n)
-    }
+    zero = Fraction(0)
+    factors = [w * t for w in valuation.weights]
+    dependent = _dependence_indicator(config)
+    q = {0: Fraction(1)}
+    for mask in range(1, 1 << config.n):
+        if dependent[mask]:
+            q[mask] = zero
+        else:
+            top = mask.bit_length() - 1
+            q[mask] = q[mask ^ (1 << top)] * factors[top]
     word_atoms = probspace.atoms_from_intersections(config.n, q)
-    routes_agree = all(
-        mass == space.atoms.get(word.positives, Fraction(0))
-        for word, mass in word_atoms.items()
-    )
+    del q
+    # Every mask has a word, so the routes agree iff their nonzero
+    # masses sit on the same sets with the same values.
+    routes_agree = {
+        word.positives: mass for word, mass in word_atoms.items() if mass
+    } == {x: mass for x, mass in space.atoms.items() if mass}
     payload = {
         "t": format_rational(space.t),
         "marginals_ok": report.marginals_ok,

@@ -5,16 +5,29 @@ canonical space has one atom per independence set x with exact mass
 m(x) = f(x) t^|x| mu^{|x}(t); the masses sum to one.  Sign-word atoms
 (which vertices occur, which are negated) are derived on demand.
 
+One subset transform does the work.  The masses are the superset
+Mobius transform of q(x) = f(x) t^|x| over the independence family,
+and the joint probabilities of a space are the superset sums (zeta
+transform) of its atoms.  Both run one vertex at a time (Yates'
+algorithm) on integer numerators over a common denominator, in
+O(|F| n) steps for a family F on n vertices; downward closure makes
+the transform over the family alone exact, so no relative polynomial
+is built.  The dense ``atoms_from_intersections`` runs the same
+transform over all 2^n subsets.
+
 Feasibility is decided pointwise: t is admissible iff every relative
 polynomial is nonnegative at t, which holds exactly on [0, t0] with t0
-the critical root.  No root isolation is needed to build a space.
+the critical root.  For t > 0 the mass m(x) has the sign of
+mu^{|x}(t), so the first negative mass names the witness.  No root
+isolation is needed to build a space.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterable, Mapping, MutableMapping, Union
 
 from .core import Configuration, DEFAULT_ENUMERATION_CAP, Valuation
 from .mobius import MobiusFamily
@@ -64,9 +77,12 @@ class InfeasibleIntersections(ValueError):
         self.negatives = negatives
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedWord:
-    """A partial assignment: these vertices occur, those are negated."""
+    """A partial assignment: these vertices occur, those are negated.
+
+    Slotted: the dense route keys one word per subset of the vertices.
+    """
 
     positives: int
     negatives: int
@@ -114,6 +130,62 @@ class RealizationReport:
         return self.marginals_ok and self.independence_ok and self.exclusivity_ok
 
 
+def _superset_transform(
+    table: MutableMapping[int, int] | list[int], keys: Iterable[int], n: int, sign: int
+) -> None:
+    """In place: table[x] becomes the sum of sign^(|y|-|x|) table[y] over
+    keys y containing x, one vertex at a time (Yates' algorithm).
+
+    sign -1 is the superset Mobius transform, +1 the superset sums
+    (zeta transform).  The keys must be downward closed: every subset
+    of a key is a key.
+    """
+    for i in range(n):
+        bit = 1 << i
+        for y in keys:
+            if y & bit:
+                value = table[y]
+                if value:
+                    table[y ^ bit] += sign * value
+
+
+def _downward_closure(keys: Iterable[int]) -> set[int]:
+    """Every subset of every key."""
+    closed = set(keys)
+    pending = list(closed)
+    while pending:
+        x = pending.pop()
+        rest = x
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if x ^ bit not in closed:
+                closed.add(x ^ bit)
+                pending.append(x ^ bit)
+    return closed
+
+
+def _scaled_products(
+    members: Iterable[int], valuation: Valuation, t: Fraction
+) -> tuple[int, dict[int, int]]:
+    """A common denominator D and the integers D f(x) t^|x| over members.
+
+    Members must be downward closed and come in (size, mask) order: x
+    takes the value of x minus its top vertex a times f(a) t.
+    """
+    factors = [w * t for w in valuation.weights]
+    scale = math.prod(c.denominator for c in factors)
+    scaled: dict[int, int] = {}
+    for x in members:
+        if not x:
+            scaled[x] = scale
+            continue
+        top = x.bit_length() - 1
+        c = factors[top]
+        scaled[x] = scaled[x ^ (1 << top)] // c.denominator * c.numerator
+    return scale, scaled
+
+
 def atoms_from_intersections(
     n: int, q: Mapping[int, Fraction]
 ) -> dict[SignedWord, Fraction]:
@@ -125,28 +197,35 @@ def atoms_from_intersections(
     alternating sum of q over supersets of y.  Raises
     :class:`InfeasibleIntersections` when any mass comes out negative,
     listing the offending words.
+
+    The transform runs on integer numerators over the least common
+    denominator of q and does no Fraction arithmetic.
     """
     size = 1 << n
-    table = []
+    values = []
     for mask in range(size):
         if mask not in q:
             raise MissingEntry(f"no intersection probability for mask {mask}")
-        table.append(Fraction(q[mask]))
-    if table[0] != 1:
+        value = q[mask]
+        values.append(value if isinstance(value, Fraction) else Fraction(value))
+    if values[0] != 1:
         raise ValueError("the empty intersection must have probability 1")
-    # Superset Mobius transform, one bit at a time.
-    for i in range(n):
-        bit = 1 << i
-        for mask in range(size):
-            if not mask & bit:
-                table[mask] -= table[mask | bit]
-    negatives = [(mask, table[mask]) for mask in range(size) if table[mask] < 0]
+    scale = math.lcm(*(value.denominator for value in values))
+    table = [value.numerator * (scale // value.denominator) for value in values]
+    del values
+    _superset_transform(table, range(size), n, -1)
+    negatives = [
+        (mask, Fraction(value, scale)) for mask, value in enumerate(table) if value < 0
+    ]
     if negatives:
         raise InfeasibleIntersections(negatives)
+    zero = Fraction(0)
     full = size - 1
     return {
-        SignedWord(positives=mask, negatives=full ^ mask): table[mask]
-        for mask in range(size)
+        SignedWord(positives=mask, negatives=full ^ mask): (
+            Fraction(value, scale) if value else zero
+        )
+        for mask, value in enumerate(table)
     }
 
 
@@ -178,23 +257,30 @@ def canonical_space(
 ) -> ConfiguredSpace:
     """The canonical configured space at rational t.
 
-    Raises :class:`OutOfRange` with a witness independence set whenever
-    some relative polynomial is negative at t, which happens exactly for
-    t above the critical root.
+    The masses are the superset Mobius transform of q(x) = f(x) t^|x|
+    over the independence family, computed on integer numerators with
+    no relative polynomial.  Raises :class:`OutOfRange` whenever some
+    relative polynomial is negative at t, which happens exactly for t
+    above the critical root.  The witness is the first independence set
+    in (size, mask) order with a negative mass, and the reported value
+    is m(x) / q(x), which is its relative polynomial at t.  At t = 0
+    no mass is negative.
     """
     t = Fraction(t)
     if t < 0:
         raise OutOfRange(t, 0, t)
     family = MobiusFamily(config, valuation, max_vertices)
-    atoms: dict[int, Fraction] = {}
-    for x in family.members():
-        relative_value = family.relative(x)(t)
-        if relative_value < 0:
-            raise OutOfRange(t, x, relative_value)
-        atoms[x] = family.valuation.of(x) * t ** x.bit_count() * relative_value
-    total = sum(atoms.values())
-    if total != 1:
-        raise AssertionError(f"atom masses sum to {total}, not 1")
+    members = family.members()
+    scale, products = _scaled_products(members, family.valuation, t)
+    masses = dict(products)
+    _superset_transform(masses, members, config.n, -1)
+    for x in members:
+        if masses[x] < 0:
+            raise OutOfRange(t, x, Fraction(masses[x], products[x]))
+    total = sum(masses.values())
+    if total != scale:
+        raise AssertionError(f"atom masses sum to {Fraction(total, scale)}, not 1")
+    atoms = {x: Fraction(masses[x], scale) for x in members}
     return ConfiguredSpace(
         config=config, valuation=family.valuation, t=t, atoms=atoms, _family=family
     )
@@ -208,24 +294,38 @@ def verify_realization(space: ConfiguredSpace) -> RealizationReport:
     marginals (all sizes, not just pairs).  Exclusivity: every nub has
     joint probability zero; upward closure makes nub checking
     sufficient.  Violations are reported, never raised.
+
+    One zeta transform of the atoms over the downward closure of their
+    sets gives every joint probability the first two checks need (the
+    marginals are its singleton entries), on integer numerators over a
+    common denominator.  The nub check sums the atoms directly.  The
+    rest is compared with mu(t) from the space's Mobius family.
     """
     config, valuation, t = space.config, space.valuation, space.t
+    atoms = space.atoms
+    scale = math.lcm(*(mass.denominator for mass in atoms.values()))
+    closure = sorted(_downward_closure(atoms), key=lambda m: (m.bit_count(), m))
+    joint = dict.fromkeys(closure, 0)
+    for x, mass in atoms.items():
+        joint[x] = mass.numerator * (scale // mass.denominator)
+    _superset_transform(joint, closure, max(closure).bit_length(), 1)
     violations: list[str] = []
     marginals_ok = True
     for a in range(config.n):
-        got = event_probability(space, SignedWord(1 << a, 0))
+        got = joint.get(1 << a, 0)
         want = t * valuation.weights[a]
-        if got != want:
+        if got * want.denominator != want.numerator * scale:
             marginals_ok = False
             violations.append(
-                f"marginal of {config.label_of(a)}: {got} != {want}"
+                f"marginal of {config.label_of(a)}: {Fraction(got, scale)} != {want}"
             )
     independence_ok = True
-    for x in space.atoms:
-        got = event_probability(space, SignedWord(x, 0))
-        want = valuation.of(x) * t ** x.bit_count()
-        if got != want:
+    product_scale, products = _scaled_products(closure, valuation, t)
+    for x in atoms:
+        if joint[x] * product_scale != products[x] * scale:
             independence_ok = False
+            got = Fraction(joint[x], scale)
+            want = Fraction(products[x], product_scale)
             violations.append(
                 f"joint probability of {config.word(x)}: {got} != {want}"
             )

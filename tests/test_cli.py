@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,12 @@ from configspaces.cli import (
 )
 from configspaces.core import valuation_of
 from configspaces.mobius import MobiusFamily
-from configspaces.structure import builtin, components, trace_series
+from configspaces.structure import (
+    builtin,
+    components,
+    random_configuration,
+    trace_series,
+)
 
 TEXT_CONFIG = """
 # three vertices, one triple nub
@@ -303,6 +309,45 @@ def test_one_family_per_configuration(capsys, monkeypatch, tmp_path):
     code, _, _ = run(capsys, "decompose", "--input", str(path))
     assert code == 0
     assert len(built) == 1 + parts == 4
+
+
+def test_dense_dependence_indicator(rng):
+    for _ in range(40):
+        config = random_configuration(rng.randint(0, 9), rng)
+        dependent = cli._dependence_indicator(config)
+        assert len(dependent) == 1 << config.n
+        assert [not cell for cell in dependent] == [
+            config.is_independent(mask) for mask in range(1 << config.n)
+        ]
+
+
+def test_verify_dense_check_bound(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built a table past the dense bound")
+
+    for name in ("canonical_space", "verify_realization", "atoms_from_intersections"):
+        monkeypatch.setattr(cli.probspace, name, refuse)
+    monkeypatch.setattr(cli, "_dependence_indicator", refuse)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "verify", "--name", "star-21-1", "--t", "1/40")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # one byte per subset would already be 2 MiB
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "dense cross-check" in err and "21 vertices" in err
+    assert "Traceback" not in err
+
+
+def test_verify_dense_check_bound_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_DENSE_CHECK_MAX_N", 5)
+    code, out, _ = run(capsys, "verify", "--name", "star-5-3", "--t", "1/4")
+    assert code == 0 and payload_of(out)["routes_agree"] is True
+    code, out, err = run(capsys, "verify", "--name", "star-6-3", "--t", "1/4")
+    assert code == 2 and out == "" and "dense cross-check" in err
 
 
 def test_pretty_flag(capsys):

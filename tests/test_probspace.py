@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from configspaces.core import from_nubs
+from configspaces.core import Valuation, from_nubs
+from configspaces.mobius import MobiusFamily
 from configspaces.probspace import (
     InfeasibleIntersections,
     MissingEntry,
@@ -17,6 +18,8 @@ from configspaces.probspace import (
     verify_realization,
 )
 from configspaces.structure import builtin, random_configuration, random_valuation, star
+
+from conftest import direct_transform
 
 H = Fraction(1, 2)
 
@@ -244,3 +247,123 @@ def test_sample_star43_five_sigma():
         else:
             assert tallies[x] == 0
     assert sum(tallies.values()) == 100000
+
+
+def test_canonical_space_matches_direct_transform(rng):
+    # The sparse transform against the brute-force oracle, and the
+    # out-of-range witness against the relative polynomials.
+    for _ in range(50):
+        c = random_configuration(rng.randint(1, 8), rng)
+        f = random_valuation(c, rng)
+        family = MobiusFamily(c, f)
+        root = family.critical_root()[0]
+        top = root.value if root.is_rational else root.lo
+        ts = [Fraction(0), top / 3] + ([root.value] if root.is_rational else [])
+        oracle = {x: direct_transform(c, f, x) for x in family.members()}
+        for t in ts:
+            space = canonical_space(c, f, t)
+            assert list(space.atoms) == family.members()
+            for x, poly in oracle.items():
+                assert space.atoms[x] == poly(t)
+        above = root.value if root.is_rational else root.hi
+        for t in (above * Fraction(11, 10), above * 2):
+            with pytest.raises(OutOfRange) as excinfo:
+                canonical_space(c, f, t)
+            witness = next(x for x in family.members() if family.relative(x)(t) < 0)
+            assert excinfo.value.witness == witness
+            assert excinfo.value.value == family.relative(witness)(t)
+
+
+def _plain_dense_transform(n, q):
+    """The superset Mobius transform on Fractions, one bit at a time."""
+    table = [Fraction(q[mask]) for mask in range(1 << n)]
+    for i in range(n):
+        for mask in range(1 << n):
+            if not mask & (1 << i):
+                table[mask] -= table[mask | (1 << i)]
+    return table
+
+
+def test_atoms_from_intersections_mixed_denominators():
+    weights = (Fraction(2, 3), Fraction(5, 7), Fraction(9, 4))
+    t = Fraction(1, 11)
+    c = from_nubs(3, [0b011])
+    f = Valuation(weights)
+    q = {
+        mask: (f.of(mask) * t ** mask.bit_count() if c.is_independent(mask) else Fraction(0))
+        for mask in range(8)
+    }
+    q[0] = 1  # int entry
+    q[0b011] = "0"  # str entries
+    q[0b100] = "9/44"
+    atoms = atoms_from_intersections(3, q)
+    plain = _plain_dense_transform(3, q)
+    assert {word.positives: mass for word, mass in atoms.items()} == dict(enumerate(plain))
+    assert all(word.negatives == 0b111 ^ word.positives for word in atoms)
+    assert all(isinstance(mass, Fraction) for mass in atoms.values())
+    assert sum(atoms.values()) == 1
+    assert atoms[SignedWord(0b101, 0b010)] == Fraction(2, 3) * Fraction(9, 4) * t * t
+
+
+def test_atoms_from_intersections_negatives_in_mask_order():
+    q = {0: 1, 1: "1/2", 2: Fraction(2, 3), 3: Fraction(5, 7), 4: "3/4", 5: 0, 6: 0, 7: 0}
+    plain = _plain_dense_transform(3, q)
+    expected = [(mask, mass) for mask, mass in enumerate(plain) if mass < 0]
+    assert len(expected) > 1
+    with pytest.raises(InfeasibleIntersections) as excinfo:
+        atoms_from_intersections(3, q)
+    assert excinfo.value.negatives == expected
+    assert all(isinstance(mass, Fraction) for _, mass in excinfo.value.negatives)
+
+
+def test_atoms_from_intersections_errors_unchanged():
+    with pytest.raises(MissingEntry, match="no intersection probability for mask 3"):
+        atoms_from_intersections(2, {0: 1, 1: "1/2", 2: "1/3"})
+    with pytest.raises(ValueError, match="the empty intersection must have probability 1"):
+        atoms_from_intersections(1, {0: "1/2", 1: "1/4"})
+
+
+def _violations_by_event_probability(space):
+    """The realization checks summed atom by atom, as a reference."""
+    config, f, t = space.config, space.valuation, space.t
+    out = []
+    for a in range(config.n):
+        got = event_probability(space, SignedWord(1 << a, 0))
+        if got != t * f.weights[a]:
+            out.append(f"marginal of {config.label_of(a)}: {got} != {t * f.weights[a]}")
+    for x in space.atoms:
+        got = event_probability(space, SignedWord(x, 0))
+        want = f.of(x) * t ** x.bit_count()
+        if got != want:
+            out.append(f"joint probability of {config.word(x)}: {got} != {want}")
+    for nub in config.nubs:
+        got = event_probability(space, SignedWord(nub, 0))
+        if got != 0:
+            out.append(f"nub {config.word(nub)} has joint probability {got}")
+    return out
+
+
+def test_verify_zeta_matches_atom_sums(rng):
+    # Tampered spaces, including mass on a dependent set none of whose
+    # two-element subsets is an atom (the zeta runs over the closure).
+    space = canonical_space(star(3, 1), None, Fraction(1, 4))
+    space.atoms[0b111] = Fraction(1, 8)
+    space.atoms[0] -= Fraction(1, 8)
+    report = verify_realization(space)
+    assert report.violations[-1].startswith("rest ")
+    assert report.violations[:-1] == _violations_by_event_probability(space)
+    assert not report.marginals_ok and not report.exclusivity_ok
+    for _ in range(20):
+        c = random_configuration(rng.randint(1, 7), rng)
+        f = random_valuation(c, rng)
+        root = probabilistic_range(c, f)
+        t = (root.value if root.is_rational else root.lo) / 2
+        space = canonical_space(c, f, t)
+        assert verify_realization(space).violations == []
+        x = rng.choice([x for x in space.atoms if x])
+        space.atoms[x] += Fraction(1, 7)
+        space.atoms[0] -= Fraction(1, 7)
+        report = verify_realization(space)
+        assert report.violations[-1].startswith("rest ")
+        assert report.violations[:-1] == _violations_by_event_probability(space)
+        assert not (report.marginals_ok and report.independence_ok)
