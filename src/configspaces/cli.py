@@ -68,8 +68,10 @@ OPERATION_COMMANDS = {
     # core
     "from_nubs": "builtin",
     "from_independence_list": "check-identities",
-    # relative_configuration tests the anchor and every added vertex;
-    # space builds its family by enumeration and never calls it.
+    # relative_configuration tests the anchor and every added vertex.
+    # It serves only the relative command's vertex and nub report:
+    # MobiusFamily takes every relative polynomial from one packed zeta
+    # transform of the enumerated family and never calls it.
     "is_independent": "relative",
     "enumerate_independence_sets": "space",
     "is_parallel": "relative",

@@ -203,10 +203,19 @@ def _validate_nub_masks(n: int, masks: Iterable[int]) -> list[int]:
 
 
 def _antichain_minimal(masks: Iterable[int]) -> tuple[int, ...]:
+    """The minimal sets among masks, in (size, mask) order.
+
+    A mask is tested only against kept sets of strictly smaller size:
+    distinct sets of equal size never contain one another.
+    """
     unique = sorted(set(masks), key=_nub_sort_key)
     kept: list[int] = []
+    smaller: tuple[int, ...] = ()
+    size = -1
     for mask in unique:
-        if all(small & mask != small for small in kept):
+        if mask.bit_count() != size:
+            size, smaller = mask.bit_count(), tuple(kept)
+        if all(small & mask != small for small in smaller):
             kept.append(mask)
     return tuple(kept)
 
@@ -281,23 +290,27 @@ def enumerate_independence_sets(
 
     Backtracking never extends a dependent set: a vertex is added only
     when no nub becomes contained, so the cost is proportional to the
-    family size times n rather than 2**n.
+    family size times n rather than 2**n.  The walk is depth first and
+    adds vertices in increasing order, so each set is yielded after the
+    set without its top vertex, and that set is still on the current
+    branch.  A nub inside x | a that x does not contain holds a and
+    nothing above it, so each extension checks only the nubs whose top
+    vertex is a.
     """
     if config.n > max_vertices:
         raise TooLarge(
             f"{config.n} vertices exceeds the enumeration cap {max_vertices}"
         )
     n = config.n
-    nubs_with = [[] for _ in range(n)]
+    nubs_topped_by = [[] for _ in range(n)]
     for nub in config.nubs:
-        for i in indices_of(nub):
-            nubs_with[i].append(nub)
+        nubs_topped_by[nub.bit_length() - 1].append(nub)
 
     def walk(x: int, start: int) -> Iterator[int]:
         yield x
         for a in range(start, n):
             y = x | (1 << a)
-            if all(nub & y != nub for nub in nubs_with[a]):
+            if all(nub & y != nub for nub in nubs_topped_by[a]):
                 yield from walk(y, a + 1)
 
     return walk(0, 0)

@@ -16,21 +16,37 @@ positive real at which some relative polynomial vanishes, is exactly
 the right end of the parameter range on which the configuration can be
 realized by a probability space; the configuration is of type I when mu
 itself vanishes there (zero rest) and of type II otherwise.
+
+One integer kernel gives every relative polynomial.  mu^{|x} sums
+(-1)^|y| f(y) t^|y|, y = z - x, over the independent z containing x,
+so it is a superset sum over the family.  With D the product of the
+weight denominators, N(z) = D f(z) is an integer.  Each member z
+carries the packed integer N(z) << (B |z|), one B-bit digit per size,
+and one superset zeta transform over the family (Yates' algorithm, the
+kernel canonical spaces share) leaves at x, in digit k, the sum of
+N(z) over the independent z containing x with |z| = k.  Digit |x| is
+N(x) alone and f(z) / f(x) = f(z - x), so coefficient d of mu^{|x} is
+(-1)^d digit_{|x|+d} / digit_{|x|}.  No digit exceeds the sum of all
+N(z), which fits in B bits, so no carry crosses digits.  No relative
+configuration is built.  The critical root is searched lazily:
+only polynomials that may have a root at or below the best one found
+are isolated (see ``MobiusFamily.critical_root``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, MutableMapping, Union
 
 from .core import (
     Configuration,
     DEFAULT_ENUMERATION_CAP,
+    NonPositiveWeight,
+    NotIndependent,
     Valuation,
-    canonical_key,
     enumerate_independence_sets,
-    relative_configuration,
 )
 from .poly import (
     AlgebraicRoot,
@@ -39,6 +55,7 @@ from .poly import (
     evaluate_on_interval,
     first_positive_root,
     refine_root,
+    root_free,
 )
 
 __all__ = [
@@ -85,15 +102,55 @@ class Classification:
     rest_at_t0: Union[Fraction, RestBound]
 
 
+def _superset_transform(
+    table: MutableMapping[int, int] | list[int], keys: Iterable[int], n: int, sign: int
+) -> None:
+    """In place: table[x] becomes the sum of sign^(|y|-|x|) table[y] over
+    keys y containing x, one vertex at a time (Yates' algorithm).
+
+    sign -1 is the superset Mobius transform, +1 the superset sums
+    (zeta transform).  The keys must be downward closed: every subset
+    of a key is a key.
+    """
+    for i in range(n):
+        bit = 1 << i
+        for y in keys:
+            if y & bit:
+                value = table[y]
+                if value:
+                    table[y ^ bit] += sign * value
+
+
+def _scaled_products(
+    members: Iterable[int], valuation: Valuation, t: Fraction
+) -> tuple[int, dict[int, int]]:
+    """A common denominator D and the integers D f(x) t^|x| over members.
+
+    Members must be downward closed and come in (size, mask) order: x
+    takes the value of x minus its top vertex a times f(a) t.
+    """
+    factors = [w * t for w in valuation.weights]
+    scale = math.prod(c.denominator for c in factors)
+    scaled: dict[int, int] = {}
+    for x in members:
+        if not x:
+            scaled[x] = scale
+            continue
+        top = x.bit_length() - 1
+        c = factors[top]
+        scaled[x] = scaled[x ^ (1 << top)] // c.denominator * c.numerator
+    return scale, scaled
+
+
 class MobiusFamily:
     """All relative Mobius polynomials of one weighted configuration.
 
-    Relative polynomials are memoized by the identity key of the
-    standalone relative configuration together with its restricted
-    weight tuple (the polynomial depends on which vertex carries which
-    weight, so the full tuple is the key).  The cache is write-once:
-    racing writers would store identical values, so concurrent reads
-    are safe.
+    The independence family and its packed zeta transform (see the
+    module docstring) are built on first use and kept; ``mu`` alone
+    needs neither and sums straight from the enumeration.  Anchors whose
+    transform digits agree share one polynomial object.  Everything
+    kept is write-once: racing writers would store identical values, so
+    concurrent reads are safe.
     """
 
     def __init__(
@@ -105,10 +162,12 @@ class MobiusFamily:
         self.config = config
         self.valuation = valuation if valuation is not None else Valuation.uniform(config.n)
         self.max_vertices = max_vertices
-        self._relative_cache: dict[tuple[str, tuple[Fraction, ...]], Polynomial] = {}
-        self._by_anchor: dict[int, Polynomial] = {}
-        self._root_cache: dict[Polynomial, AlgebraicRoot | None] = {}
+        if any(w <= 0 for w in self.valuation.weights):
+            raise NonPositiveWeight("the packed transform needs positive weights")
         self._members: list[int] | None = None
+        self._zeta: dict[int, int] | None = None
+        self._width = 0
+        self._polynomials: dict[int, Polynomial] = {}
 
     def members(self) -> list[int]:
         """The independence family, enumerated once."""
@@ -120,20 +179,55 @@ class MobiusFamily:
         return self._members
 
     def mu(self) -> Polynomial:
-        return self.relative(0)
+        """The Mobius polynomial, summed by size without storing the family."""
+        if self._zeta is not None:
+            return self.relative(0)
+        weights = self.valuation.weights
+        scale = math.prod(w.denominator for w in weights)
+        sums = [0] * (self.config.n + 1)
+        # The current branch of the depth-first walk, as (z, D f(z)) pairs:
+        # z minus its top vertex is on it when z is yielded.
+        branch = [(0, scale)]
+        for z in enumerate_independence_sets(self.config, self.max_vertices):
+            if z:
+                top = z.bit_length() - 1
+                while branch[-1][0] != z ^ (1 << top):
+                    branch.pop()
+                w = weights[top]
+                branch.append((z, branch[-1][1] // w.denominator * w.numerator))
+            sums[z.bit_count()] += branch[-1][1]
+        return Polynomial(
+            Fraction(-total if k % 2 else total, scale) for k, total in enumerate(sums)
+        )
+
+    def _packed_sums(self) -> dict[int, int]:
+        """Digit k of entry x: the sum of D f(z) over members z containing
+        x with |z| = k, each digit ``self._width`` bits wide."""
+        if self._zeta is None:
+            members = self.members()
+            _, table = _scaled_products(members, self.valuation, Fraction(1))
+            width = sum(table.values()).bit_length()
+            for z in members:
+                table[z] <<= width * z.bit_count()
+            _superset_transform(table, members, self.config.n, 1)
+            self._width, self._zeta = width, table
+        return self._zeta
 
     def relative(self, x: int) -> Polynomial:
         """mu^{|x}: the Mobius polynomial of the configuration relative to x."""
-        if x in self._by_anchor:
-            return self._by_anchor[x]
-        view = relative_configuration(self.config, x)
-        weights = tuple(self.valuation.weights[i] for i in view.index_map)
-        key = (canonical_key(view.standalone), weights)
-        poly = self._relative_cache.get(key)
+        packed = self._packed_sums()
+        if x not in packed and not self.config.is_independent(x):
+            raise NotIndependent(f"{self.config.word(x)} is not an independence set")
+        digits = packed[x] >> (self._width * x.bit_count())
+        poly = self._polynomials.get(digits)
         if poly is None:
-            poly = _alternating_sum(view.standalone, Valuation(weights), self.max_vertices)
-            self._relative_cache[key] = poly
-        self._by_anchor[x] = poly
+            low = (1 << self._width) - 1
+            rest, lead, coeffs = digits, digits & low, []
+            while rest:
+                value = rest & low
+                coeffs.append(Fraction(-value if len(coeffs) % 2 else value, lead))
+                rest >>= self._width
+            poly = self._polynomials[digits] = Polynomial(coeffs)
         return poly
 
     def transform(self, x: int) -> Polynomial:
@@ -169,11 +263,6 @@ class MobiusFamily:
                 return False
         return True
 
-    def _first_root(self, poly: Polynomial) -> AlgebraicRoot | None:
-        if poly not in self._root_cache:
-            self._root_cache[poly] = first_positive_root(poly)
-        return self._root_cache[poly]
-
     def critical_root(self) -> tuple[AlgebraicRoot, tuple[int, ...]]:
         """The smallest positive zero over all relative polynomials.
 
@@ -181,26 +270,34 @@ class MobiusFamily:
         relative polynomial attains it.  Some relative polynomial is
         linear (drop one vertex from a maximal independence set), so the
         minimum always exists for a non-trivial configuration.
+
+        Distinct polynomials are visited in the (size, mask) order of
+        their first anchor.  One with no root in (0, best.hi], certified
+        by ``root_free``, cannot reach the minimum (the best root only
+        decreases) and is never isolated.  The others are isolated and
+        compared exactly, so the reported root is ``first_positive_root``
+        of the first attaining anchor's polynomial.
         """
         if self.config.n == 0:
             raise TrivialConfiguration("the empty configuration has no critical root")
+        members = self.members()
+        polys = [self.relative(x) for x in members]
         best: AlgebraicRoot | None = None
-        attained: list[int] = []
-        for x in self.members():
-            root = self._first_root(self.relative(x))
+        attaining: set[Polynomial] = set()
+        for poly in dict.fromkeys(polys):
+            if best is not None and root_free(poly, best.hi):
+                continue
+            root = first_positive_root(poly)
             if root is None:
                 continue
-            if best is None:
-                best, attained = root, [x]
-                continue
-            order = compare_roots(root, best)
+            order = -1 if best is None else compare_roots(root, best)
             if order < 0:
-                best, attained = root, [x]
+                best, attaining = root, {poly}
             elif order == 0:
-                attained.append(x)
+                attaining.add(poly)
         if best is None:
             raise AssertionError("no relative polynomial has a positive root")
-        return best, tuple(sorted(attained, key=lambda m: (m.bit_count(), m)))
+        return best, tuple(x for x, poly in zip(members, polys) if poly in attaining)
 
     def classify(self) -> Classification:
         root, attained = self.critical_root()
@@ -223,17 +320,6 @@ class MobiusFamily:
             config_type=TYPE_I if is_type_one else TYPE_II,
             rest_at_t0=rest,
         )
-
-
-def _alternating_sum(
-    config: Configuration, valuation: Valuation, max_vertices: int
-) -> Polynomial:
-    coeffs = [Fraction(0)] * (config.n + 1)
-    for x in enumerate_independence_sets(config, max_vertices):
-        k = x.bit_count()
-        value = valuation.of(x)
-        coeffs[k] += -value if k % 2 else value
-    return Polynomial(coeffs)
 
 
 def mobius_polynomial(

@@ -14,6 +14,7 @@ pure; concurrent use needs no locks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -33,6 +34,8 @@ __all__ = [
     "cauchy_root_bound",
     "series_inverse",
     "sturm_count",
+    "descartes_variations",
+    "root_free",
     "first_positive_root",
     "refine_root",
     "refine_root_below",
@@ -391,6 +394,45 @@ def sturm_count(p: Polynomial, lo: CoefficientLike, hi: CoefficientLike) -> int:
     if q.degree < 1:
         return 0
     return _count_half_open(_sturm_chain(q), a, b)
+
+
+def descartes_variations(p: Polynomial, hi: Fraction) -> int:
+    """Sign variations of (1+s)^d p(hi/(1+s)), with d the degree of p.
+
+    s -> hi/(1+s) maps (0, inf) onto (0, hi), so by Descartes' rule of
+    signs this bounds the number of roots of p in (0, hi), counted with
+    multiplicity, and has its parity; zero variations certify that
+    there is none (the test of Collins-Akritas bisection).  Needs
+    hi > 0.  The coefficients are cleared of denominators and shifted
+    by one in integers.
+    """
+    coeffs = p.coefficients
+    d = len(coeffs) - 1
+    common = math.lcm(*(c.denominator for c in coeffs))
+    a, b = hi.numerator, hi.denominator
+    # Coefficient k of p times common * hi^k * b^d multiplies y^(d-k),
+    # so shifted lists the coefficients of y^0..y^d; then y = 1 + s.
+    shifted = [
+        c.numerator * (common // c.denominator) * a**k * b ** (d - k)
+        for k, c in enumerate(coeffs)
+    ][::-1]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            shifted[j] += shifted[j + 1]
+    return _variations(shifted)
+
+
+def root_free(p: Polynomial, hi: Fraction) -> bool:
+    """Whether p has no root in (0, hi], decided exactly.
+
+    Needs p(0) != 0 and hi > 0.  A root at hi answers False at once.
+    Descartes' rule certifies most root-free intervals cheaply; when it
+    is inconclusive (complex roots near the interval), a Sturm count on
+    the squarefree part decides.
+    """
+    if p(hi) == 0:
+        return False
+    return descartes_variations(p, hi) == 0 or sturm_count(p, 0, hi) == 0
 
 
 def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:

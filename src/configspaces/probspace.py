@@ -9,7 +9,8 @@ One subset transform does the work.  The masses are the superset
 Mobius transform of q(x) = f(x) t^|x| over the independence family,
 and the joint probabilities of a space are the superset sums (zeta
 transform) of its atoms.  Both run one vertex at a time (Yates'
-algorithm) on integer numerators over a common denominator, in
+algorithm, the kernel ``mobius`` builds every relative polynomial
+with) on integer numerators over a common denominator, in
 O(|F| n) steps for a family F on n vertices; downward closure makes
 the transform over the family alone exact, so no relative polynomial
 is built.  The dense ``atoms_from_intersections`` runs the same
@@ -27,10 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, MutableMapping, Union
+from typing import Iterable, Mapping, Union
 
 from .core import Configuration, DEFAULT_ENUMERATION_CAP, Valuation
-from .mobius import MobiusFamily
+from .mobius import MobiusFamily, _scaled_products, _superset_transform
 from .poly import AlgebraicRoot
 
 __all__ = [
@@ -130,25 +131,6 @@ class RealizationReport:
         return self.marginals_ok and self.independence_ok and self.exclusivity_ok
 
 
-def _superset_transform(
-    table: MutableMapping[int, int] | list[int], keys: Iterable[int], n: int, sign: int
-) -> None:
-    """In place: table[x] becomes the sum of sign^(|y|-|x|) table[y] over
-    keys y containing x, one vertex at a time (Yates' algorithm).
-
-    sign -1 is the superset Mobius transform, +1 the superset sums
-    (zeta transform).  The keys must be downward closed: every subset
-    of a key is a key.
-    """
-    for i in range(n):
-        bit = 1 << i
-        for y in keys:
-            if y & bit:
-                value = table[y]
-                if value:
-                    table[y ^ bit] += sign * value
-
-
 def _downward_closure(keys: Iterable[int]) -> set[int]:
     """Every subset of every key."""
     closed = set(keys)
@@ -163,27 +145,6 @@ def _downward_closure(keys: Iterable[int]) -> set[int]:
                 closed.add(x ^ bit)
                 pending.append(x ^ bit)
     return closed
-
-
-def _scaled_products(
-    members: Iterable[int], valuation: Valuation, t: Fraction
-) -> tuple[int, dict[int, int]]:
-    """A common denominator D and the integers D f(x) t^|x| over members.
-
-    Members must be downward closed and come in (size, mask) order: x
-    takes the value of x minus its top vertex a times f(a) t.
-    """
-    factors = [w * t for w in valuation.weights]
-    scale = math.prod(c.denominator for c in factors)
-    scaled: dict[int, int] = {}
-    for x in members:
-        if not x:
-            scaled[x] = scale
-            continue
-        top = x.bit_length() - 1
-        c = factors[top]
-        scaled[x] = scaled[x ^ (1 << top)] // c.denominator * c.numerator
-    return scale, scaled
 
 
 def atoms_from_intersections(

@@ -348,9 +348,8 @@ def right_angled_properties(
         g = poly_gcd(mu, mu.derivative())
         simple = g.degree < 1 or sign_at_root(g, root) != 0
         positive = all(
-            sign_at_root(family.relative(x), root) > 0
-            for x in family.members()
-            if x != 0
+            sign_at_root(poly, root) > 0
+            for poly in dict.fromkeys(family.relative(x) for x in family.members() if x)
         )
 
     # Monotonicity under anchor inclusion, sampled on covering pairs:
@@ -363,14 +362,17 @@ def right_angled_properties(
             narrowed = refine_root(narrowed)
         top = narrowed.lo
     samples = [top * Fraction(k, 4) for k in (1, 2, 3, 4)]
+    # One evaluation per distinct polynomial, not per covering pair.
+    values = {
+        poly: tuple(poly(t) for t in samples)
+        for poly in {family.relative(x) for x in family.members()}
+    }
     monotone = True
     for x in family.members():
-        if x == 0:
-            continue
+        above = values[family.relative(x)]
         for i in indices_of(x):
-            y = x ^ (1 << i)
-            px, py = family.relative(x), family.relative(y)
-            if any(py(t) > px(t) for t in samples):
+            below = values[family.relative(x ^ (1 << i))]
+            if any(b > a for b, a in zip(below, above)):
                 monotone = False
     return RightAngledReport(
         type_one=result.config_type == TYPE_I,

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from configspaces.core import from_nubs, valuation_of
+import configspaces.poly as poly_module
+from configspaces.core import NotIndependent, from_nubs, valuation_of
 from configspaces.mobius import (
     MobiusFamily,
     RestBound,
@@ -17,7 +18,14 @@ from configspaces.mobius import (
     mobius_transform,
     relative_mobius,
 )
-from configspaces.poly import Polynomial, compare_roots, first_positive_root
+from configspaces.poly import (
+    Polynomial,
+    compare_roots,
+    descartes_variations,
+    first_positive_root,
+    refine_root,
+    root_free,
+)
 from configspaces.structure import (
     builtin,
     components,
@@ -279,7 +287,85 @@ def test_decomposition_product(rng):
 
 def test_memoization_shares_relative_polynomials():
     family = MobiusFamily(star(6, 4))
-    for x in family.members():
-        family.relative(x)
-    # anchors of equal size share one standalone configuration each
-    assert len(family._relative_cache) == 5
+    # anchors of equal size share one relative polynomial each
+    assert len({family.relative(x) for x in family.members()}) == 5
+
+
+def test_relative_matches_direct_transform(rng):
+    # mu^{|x} = H(x) / (f(x) t^|x|), H from the brute-force superset sum
+    for _ in range(50):
+        c = random_configuration(rng.randint(1, 8), rng)
+        f = random_valuation(c, rng)
+        family = MobiusFamily(c, f)
+        for x in family.members():
+            h = direct_transform(c, f, x).coefficients
+            k = x.bit_count()
+            assert all(coeff == 0 for coeff in h[:k])
+            assert family.relative(x) == P([coeff / f.of(x) for coeff in h[k:]])
+
+
+def test_relative_of_dependent_set_raises():
+    family = MobiusFamily(star(4, 2))
+    with pytest.raises(NotIndependent):
+        family.relative(0b0111)
+    with pytest.raises(NotIndependent):
+        relative_mobius(builtin("fig1-left"), None, 0b00011)
+
+
+def _eager_critical_root(family):
+    """Oracle: isolate every distinct relative polynomial, keep the minimum."""
+    members = family.members()
+    polys = dict.fromkeys(family.relative(x) for x in members)
+    roots = {poly: first_positive_root(poly) for poly in polys}
+    best = None
+    for poly in polys:
+        if roots[poly] is not None and (best is None or compare_roots(roots[poly], best) < 0):
+            best = roots[poly]
+    attaining = {
+        poly for poly in polys if roots[poly] is not None and compare_roots(roots[poly], best) == 0
+    }
+    return best, tuple(x for x in members if family.relative(x) in attaining)
+
+
+def test_lazy_critical_root_matches_eager_oracle(rng, monkeypatch):
+    # stars have relative polynomials with complex roots, where Descartes'
+    # rule is inconclusive and the walk falls back to a Sturm count
+    sturm_calls = []
+    original = poly_module.sturm_count
+    monkeypatch.setattr(
+        poly_module, "sturm_count", lambda *a: sturm_calls.append(a) or original(*a)
+    )
+    cases = [(star(n, k), None) for n in range(2, 9) for k in range(1, n + 1)]
+    cases += [(builtin(name), None) for name in ("fig1-left", "fig1-right", "path-9")]
+    for c, f in cases:
+        family = MobiusFamily(c, f)
+        assert family.critical_root() == _eager_critical_root(family)
+    assert sturm_calls
+    for _ in range(30):
+        c = random_configuration(rng.randint(1, 8), rng)
+        f = random_valuation(c, rng) if rng.random() < 0.5 else None
+        family = MobiusFamily(c, f)
+        assert family.critical_root() == _eager_critical_root(family)
+
+
+def test_descartes_never_misses_a_root(rng):
+    for _ in range(100):
+        r = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        cofactor = P([rng.choice([-1, 1]) * rng.randint(1, 9)] + [
+            Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(0, 5))
+        ])
+        p = P([-r, 1]) * cofactor
+        if rng.random() < 0.3:
+            p = p * P([-r, 1])  # a double root
+        for h in (r, r + Fraction(rng.randint(1, 20), rng.randint(1, 20))):
+            assert not root_free(p, h)
+            if h != r:
+                assert descartes_variations(p, h) > 0
+        # root_free agrees with isolation on arbitrary intervals
+        h = Fraction(rng.randint(1, 80), rng.randint(1, 20))
+        first = first_positive_root(p)
+        while first.lo < h < first.hi:
+            first = refine_root(first)
+        # interval endpoints are never roots; a point interval is one
+        expected = h < first.lo or (h == first.lo and not first.is_rational)
+        assert root_free(p, h) == expected
