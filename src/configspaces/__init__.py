@@ -15,7 +15,6 @@ from .core import (
     from_nubs,
     from_independence_list,
     enumerate_independence_sets,
-    is_parallel,
     relative_configuration,
     valuation_of,
     canonical_key,
@@ -26,13 +25,6 @@ from .mobius import (
     RestBound,
     TYPE_I,
     TYPE_II,
-    classify,
-    critical_root,
-    derivative_identity_residual,
-    inversion_check,
-    mobius_polynomial,
-    mobius_transform,
-    relative_mobius,
 )
 from .poly import (
     AlgebraicRoot,
@@ -50,15 +42,12 @@ from .probspace import (
     atoms_from_intersections,
     canonical_space,
     event_probability,
-    probabilistic_range,
     sample,
     verify_realization,
 )
 from .structure import (
-    CliqueTransfer,
     Decomposition,
     builtin,
-    clique_transfer,
     components,
     disjoint_union,
     from_dependence_graph,

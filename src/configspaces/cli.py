@@ -4,6 +4,9 @@ emit a deterministic JSON report on stdout.
 Each handler builds at most one ``MobiusFamily`` per configuration it
 analyses and reads every reported quantity from it; ``space``,
 ``verify`` and ``sample`` get theirs through ``canonical_space``.
+``relative`` builds its family on the anchor's link, the relative
+configuration, so it enumerates the link alone; ``--max-n`` still caps
+the input's vertex count.
 ``verify`` reports ``routes_agree``: whether the dense sign-word route
 (``atoms_from_intersections`` over all 2^n subsets) reproduces the
 canonical atoms.  That route takes independence from the nubs, closed
@@ -26,9 +29,9 @@ import sys
 from fractions import Fraction
 from typing import Any, Sequence
 
-from . import core, mobius, probspace, structure
+from . import core, probspace, structure
 from .core import Configuration, Valuation
-from .mobius import RestBound
+from .mobius import MobiusFamily, RestBound
 from .poly import (
     AlgebraicRoot,
     Polynomial,
@@ -69,19 +72,20 @@ OPERATION_COMMANDS = {
     "from_nubs": "builtin",
     "from_independence_list": "check-identities",
     # relative_configuration tests the anchor and every added vertex.
-    # It serves only the relative command's vertex and nub report:
-    # MobiusFamily takes every relative polynomial from one packed zeta
-    # transform of the enumerated family and never calls it.
+    # It serves only the relative command: MobiusFamily takes every
+    # relative polynomial from one packed zeta transform of the
+    # enumerated family and never calls it.
     "is_independent": "relative",
     "enumerate_independence_sets": "space",
-    "is_parallel": "relative",
     "relative_configuration": "relative",
     "valuation_of": "space",
     "canonical_key": "builtin",
-    # mobius
-    "mobius_polynomial": "mobius",
-    "relative_mobius": "relative",
-    "mobius_transform": "space",
+    # mobius: the methods of MobiusFamily.  The relative command reports
+    # mu of the anchor's link, which equals MobiusFamily.relative of the
+    # anchor; the inversion check sums MobiusFamily.transform.
+    "mu": "mobius",
+    "relative": "relative",
+    "transform": "check-identities",
     "inversion_check": "check-identities",
     "derivative_identity_residual": "check-identities",
     "critical_root": "critical-root",
@@ -93,7 +97,6 @@ OPERATION_COMMANDS = {
     "event_probability": "verify",
     "canonical_space": "space",
     "verify_realization": "verify",
-    "probabilistic_range": "critical-root",
     "sample": "sample",
     # structure
     "components": "decompose",
@@ -265,7 +268,7 @@ def _load(args: argparse.Namespace) -> tuple[Configuration, Valuation]:
 
 
 def _cmd_mobius(args, config, valuation) -> tuple[dict, int]:
-    mu = mobius.mobius_polynomial(config, valuation, args.max_n)
+    mu = MobiusFamily(config, valuation, args.max_n).mu()
     return {"mu": poly_to_strings(mu)}, 0
 
 
@@ -275,7 +278,11 @@ def _cmd_relative(args, config, valuation) -> tuple[dict, int]:
     names = [s for s in args.set.split(",") if s]
     anchor = config.mask_of_labels(names)
     view = core.relative_configuration(config, anchor)
-    poly = mobius.relative_mobius(config, valuation, anchor, args.max_n)
+    core.check_enumeration_cap(config.n, args.max_n)
+    # mu^{|x} is the Mobius polynomial of the link: only it is enumerated.
+    poly = MobiusFamily(
+        view.standalone, valuation.restrict(view.index_map), args.max_n
+    ).mu()
     return {
         "set": config.labels_of(anchor),
         "vertices": config.labels_of(view.vertices),
@@ -285,7 +292,7 @@ def _cmd_relative(args, config, valuation) -> tuple[dict, int]:
 
 
 def _cmd_critical_root(args, config, valuation) -> tuple[dict, int]:
-    root, attained = mobius.critical_root(config, valuation, args.max_n)
+    root, attained = MobiusFamily(config, valuation, args.max_n).critical_root()
     return {
         "t0": _root_json(root),
         "attained_at": [config.labels_of(x) for x in attained],
@@ -293,7 +300,7 @@ def _cmd_critical_root(args, config, valuation) -> tuple[dict, int]:
 
 
 def _cmd_classify(args, config, valuation) -> tuple[dict, int]:
-    family = mobius.MobiusFamily(config, valuation, args.max_n)
+    family = MobiusFamily(config, valuation, args.max_n)
     result = family.classify()
     return {
         "mu": poly_to_strings(family.mu()),
@@ -420,9 +427,9 @@ def _component_product(
     """Product of the Mobius polynomials of the nub-connected components."""
     product = Polynomial([1])
     for part in decomposition.components:
-        product = product * mobius.mobius_polynomial(
+        product = product * MobiusFamily(
             part.config, valuation.restrict(part.index_map), max_n
-        )
+        ).mu()
     return product
 
 
@@ -435,7 +442,7 @@ def _cmd_decompose(args, config, valuation) -> tuple[dict, int]:
         }
         for part in decomposition.components
     ]
-    whole = mobius.mobius_polynomial(config, valuation, args.max_n)
+    whole = MobiusFamily(config, valuation, args.max_n).mu()
     product = _component_product(decomposition, valuation, args.max_n)
     return {
         "components": parts,
@@ -510,7 +517,7 @@ def _cmd_check_identities(args) -> tuple[dict, int]:
     for trial in range(args.trials):
         config = structure.random_configuration(args.n, rng)
         valuation = structure.random_valuation(config, rng)
-        family = mobius.MobiusFamily(config, valuation, args.max_n)
+        family = MobiusFamily(config, valuation, args.max_n)
         if not family.derivative_identity_residual().is_zero:
             failures.append(f"trial {trial}: derivative identity residual nonzero")
         if not family.inversion_check():

@@ -30,13 +30,13 @@ __all__ = [
     "TooLarge",
     "DEFAULT_ENUMERATION_CAP",
     "MAX_VERTICES",
+    "check_enumeration_cap",
     "mask_from_indices",
     "indices_of",
     "default_labels",
     "from_nubs",
     "from_independence_list",
     "enumerate_independence_sets",
-    "is_parallel",
     "relative_configuration",
     "valuation_of",
     "canonical_key",
@@ -176,8 +176,9 @@ class RelativeView:
     ``vertices`` collects, in original indices, the vertices parallel to
     the anchor; ``relative_nubs`` are the minimal sets (again in original
     indices) whose union with the anchor is dependent.  ``standalone``
-    re-indexes those vertices as 0..k-1 for recursion, with
-    ``index_map[i]`` giving the original index of standalone vertex i.
+    re-indexes those vertices as 0..k-1, the anchor's link as a
+    configuration of its own, with ``index_map[i]`` giving the original
+    index of standalone vertex i.
     """
 
     base: Configuration
@@ -220,6 +221,12 @@ def _antichain_minimal(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(kept)
 
 
+def check_enumeration_cap(n: int, max_vertices: int) -> None:
+    """Refuse a configuration of n vertices above the enumeration cap."""
+    if n > max_vertices:
+        raise TooLarge(f"{n} vertices exceeds the enumeration cap {max_vertices}")
+
+
 def from_nubs(
     n: int,
     nub_sets: Iterable[Iterable[int] | int] = (),
@@ -255,8 +262,7 @@ def from_independence_list(
     singleton; violations raise with the offending set named.  Nubs are
     recovered as the minimal non-members.
     """
-    if n > max_vertices:
-        raise TooLarge(f"{n} vertices exceeds the enumeration cap {max_vertices}")
+    check_enumeration_cap(n, max_vertices)
     family = set()
     for item in independent_sets:
         mask = item if isinstance(item, int) else mask_from_indices(item)
@@ -297,10 +303,7 @@ def enumerate_independence_sets(
     nothing above it, so each extension checks only the nubs whose top
     vertex is a.
     """
-    if config.n > max_vertices:
-        raise TooLarge(
-            f"{config.n} vertices exceeds the enumeration cap {max_vertices}"
-        )
+    check_enumeration_cap(config.n, max_vertices)
     n = config.n
     nubs_topped_by = [[] for _ in range(n)]
     for nub in config.nubs:
@@ -314,14 +317,6 @@ def enumerate_independence_sets(
                 yield from walk(y, a + 1)
 
     return walk(0, 0)
-
-
-def is_parallel(config: Configuration, x: int, y: int) -> bool:
-    """True iff x and y are disjoint with independent union."""
-    for side in (x, y):
-        if not config.is_independent(side):
-            raise NotIndependent(f"{config.word(side)} is not an independence set")
-    return (x & y) == 0 and config.is_independent(x | y)
 
 
 def relative_configuration(config: Configuration, x: int) -> RelativeView:

@@ -65,13 +65,6 @@ __all__ = [
     "RestBound",
     "Classification",
     "MobiusFamily",
-    "mobius_polynomial",
-    "relative_mobius",
-    "mobius_transform",
-    "inversion_check",
-    "derivative_identity_residual",
-    "critical_root",
-    "classify",
 ]
 
 TYPE_I = "I"
@@ -234,10 +227,6 @@ class MobiusFamily:
         """H(x) = f(x) t^|x| mu^{|x}(t)."""
         return (self.relative(x) * self.valuation.of(x)).shifted(x.bit_count())
 
-    def relative_table(self) -> dict[int, Polynomial]:
-        """Map every independence set to its relative polynomial."""
-        return {x: self.relative(x) for x in self.members()}
-
     def derivative_identity_residual(self) -> Polynomial:
         """d(mu)/dt plus the weighted sum of single-vertex relatives.
 
@@ -321,60 +310,3 @@ class MobiusFamily:
             rest_at_t0=rest,
         )
 
-
-def mobius_polynomial(
-    config: Configuration,
-    valuation: Valuation | None = None,
-    max_vertices: int = DEFAULT_ENUMERATION_CAP,
-) -> Polynomial:
-    return MobiusFamily(config, valuation, max_vertices).mu()
-
-
-def relative_mobius(
-    config: Configuration,
-    valuation: Valuation | None,
-    x: int,
-    max_vertices: int = DEFAULT_ENUMERATION_CAP,
-) -> Polynomial:
-    return MobiusFamily(config, valuation, max_vertices).relative(x)
-
-
-def mobius_transform(
-    config: Configuration,
-    valuation: Valuation | None,
-    x: int,
-    max_vertices: int = DEFAULT_ENUMERATION_CAP,
-) -> Polynomial:
-    return MobiusFamily(config, valuation, max_vertices).transform(x)
-
-
-def inversion_check(
-    config: Configuration,
-    valuation: Valuation | None = None,
-    max_vertices: int = DEFAULT_ENUMERATION_CAP,
-) -> bool:
-    return MobiusFamily(config, valuation, max_vertices).inversion_check()
-
-
-def derivative_identity_residual(
-    config: Configuration,
-    valuation: Valuation | None = None,
-    max_vertices: int = DEFAULT_ENUMERATION_CAP,
-) -> Polynomial:
-    return MobiusFamily(config, valuation, max_vertices).derivative_identity_residual()
-
-
-def critical_root(
-    config: Configuration,
-    valuation: Valuation | None = None,
-    max_vertices: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[AlgebraicRoot, tuple[int, ...]]:
-    return MobiusFamily(config, valuation, max_vertices).critical_root()
-
-
-def classify(
-    config: Configuration,
-    valuation: Valuation | None = None,
-    max_vertices: int = DEFAULT_ENUMERATION_CAP,
-) -> Classification:
-    return MobiusFamily(config, valuation, max_vertices).classify()

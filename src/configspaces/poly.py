@@ -38,7 +38,6 @@ __all__ = [
     "root_free",
     "first_positive_root",
     "refine_root",
-    "refine_root_below",
     "compare_roots",
     "evaluate_on_interval",
     "sign_at_root",
@@ -46,9 +45,7 @@ __all__ = [
     "format_rational",
     "parse_rational",
     "poly_to_strings",
-    "poly_from_strings",
     "root_to_json",
-    "root_from_json",
 ]
 
 CoefficientLike = Union[Fraction, int, str]
@@ -460,14 +457,12 @@ def _exact_root(q: Polynomial, point: Fraction) -> AlgebraicRoot:
     return AlgebraicRoot(q, point, point)
 
 
-def first_positive_root(
-    p: Polynomial, width_factor: Fraction = DEFAULT_ROOT_WIDTH
-) -> AlgebraicRoot | None:
+def first_positive_root(p: Polynomial) -> AlgebraicRoot | None:
     """Smallest real root of p in (0, inf), or None.
 
     Works on the squarefree part, so multiple roots collapse.  Rational
     roots (denominator below 2**64) are returned exactly; otherwise the
-    isolating interval has width at most ``width_factor * max(1, B)``
+    isolating interval has width at most ``DEFAULT_ROOT_WIDTH * max(1, B)``
     where B is the Cauchy root bound.
     """
     if p.is_zero:
@@ -483,7 +478,7 @@ def first_positive_root(
     count = _count_half_open(chain, lo, hi)
     if count == 0:
         return None
-    target = width_factor * max(Fraction(1), bound)
+    target = DEFAULT_ROOT_WIDTH * max(Fraction(1), bound)
     probe_width = min(target, _RATIONAL_PROBE_WIDTH)
     # Narrow (lo, hi] onto the leftmost root.  Endpoint lo is never a
     # root; hi may be, in which case the count includes it.
@@ -531,13 +526,6 @@ def refine_root(root: AlgebraicRoot) -> AlgebraicRoot:
     if _sign(v) == _sign(w(root.lo)):
         return AlgebraicRoot(w, mid, root.hi)
     return AlgebraicRoot(w, root.lo, mid)
-
-
-def refine_root_below(root: AlgebraicRoot, width: Fraction) -> AlgebraicRoot:
-    """Refine until the isolating interval is narrower than width."""
-    while not root.is_rational and root.width > width:
-        root = refine_root(root)
-    return root
 
 
 def _compare_exact_with_interval(point: Fraction, root: AlgebraicRoot) -> int:
@@ -647,10 +635,6 @@ def poly_to_strings(p: Polynomial) -> list[str]:
     return [format_rational(c) for c in p.coefficients]
 
 
-def poly_from_strings(items: Iterable[str]) -> Polynomial:
-    return Polynomial(parse_rational(s) for s in items)
-
-
 def root_to_json(root: AlgebraicRoot) -> dict:
     return {
         "witness": poly_to_strings(root.witness),
@@ -658,10 +642,3 @@ def root_to_json(root: AlgebraicRoot) -> dict:
         "hi": format_rational(root.hi),
     }
 
-
-def root_from_json(data: dict) -> AlgebraicRoot:
-    return AlgebraicRoot(
-        witness=poly_from_strings(data["witness"]),
-        lo=parse_rational(data["lo"]),
-        hi=parse_rational(data["hi"]),
-    )

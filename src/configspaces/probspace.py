@@ -32,7 +32,6 @@ from typing import Iterable, Mapping, Union
 
 from .core import Configuration, DEFAULT_ENUMERATION_CAP, Valuation
 from .mobius import MobiusFamily, _scaled_products, _superset_transform
-from .poly import AlgebraicRoot
 
 __all__ = [
     "SignedWord",
@@ -45,7 +44,6 @@ __all__ = [
     "event_probability",
     "canonical_space",
     "verify_realization",
-    "probabilistic_range",
     "sample",
     "SplitMix64",
 ]
@@ -91,9 +89,6 @@ class SignedWord:
     def __post_init__(self) -> None:
         if self.positives & self.negatives:
             raise ValueError("a vertex cannot be both positive and negative")
-
-    def is_full(self, n: int) -> bool:
-        return (self.positives | self.negatives) == (1 << n) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,15 +303,6 @@ def verify_realization(space: ConfiguredSpace) -> RealizationReport:
         rest=rest,
         violations=violations,
     )
-
-
-def probabilistic_range(
-    config: Configuration,
-    valuation: Valuation | None = None,
-    max_vertices: int = DEFAULT_ENUMERATION_CAP,
-) -> AlgebraicRoot:
-    """The critical root t0: the range of feasible t is exactly [0, t0]."""
-    return MobiusFamily(config, valuation, max_vertices).critical_root()[0]
 
 
 _MASK64 = (1 << 64) - 1

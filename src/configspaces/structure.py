@@ -37,7 +37,6 @@ from .poly import (
 __all__ = [
     "Component",
     "Decomposition",
-    "CliqueTransfer",
     "RightAngledReport",
     "SymmetricCountReport",
     "NotRightAngled",
@@ -49,7 +48,6 @@ __all__ = [
     "is_right_angled",
     "from_dependence_graph",
     "star",
-    "clique_transfer",
     "trace_series",
     "trace_count_cf",
     "right_angled_properties",
@@ -172,20 +170,6 @@ def star(n: int, k: int) -> Configuration:
     return from_nubs(n, nubs)
 
 
-@dataclass(frozen=True)
-class CliqueTransfer:
-    """Transfer structure for normal-form counting.
-
-    ``cliques`` lists the nonempty independence sets (the commuting
-    cliques); ``matrix[i][j]`` is 1 iff clique j may follow clique i,
-    i.e. every vertex of j is dependent on (or equal to) some vertex
-    of i.
-    """
-
-    cliques: tuple[int, ...]
-    matrix: tuple[tuple[int, ...], ...]
-
-
 def _dependence_closure_masks(config: Configuration) -> list[int]:
     """For each vertex, the vertex itself plus its nub partners."""
     closure = [1 << a for a in range(config.n)]
@@ -195,28 +179,6 @@ def _dependence_closure_masks(config: Configuration) -> list[int]:
             for b in verts:
                 closure[a] |= 1 << b
     return closure
-
-
-def clique_transfer(
-    config: Configuration, max_vertices: int = DEFAULT_ENUMERATION_CAP
-) -> CliqueTransfer:
-    if not is_right_angled(config):
-        raise NotRightAngled("transfer counting needs all nubs of size 2")
-    cliques = tuple(
-        x for x in enumerate_independence_sets(config, max_vertices) if x
-    )
-    closure = _dependence_closure_masks(config)
-    successors = []
-    for c in cliques:
-        allowed = 0
-        for a in indices_of(c):
-            allowed |= closure[a]
-        successors.append(allowed)
-    matrix = tuple(
-        tuple(1 if successor & ~allowed == 0 else 0 for successor in cliques)
-        for allowed in successors
-    )
-    return CliqueTransfer(cliques=cliques, matrix=matrix)
 
 
 def trace_series(
@@ -401,23 +363,25 @@ def symmetric_counts(
     the number of vertices parallel to x depends only on |x| (value
     eta_j), the counts satisfy k! * counts[k] = eta_0 * ... * eta_{k-1};
     the report records the eta values (None at the first non-constant
-    level and beyond) and whether the formula holds at every level,
-    including the coefficient form of the Mobius polynomial.
+    level and beyond) and whether the formula holds at every level.  The
+    uniform Mobius polynomial has coefficients (-1)^k counts[k], so its
+    coefficient form of the formula needs no separate check.
     """
-    family = MobiusFamily(config, max_vertices=max_vertices)
-    members = family.members()
+    members = MobiusFamily(config, max_vertices=max_vertices).members()
     top = max(x.bit_count() for x in members)
     counts = [0] * (top + 1)
+    # free[x]: the vertices a parallel to x, counted from each member x | a.
+    free = dict.fromkeys(members, 0)
+    for y in members:
+        counts[y.bit_count()] += 1
+        rest = y
+        while rest:
+            low = rest & -rest
+            free[y ^ low] += 1
+            rest ^= low
     parallel_sizes: list[set[int]] = [set() for _ in range(top + 1)]
-    for x in members:
-        size = x.bit_count()
-        counts[size] += 1
-        free = 0
-        for a in range(config.n):
-            bit = 1 << a
-            if not x & bit and config.is_independent(x | bit):
-                free += 1
-        parallel_sizes[size].add(free)
+    for x, parallel in free.items():
+        parallel_sizes[x.bit_count()].add(parallel)
     eta: list[int | None] = []
     failed_level: int | None = None
     for level, values in enumerate(parallel_sizes):
@@ -438,21 +402,6 @@ def symmetric_counts(
             if counts[k] * factorial != product:
                 formula_ok = False
                 break
-        mu = family.mu()
-        coeffs = mu.coefficients
-        if len(coeffs) != top + 1:
-            formula_ok = False
-        else:
-            factorial = 1
-            product = 1
-            for k in range(top + 1):
-                if k:
-                    factorial *= k
-                    product *= eta[k - 1]
-                expected = Fraction((-1) ** k * product, factorial)
-                if coeffs[k] != expected:
-                    formula_ok = False
-                    break
     return SymmetricCountReport(
         counts=tuple(counts),
         eta=tuple(eta),

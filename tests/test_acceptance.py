@@ -10,18 +10,11 @@ from itertools import combinations
 import pytest
 
 from configspaces.core import from_nubs
-from configspaces.mobius import (
-    MobiusFamily,
-    classify,
-    derivative_identity_residual,
-    mobius_polynomial,
-    relative_mobius,
-)
+from configspaces.mobius import MobiusFamily
 from configspaces.poly import Polynomial, refine_root, series_inverse
 from configspaces.probspace import (
     OutOfRange,
     canonical_space,
-    probabilistic_range,
     verify_realization,
 )
 from configspaces.structure import (
@@ -75,26 +68,26 @@ def _high_anchor(root) -> Fraction:
 
 
 def test_criterion_1_mobius_regression():
-    ok = mobius_polynomial(builtin("fig1-left")) == P([1, -5, 7, -1])
-    ok &= mobius_polynomial(builtin("fig1-right")) == P([1, -5, 6, -1])
+    ok = MobiusFamily(builtin("fig1-left")).mu() == P([1, -5, 7, -1])
+    ok &= MobiusFamily(builtin("fig1-right")).mu() == P([1, -5, 6, -1])
     s43 = star(4, 3)
-    ok &= mobius_polynomial(s43) == P([1, -4, 6, -4])
-    ok &= relative_mobius(s43, None, 0b1000) == P([1, -3, 3])
-    ok &= relative_mobius(s43, None, 0b1100) == P([1, -2])
-    ok &= relative_mobius(s43, None, 0b1110) == P([1])
+    ok &= MobiusFamily(s43).mu() == P([1, -4, 6, -4])
+    ok &= MobiusFamily(s43).relative(0b1000) == P([1, -3, 3])
+    ok &= MobiusFamily(s43).relative(0b1100) == P([1, -2])
+    ok &= MobiusFamily(s43).relative(0b1110) == P([1])
     _report(1, ok, "Mobius polynomials of the reference configurations, exact")
 
 
 def test_criterion_2_derivative_identity():
     failures = 0
     for name in BUILTINS:
-        if not derivative_identity_residual(builtin(name)).is_zero:
+        if not MobiusFamily(builtin(name)).derivative_identity_residual().is_zero:
             failures += 1
     rng = random.Random(2)
     for _ in range(200):
         c = random_configuration(rng.randint(1, 10), rng)
         f = random_valuation(c, rng, max_numerator=8, max_denominator=8)
-        if not derivative_identity_residual(c, f).is_zero:
+        if not MobiusFamily(c, f).derivative_identity_residual().is_zero:
             failures += 1
     _report(
         2,
@@ -129,11 +122,11 @@ PRINTED_STAR_TABLE = {
 def test_criterion_3_star_type_table():
     root_ok = True
     for n in range(2, 9):
-        root = classify(star(n, n - 1)).critical_root
+        root = MobiusFamily(star(n, n - 1)).classify().critical_root
         root_ok &= root.is_rational and root.value == Fraction(1, 2)
     mismatches = {}
     for (n, k), printed in PRINTED_STAR_TABLE.items():
-        computed = classify(star(n, k)).config_type
+        computed = MobiusFamily(star(n, k)).classify().config_type
         if computed != printed:
             mismatches[(n, k)] = (printed, computed)
     detail = (
@@ -173,7 +166,7 @@ def test_criterion_5_realization_verifier():
         cases.append((c, random_valuation(c, rng)))
     checked = 0
     for config, valuation in cases:
-        root = probabilistic_range(config, valuation)
+        root = MobiusFamily(config, valuation).critical_root()[0]
         low = _low_anchor(root)
         ts = [low / 4, low / 2]
         if root.is_rational:
@@ -283,7 +276,7 @@ def test_criterion_9_inverse_signs():
     has_negative = any(c < 0 for c in inverse.coefficients)
     suite_ok = True
     for name, graph in _right_angled_suite():
-        mu = mobius_polynomial(graph)
+        mu = MobiusFamily(graph).mu()
         coefficients = series_inverse(mu, 8).coefficients
         suite_ok &= all(c >= 0 for c in coefficients)
     _report(
@@ -307,8 +300,8 @@ def test_criterion_10_decomposition():
         assert sorted(got_parts) == sorted(expected_parts)
         product = P([1])
         for part in components(union).components:
-            product = product * mobius_polynomial(part.config)
-        assert product == mobius_polynomial(union)
+            product = product * MobiusFamily(part.config).mu()
+        assert product == MobiusFamily(union).mu()
     _report(
         10,
         True,

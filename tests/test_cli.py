@@ -363,6 +363,15 @@ def test_max_n_flag(capsys):
     assert "cap" in err
 
 
+def test_relative_max_n_caps_input(capsys):
+    # The link of vertex 1 has 3 vertices, but the cap applies to the input.
+    code, out, err = run(
+        capsys, "relative", "--name", "dodecahedron", "--set", "1", "--max-n", "10"
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: 20 vertices exceeds the enumeration cap 10"]
+
+
 def test_operation_registry_covers_all_commands():
     assert set(OPERATION_COMMANDS.values()) <= set(COMMANDS)
     # every command except the report-only ones owns at least one op
@@ -375,13 +384,13 @@ def test_operation_registry_is_total():
         "add", "mul", "derivative", "evaluate", "series_inverse", "sturm_count",
         "first_positive_root", "compare_roots",
         "from_nubs", "from_independence_list", "is_independent",
-        "enumerate_independence_sets", "is_parallel",
+        "enumerate_independence_sets",
         "relative_configuration", "valuation_of", "canonical_key",
-        "mobius_polynomial", "relative_mobius", "mobius_transform",
+        "mu", "relative", "transform",
         "inversion_check", "derivative_identity_residual", "critical_root",
         "classify",
         "atoms_from_intersections", "event_probability", "canonical_space",
-        "verify_realization", "probabilistic_range", "sample",
+        "verify_realization", "sample",
         "components", "is_irreducible", "is_right_angled",
         "from_dependence_graph", "star", "trace_series", "trace_count_cf",
         "right_angled_properties", "symmetric_counts", "builtin",

@@ -17,7 +17,6 @@ from configspaces.core import (
     enumerate_independence_sets,
     from_independence_list,
     from_nubs,
-    is_parallel,
     mask_from_indices,
     relative_configuration,
     valuation_of,
@@ -118,16 +117,6 @@ def test_nubs_roundtrip():
     c = from_nubs(5, [{0, 1}, {2, 3, 4}])
     rebuilt = from_independence_list(5, enumerate_independence_sets(c))
     assert rebuilt.nubs == c.nubs
-
-
-def test_is_parallel():
-    s43 = star(4, 3)
-    assert is_parallel(s43, 0b0001, 0b0010)
-    assert not is_parallel(s43, 0b0011, 0b1100)
-    assert is_parallel(s43, 0, 0b0100)
-    assert not is_parallel(s43, 0b0001, 0b0011)  # not disjoint
-    with pytest.raises(NotIndependent):
-        is_parallel(s43, 0b1111, 0)
 
 
 def test_relative_configuration_star():

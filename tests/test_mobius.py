@@ -3,20 +3,18 @@ from fractions import Fraction
 import pytest
 
 import configspaces.poly as poly_module
-from configspaces.core import NotIndependent, from_nubs, valuation_of
+from configspaces.core import (
+    NotIndependent,
+    from_nubs,
+    relative_configuration,
+    valuation_of,
+)
 from configspaces.mobius import (
     MobiusFamily,
     RestBound,
     TYPE_I,
     TYPE_II,
     TrivialConfiguration,
-    classify,
-    critical_root,
-    derivative_identity_residual,
-    inversion_check,
-    mobius_polynomial,
-    mobius_transform,
-    relative_mobius,
 )
 from configspaces.poly import (
     Polynomial,
@@ -40,40 +38,40 @@ P = Polynomial
 
 
 def test_mobius_fig1():
-    assert mobius_polynomial(builtin("fig1-left")) == P([1, -5, 7, -1])
-    assert mobius_polynomial(builtin("fig1-right")) == P([1, -5, 6, -1])
+    assert MobiusFamily(builtin("fig1-left")).mu() == P([1, -5, 7, -1])
+    assert MobiusFamily(builtin("fig1-right")).mu() == P([1, -5, 6, -1])
 
 
 def test_mobius_star_n2():
     for n in range(2, 7):
         expected = P([1, -n, Fraction(n * (n - 1), 2)])
-        assert mobius_polynomial(star(n, 2)) == expected
+        assert MobiusFamily(star(n, 2)).mu() == expected
 
 
 def test_mobius_trivial():
-    assert mobius_polynomial(from_nubs(0, [])) == P([1])
+    assert MobiusFamily(from_nubs(0, [])).mu() == P([1])
 
 
 def test_mobius_matches_powerset_oracle(rng):
     for _ in range(30):
         c = random_configuration(rng.randint(1, 8), rng)
         f = random_valuation(c, rng)
-        assert mobius_polynomial(c, f) == powerset_mobius(c, f)
+        assert MobiusFamily(c, f).mu() == powerset_mobius(c, f)
 
 
 def test_relative_mobius_star43():
     s43 = star(4, 3)
-    assert relative_mobius(s43, None, 0b1000) == P([1, -3, 3])
-    assert relative_mobius(s43, None, 0b1100) == P([1, -2])
-    assert relative_mobius(s43, None, 0b1110) == P([1])
+    assert MobiusFamily(s43).relative(0b1000) == P([1, -3, 3])
+    assert MobiusFamily(s43).relative(0b1100) == P([1, -2])
+    assert MobiusFamily(s43).relative(0b1110) == P([1])
 
 
 def test_mobius_transform_star43():
     s43 = star(4, 3)
-    assert mobius_transform(s43, None, 0) == P([1, -4, 6, -4])
-    assert mobius_transform(s43, None, 0b1000) == P([0, 1, -3, 3])
+    assert MobiusFamily(s43).transform(0) == P([1, -4, 6, -4])
+    assert MobiusFamily(s43).transform(0b1000) == P([0, 1, -3, 3])
     # a maximal independence set has transform f(x) t^|x|
-    assert mobius_transform(s43, None, 0b0111) == P([0, 0, 0, 1])
+    assert MobiusFamily(s43).transform(0b0111) == P([0, 0, 0, 1])
 
 
 def test_transform_two_routes(rng):
@@ -86,12 +84,12 @@ def test_transform_two_routes(rng):
 
 
 def test_inversion_check():
-    assert inversion_check(star(3, 2))
+    assert MobiusFamily(star(3, 2)).inversion_check()
     rng_seeded = __import__("random").Random(7)
     for _ in range(15):
         c = random_configuration(rng_seeded.randint(1, 8), rng_seeded)
         f = random_valuation(c, rng_seeded)
-        assert inversion_check(c, f)
+        assert MobiusFamily(c, f).inversion_check()
 
 
 def test_sum_of_transforms_is_one(rng):
@@ -107,25 +105,25 @@ def test_sum_of_transforms_is_one(rng):
 
 def test_derivative_identity_examples():
     s43 = star(4, 3)
-    assert mobius_polynomial(s43).derivative() == P([-4, 12, -12])
-    assert derivative_identity_residual(s43).is_zero
-    assert derivative_identity_residual(from_nubs(0, [])).is_zero
+    assert MobiusFamily(s43).mu().derivative() == P([-4, 12, -12])
+    assert MobiusFamily(s43).derivative_identity_residual().is_zero
+    assert MobiusFamily(from_nubs(0, [])).derivative_identity_residual().is_zero
     single = from_nubs(1, [])
     weighted = valuation_of(single, [Fraction(5, 3)])
-    assert mobius_polynomial(single, weighted) == P([1, Fraction(-5, 3)])
-    assert derivative_identity_residual(single, weighted).is_zero
+    assert MobiusFamily(single, weighted).mu() == P([1, Fraction(-5, 3)])
+    assert MobiusFamily(single, weighted).derivative_identity_residual().is_zero
 
 
 def test_derivative_identity_random(rng):
     for _ in range(40):
         c = random_configuration(rng.randint(1, 9), rng)
         f = random_valuation(c, rng)
-        assert derivative_identity_residual(c, f).is_zero
+        assert MobiusFamily(c, f).derivative_identity_residual().is_zero
 
 
 def test_critical_root_star_diagonal():
     for n in range(2, 7):
-        root, attained = critical_root(star(n, n - 1))
+        root, attained = MobiusFamily(star(n, n - 1)).critical_root()
         assert root.is_rational and root.value == Fraction(1, 2)
 
 
@@ -133,15 +131,15 @@ def test_critical_root_complete_dependence():
     # all pairs are nubs: mu = 1 - nt, every mu relative to a vertex is 1
     for n in (2, 3, 5):
         c = from_nubs(n, [{i, j} for i in range(n) for j in range(i + 1, n)])
-        assert mobius_polynomial(c) == P([1, -n])
-        root, attained = critical_root(c)
+        assert MobiusFamily(c).mu() == P([1, -n])
+        root, attained = MobiusFamily(c).critical_root()
         assert root.value == Fraction(1, n)
         assert attained == (0,)
 
 
 def test_critical_root_free_configuration():
     c = from_nubs(3, [])
-    root, attained = critical_root(c)
+    root, attained = MobiusFamily(c).critical_root()
     assert root.value == 1
     # every proper independence set still sees a (1-t) factor
     assert len(attained) == 7
@@ -149,13 +147,13 @@ def test_critical_root_free_configuration():
 
 def test_critical_root_trivial():
     with pytest.raises(TrivialConfiguration):
-        critical_root(from_nubs(0, []))
+        MobiusFamily(from_nubs(0, [])).critical_root()
     with pytest.raises(TrivialConfiguration):
-        classify(from_nubs(0, []))
+        MobiusFamily(from_nubs(0, [])).classify()
 
 
 def test_classify_star32():
-    result = classify(star(3, 2))
+    result = MobiusFamily(star(3, 2)).classify()
     assert result.config_type == TYPE_II
     assert result.critical_root.value == Fraction(1, 2)
     assert result.rest_at_t0 == Fraction(1, 4)
@@ -163,14 +161,14 @@ def test_classify_star32():
 
 
 def test_classify_star43():
-    result = classify(star(4, 3))
+    result = MobiusFamily(star(4, 3)).classify()
     assert result.config_type == TYPE_I
     assert 0 in result.attained_at
     assert result.rest_at_t0 == 0
 
 
 def test_classify_path_right_angled():
-    result = classify(builtin("fig1-right"))
+    result = MobiusFamily(builtin("fig1-right")).classify()
     assert result.config_type == TYPE_I
     assert not result.critical_root.is_rational
     assert isinstance(result.rest_at_t0, RestBound)
@@ -182,7 +180,7 @@ def test_classify_path_right_angled():
 def test_classify_fig1_left():
     # computed fixture: the smallest relative root comes from vertex "5",
     # whose relative configuration is a 3-vertex complete dependence
-    result = classify(builtin("fig1-left"))
+    result = MobiusFamily(builtin("fig1-left")).classify()
     assert result.config_type == TYPE_II
     assert result.critical_root.value == Fraction(1, 3)
     assert result.rest_at_t0 == Fraction(2, 27)
@@ -207,14 +205,14 @@ def test_star_types_computed_table():
     # configurations S(3,1) and S(4,1) force t0 = 1/3 and 1/4 while mu
     # stays positive there, so both are type II.
     for (n, k), expected in STAR_TYPES_COMPUTED.items():
-        assert classify(star(n, k)).config_type == expected, (n, k)
+        assert MobiusFamily(star(n, k)).classify().config_type == expected, (n, k)
 
 
 def test_star_5_3_discrepancy_details():
-    result = classify(star(5, 3))
+    result = MobiusFamily(star(5, 3)).classify()
     assert result.critical_root.value == Fraction(1, 3)
     assert result.rest_at_t0 == Fraction(2, 27)
-    mu = mobius_polynomial(star(5, 3))
+    mu = MobiusFamily(star(5, 3)).mu()
     root = first_positive_root(mu)
     # mu's own first root lies strictly above t0, so no covering exists
     assert compare_roots(result.critical_root, root) == -1
@@ -225,7 +223,7 @@ def test_classify_type_two_irrational_root():
     # the irrational first root of 1 - 5t + 5t^2, attained only at the
     # apex, and the rest there is certified positive with an enclosure
     apex = from_nubs(6, [{0, 1, 2}, {0, 2, 3}, {0, 3, 4}, {0, 4, 5}, {0, 5, 1}])
-    result = classify(apex)
+    result = MobiusFamily(apex).classify()
     assert result.config_type == TYPE_II
     assert not result.critical_root.is_rational
     assert result.critical_root.witness == P([1, -5, 5])
@@ -252,7 +250,7 @@ def test_type_one_iff_mu_vanishes_at_root(rng):
 
 def test_rest_polynomial():
     s32 = star(3, 2)
-    rest = mobius_polynomial(s32)
+    rest = MobiusFamily(s32).mu()
     assert rest == powerset_mobius(s32)
     assert rest(Fraction(1, 2)) == Fraction(1, 4)
     assert rest(0) == 1
@@ -278,10 +276,10 @@ def test_decomposition_product(rng):
     for _ in range(15):
         c = random_configuration(rng.randint(2, 8), rng)
         f = random_valuation(c, rng)
-        whole = mobius_polynomial(c, f)
+        whole = MobiusFamily(c, f).mu()
         product = P([1])
         for part in components(c).components:
-            product = product * mobius_polynomial(part.config, f.restrict(part.index_map))
+            product = product * MobiusFamily(part.config, f.restrict(part.index_map)).mu()
         assert product == whole
 
 
@@ -304,12 +302,24 @@ def test_relative_matches_direct_transform(rng):
             assert family.relative(x) == P([coeff / f.of(x) for coeff in h[k:]])
 
 
+def test_link_route_matches_family_relative(rng):
+    # The relative command's route: mu of the anchor's link, restricted weights.
+    for _ in range(60):
+        c = random_configuration(rng.randint(1, 8), rng)
+        f = random_valuation(c, rng)
+        family = MobiusFamily(c, f)
+        for x in family.members():
+            view = relative_configuration(c, x)
+            link = MobiusFamily(view.standalone, f.restrict(view.index_map))
+            assert link.mu() == family.relative(x)
+
+
 def test_relative_of_dependent_set_raises():
     family = MobiusFamily(star(4, 2))
     with pytest.raises(NotIndependent):
         family.relative(0b0111)
     with pytest.raises(NotIndependent):
-        relative_mobius(builtin("fig1-left"), None, 0b00011)
+        MobiusFamily(builtin("fig1-left")).relative(0b00011)
 
 
 def _eager_critical_root(family):

@@ -15,13 +15,9 @@ from configspaces.poly import (
     first_positive_root,
     format_rational,
     parse_rational,
-    poly_from_strings,
     poly_gcd,
     poly_to_strings,
     refine_root,
-    refine_root_below,
-    root_from_json,
-    root_to_json,
     series_inverse,
     sign_at_root,
     simplest_rational_between,
@@ -177,7 +173,9 @@ def test_refine_root_keeps_root():
     narrower = refine_root(root)
     assert narrower.lo >= root.lo and narrower.hi <= root.hi
     assert narrower.width <= root.width / 2
-    tight = refine_root_below(root, Fraction(1, 2**200))
+    tight = root
+    while tight.width > Fraction(1, 2**200):
+        tight = refine_root(tight)
     assert tight.width <= Fraction(1, 2**200)
     assert root.lo <= tight.lo and tight.hi <= root.hi
 
@@ -219,11 +217,8 @@ def test_poly_gcd_and_squarefree():
 def test_serialization_roundtrip():
     p = P(["1", "-5", "7", "-1"])
     assert poly_to_strings(p) == ["1", "-5", "7", "-1"]
-    assert poly_from_strings(poly_to_strings(p)) == p
     assert format_rational(Fraction(-3, 7)) == "-3/7"
     assert parse_rational("-3/7") == Fraction(-3, 7)
-    root = first_positive_root(P([1, -5, 5]))
-    assert root_from_json(root_to_json(root)) == root
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)

@@ -13,7 +13,6 @@ from configspaces.probspace import (
     atoms_from_intersections,
     canonical_space,
     event_probability,
-    probabilistic_range,
     sample,
     verify_realization,
 )
@@ -155,9 +154,9 @@ def test_verify_detects_tampering():
 
 
 def test_probabilistic_range_examples():
-    assert probabilistic_range(star(3, 2)).value == H
-    assert probabilistic_range(from_nubs(2, [])).value == 1
-    root = probabilistic_range(builtin("fig1-right"))
+    assert MobiusFamily(star(3, 2)).critical_root()[0].value == H
+    assert MobiusFamily(from_nubs(2, [])).critical_root()[0].value == 1
+    root = MobiusFamily(builtin("fig1-right")).critical_root()[0]
     assert not root.is_rational
     assert root.witness.coefficients == (1, -5, 6, -1)
     assert Fraction(3, 10) < root.lo and root.hi < Fraction(31, 100)
@@ -167,7 +166,7 @@ def test_two_routes_agree(rng):
     for _ in range(20):
         c = random_configuration(rng.randint(1, 7), rng)
         f = random_valuation(c, rng)
-        root = probabilistic_range(c, f)
+        root = MobiusFamily(c, f).critical_root()[0]
         t = (root.value if root.is_rational else root.lo) / 2
         space = canonical_space(c, f, t)
         q = {
@@ -190,7 +189,7 @@ def test_exclusivity_upward_closure(rng):
     # checking nubs only is equivalent to checking every dependent set
     for _ in range(20):
         c = random_configuration(rng.randint(1, 6), rng)
-        root = probabilistic_range(c)
+        root = MobiusFamily(c).critical_root()[0]
         t = (root.value if root.is_rational else root.lo) / 2
         space = canonical_space(c, None, t)
         for mask in range(1 << c.n):
@@ -202,7 +201,7 @@ def test_mass_conservation_random(rng):
     for _ in range(20):
         c = random_configuration(rng.randint(1, 8), rng)
         f = random_valuation(c, rng)
-        root = probabilistic_range(c, f)
+        root = MobiusFamily(c, f).critical_root()[0]
         ts = [Fraction(0)]
         top = root.value if root.is_rational else root.lo
         ts += [top * Fraction(k, 3) for k in (1, 2)]
@@ -356,7 +355,7 @@ def test_verify_zeta_matches_atom_sums(rng):
     for _ in range(20):
         c = random_configuration(rng.randint(1, 7), rng)
         f = random_valuation(c, rng)
-        root = probabilistic_range(c, f)
+        root = MobiusFamily(c, f).critical_root()[0]
         t = (root.value if root.is_rational else root.lo) / 2
         space = canonical_space(c, f, t)
         assert verify_realization(space).violations == []

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,7 +11,7 @@ from configspaces.core import (
     relative_configuration,
     valuation_of,
 )
-from configspaces.mobius import TYPE_I, TYPE_II, classify, mobius_polynomial
+from configspaces.mobius import TYPE_I, TYPE_II, MobiusFamily
 from configspaces.poly import Polynomial
 from configspaces.structure import (
     BadParameters,
@@ -18,7 +19,6 @@ from configspaces.structure import (
     SelfLoop,
     UnknownDataset,
     builtin,
-    clique_transfer,
     components,
     disjoint_union,
     from_dependence_graph,
@@ -31,6 +31,8 @@ from configspaces.structure import (
     trace_count_cf,
     trace_series,
 )
+
+from conftest import brute_independence_family
 
 P = Polynomial
 
@@ -82,9 +84,9 @@ def test_from_dependence_graph():
 
 
 def test_star_polynomials():
-    assert mobius_polynomial(star(3, 2)) == P([1, -3, 3])
-    assert mobius_polynomial(star(4, 3)) == P([1, -4, 6, -4])
-    assert mobius_polynomial(star(4, 4)) == P([1, -4, 6, -4, 1])
+    assert MobiusFamily(star(3, 2)).mu() == P([1, -3, 3])
+    assert MobiusFamily(star(4, 3)).mu() == P([1, -4, 6, -4])
+    assert MobiusFamily(star(4, 4)).mu() == P([1, -4, 6, -4, 1])
     assert star(4, 4).nubs == ()
     assert star(0, 0).n == 0
     with pytest.raises(BadParameters):
@@ -100,21 +102,7 @@ def test_star_mu_is_truncated_binomial():
             binom = binom * P([1, -1])
         for k in range(1, n + 1):
             truncated = P(binom.coefficients[: k + 1])
-            assert mobius_polynomial(star(n, k)) == truncated
-
-
-def test_clique_transfer_condition():
-    k2 = from_dependence_graph(2, [(0, 1)])
-    transfer = clique_transfer(k2)
-    assert set(transfer.cliques) == {0b01, 0b10}
-    assert all(all(row) for row in transfer.matrix)
-    free2 = from_nubs(2, [])
-    transfer = clique_transfer(free2)
-    lookup = {c: i for i, c in enumerate(transfer.cliques)}
-    # after {a}, the clique {b} is not reachable: b commutes with a
-    assert transfer.matrix[lookup[0b01]][lookup[0b10]] == 0
-    assert transfer.matrix[lookup[0b01]][lookup[0b01]] == 1
-    assert transfer.matrix[lookup[0b11]][lookup[0b01]] == 1
+            assert MobiusFamily(star(n, k)).mu() == truncated
 
 
 def test_trace_series_examples():
@@ -213,6 +201,32 @@ def test_symmetric_counts_stars():
         assert report.eta[:k] == tuple(n - j for j in range(k))
 
 
+def test_symmetric_counts_matches_brute_force(rng):
+    cases = [star(6, 3), from_nubs(5, []), builtin("fig1-right")]
+    cases += [random_configuration(rng.randint(1, 8), rng) for _ in range(40)]
+    for c in cases:
+        family = brute_independence_family(c)
+        top = max(x.bit_count() for x in family)
+        counts = [sum(1 for x in family if x.bit_count() == k) for k in range(top + 1)]
+        parallel = [set() for _ in range(top + 1)]
+        for x in family:
+            free = sum(1 for a in range(c.n) if not x >> a & 1 and x | 1 << a in family)
+            parallel[x.bit_count()].add(free)
+        constant = [len(values) == 1 for values in parallel]
+        failed = None if all(constant) else constant.index(False)
+        report = symmetric_counts(c)
+        assert report.counts == tuple(counts)
+        assert report.failed_level == failed
+        levels = top + 1 if failed is None else failed
+        assert report.eta[:levels] == tuple(min(v) for v in parallel[:levels])
+        assert all(e is None for e in report.eta[levels:])
+        eta = [min(v) for v in parallel]
+        formula = failed is None and all(
+            counts[k] * math.factorial(k) == math.prod(eta[:k]) for k in range(top + 1)
+        )
+        assert report.formula_ok == formula
+
+
 def test_builtin_names():
     left = builtin("fig1-left")
     assert left.labels == ("1", "2", "3", "4", "5")
@@ -305,14 +319,14 @@ def test_disjoint_union_structure():
     b = from_dependence_graph(2, [(0, 1)])
     union = disjoint_union(a, b)
     assert union.n == 5
-    assert mobius_polynomial(union) == mobius_polynomial(a) * mobius_polynomial(b)
+    assert MobiusFamily(union).mu() == MobiusFamily(a).mu() * MobiusFamily(b).mu()
     parts = components(union).components
     assert [p.vertices for p in parts] == [0b00111, 0b11000]
 
 
 def test_star_diagonal_alternation():
     for n in range(2, 9):
-        result = classify(star(n, n - 1))
+        result = MobiusFamily(star(n, n - 1)).classify()
         assert result.critical_root.value == Fraction(1, 2)
         expected = TYPE_I if n % 2 == 0 else TYPE_II
         assert result.config_type == expected
