@@ -54,6 +54,7 @@ from .poly import (
     compare_roots,
     evaluate_on_interval,
     first_positive_root,
+    isolate_first_root,
     refine_root,
     root_free,
 )
@@ -240,17 +241,15 @@ class MobiusFamily:
         return residual
 
     def inversion_check(self) -> bool:
-        """Verify F(x) = sum of H(y) over independent y containing x."""
+        """Verify F(x) = sum of H(y) over independent y containing x,
+        for every member x, by one superset zeta transform of H."""
         members = self.members()
-        for x in members:
-            total = Polynomial()
-            for y in members:
-                if y & x == x:
-                    total = total + self.transform(y)
-            expected = Polynomial([self.valuation.of(x)]).shifted(x.bit_count())
-            if total != expected:
-                return False
-        return True
+        table = {y: self.transform(y) for y in members}
+        _superset_transform(table, members, self.config.n, 1)
+        return all(
+            table[x] == Polynomial([self.valuation.of(x)]).shifted(x.bit_count())
+            for x in members
+        )
 
     def critical_root(self) -> tuple[AlgebraicRoot, tuple[int, ...]]:
         """The smallest positive zero over all relative polynomials.
@@ -263,8 +262,13 @@ class MobiusFamily:
         Distinct polynomials are visited in the (size, mask) order of
         their first anchor.  One with no root in (0, best.hi], certified
         by ``root_free``, cannot reach the minimum (the best root only
-        decreases) and is never isolated.  The others are isolated and
-        compared exactly, so the reported root is ``first_positive_root``
+        decreases) and is never isolated.  The others are isolated
+        coarsely (``isolate_first_root``: until one root is left in the
+        interval) and compared exactly with the best by
+        ``compare_roots``, which halves only until the intervals
+        separate.  Only a polynomial that beats the best is isolated in
+        full, so best.hi stays within 2**-128 of the best root and keeps
+        ``root_free`` sharp; the reported root is ``first_positive_root``
         of the first attaining anchor's polynomial.
         """
         if self.config.n == 0:
@@ -276,12 +280,12 @@ class MobiusFamily:
         for poly in dict.fromkeys(polys):
             if best is not None and root_free(poly, best.hi):
                 continue
-            root = first_positive_root(poly)
+            root = isolate_first_root(poly)
             if root is None:
                 continue
             order = -1 if best is None else compare_roots(root, best)
             if order < 0:
-                best, attaining = root, {poly}
+                best, attaining = first_positive_root(poly), {poly}
             elif order == 0:
                 attaining.add(poly)
         if best is None:

@@ -7,6 +7,14 @@ reported as :class:`AlgebraicRoot` values, a squarefree witness
 polynomial plus an isolating rational interval.  A rational root
 collapses to a point interval (``lo == hi``).
 
+Every sign decision of root isolation is one integer computation.  A
+polynomial keeps its primitive integer coefficients (``primitive``),
+and the sign of q(a/b), b > 0, is the sign of b^d q(a/b), evaluated by
+Horner's rule in integers (``_int_sign``).  Bisection of (0, B], B the
+Cauchy bound, visits the dyadic points j B / 2^k; they are carried as
+integer numerators over one common denominator, and a ``Fraction`` is
+built only for a reported endpoint.
+
 Nothing in this module touches floating point, so every comparison and
 zero-test is certified.  All values are immutable and all functions are
 pure; concurrent use needs no locks.
@@ -27,7 +35,6 @@ __all__ = [
     "ZeroConstantTerm",
     "EndpointRoot",
     "ZeroAtOrigin",
-    "DEFAULT_ROOT_WIDTH",
     "poly_divmod",
     "poly_gcd",
     "squarefree_part",
@@ -36,6 +43,7 @@ __all__ = [
     "sturm_count",
     "descartes_variations",
     "root_free",
+    "isolate_first_root",
     "first_positive_root",
     "refine_root",
     "compare_roots",
@@ -50,13 +58,10 @@ __all__ = [
 
 CoefficientLike = Union[Fraction, int, str]
 
-#: Width factor for reported isolating intervals: width <= 2**-64 * max(1, bound).
-DEFAULT_ROOT_WIDTH = Fraction(1, 2**64)
-
-# Before reporting an interval root, the isolation loop refines further and
-# probes the simplest rational inside; this catches rational roots with
+# Reported intervals have width at most 2**-_PROBE_BITS; the simplest
+# rational inside is then probed, which catches rational roots with
 # denominator up to 2**64 and returns them as exact point intervals.
-_RATIONAL_PROBE_WIDTH = Fraction(1, 2**128)
+_PROBE_BITS = 128
 
 
 class PolynomialError(ValueError):
@@ -79,24 +84,27 @@ def _frac(value: CoefficientLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-def _sign(value: Fraction) -> int:
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
-
-
 class Polynomial:
     """Immutable dense polynomial with Fraction coefficients."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_primitive")
 
     def __init__(self, coefficients: Iterable[CoefficientLike] = ()):
         coeffs = [_frac(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self._coeffs: tuple[Fraction, ...] = tuple(coeffs)
+        self._primitive: tuple[int, ...] | None = None
+
+    def primitive(self) -> tuple[int, ...]:
+        """Coprime integer coefficients, the polynomial times a positive
+        rational: every sign is kept.  Computed once."""
+        if self._primitive is None:
+            common = math.lcm(*(c.denominator for c in self._coeffs))
+            self._primitive = _content_free(
+                [c.numerator * (common // c.denominator) for c in self._coeffs]
+            )
+        return self._primitive
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -288,27 +296,44 @@ def poly_divmod(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
     return Polynomial(quo), Polynomial(rem)
 
 
+def _content_free(values: list[int]) -> tuple[int, ...]:
+    """Without trailing zeros, divided by the positive content."""
+    while values and not values[-1]:
+        values.pop()
+    content = math.gcd(*values)
+    return tuple(v // content for v in values) if content > 1 else tuple(values)
+
+
+def _negated_remainder(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """A content-free positive multiple of -(a mod b), for integer a and
+    b: pseudo-division, each step scaled by b's leading coefficient."""
+    rem = list(a)
+    lead, low = b[-1], b[:-1]
+    negate = True
+    for shift in range(len(rem) - len(b), -1, -1):
+        f = rem.pop()
+        if f:
+            if lead != 1:
+                rem = [lead * v for v in rem]
+                negate ^= lead < 0
+            for j, c in enumerate(low, shift):
+                rem[j] -= f * c
+    return _content_free([-v for v in rem] if negate else rem)
+
+
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic greatest common divisor (Euclid over the rationals)."""
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, poly_divmod(a, b)[1]
-    if a.is_zero:
-        return a
-    return a * (1 / a.leading_coefficient)
+    """Monic greatest common divisor (Euclid on integer coefficients)."""
+    a, b = p.primitive(), q.primitive()
+    while b:
+        a, b = b, _negated_remainder(a, b)
+    return Polynomial(Fraction(c, a[-1]) for c in a)
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
     """p divided by gcd(p, p'); same roots, all simple."""
     if p.is_zero:
         raise ValueError("zero polynomial has no squarefree part")
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p
-    quo, rem = poly_divmod(p, g)
-    if not rem.is_zero:
-        raise AssertionError("gcd does not divide its argument")
-    return quo
+    return _squarefree_chain(p)[0]
 
 
 def cauchy_root_bound(p: Polynomial) -> Fraction:
@@ -338,39 +363,62 @@ def series_inverse(p: Polynomial, order: int) -> Series:
     return Series(tuple(out))
 
 
-def _sturm_chain(q: Polynomial) -> list[Polynomial]:
-    chain = [q, q.derivative()]
-    while not chain[-1].is_zero:
-        rem = poly_divmod(chain[-2], chain[-1])[1]
-        chain.append(-rem)
-    chain.pop()
+def _int_sign(coeffs: Sequence[int], a: int, b: int) -> int:
+    """Sign of b^d q(a/b), so of q(a/b) when b > 0, for q of degree d
+    with integer ``coeffs``, by Horner's rule in integers."""
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * a + c * scale
+        scale *= b
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_at(p: Polynomial, x: Fraction) -> int:
+    """Sign of p(x) by the integer kernel."""
+    return _int_sign(p.primitive(), x.numerator, x.denominator)
+
+
+def _sturm_chain(p: Polynomial) -> list[tuple[int, ...]]:
+    """p, p' and Euclid's negated remainders, each as a content-free
+    positive multiple, so with the signs of the rational chain; the
+    last member is gcd(p, p') up to a constant factor."""
+    a = p.primitive()
+    b = _content_free([k * c for k, c in enumerate(a)][1:])
+    chain = [a]
+    while b:
+        chain.append(b)
+        a, b = b, _negated_remainder(a, b)
     return chain
 
 
-def _variations(values: Iterable[Fraction]) -> int:
-    count = 0
-    last = 0
-    for v in values:
-        s = _sign(v)
-        if s == 0:
-            continue
-        if last != 0 and s != last:
-            count += 1
-        last = s
-    return count
+def _squarefree_chain(p: Polynomial) -> tuple[Polynomial, list[tuple[int, ...]]]:
+    """The squarefree part of nonzero p and its Sturm chain."""
+    chain = _sturm_chain(p)
+    if len(chain[-1]) == 1:
+        return p, chain
+    g = chain[-1]
+    quo, rem = poly_divmod(p, Polynomial(Fraction(c, g[-1]) for c in g))
+    if not rem.is_zero:
+        raise AssertionError("gcd does not divide its argument")
+    return quo, _sturm_chain(quo)
 
 
-def _variations_at(chain: Sequence[Polynomial], x: Fraction) -> int:
-    return _variations(f(x) for f in chain)
+def _variations(values: Iterable[int]) -> int:
+    """Sign changes along the sequence, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _count_half_open(chain: Sequence[Polynomial], lo: Fraction, hi: Fraction) -> int:
-    """Distinct roots of the (squarefree) chain head in (lo, hi].
+def _variations_at(chain: Sequence[Sequence[int]], a: int, b: int) -> int:
+    return _variations(_int_sign(f, a, b) for f in chain)
 
-    Requires head(lo) != 0; the right endpoint may be a root, which is
-    counted (sign variations are right-continuous at roots).
-    """
-    return _variations_at(chain, lo) - _variations_at(chain, hi)
+
+def _count_half_open(chain: Sequence[Sequence[int]], lo: Fraction, hi: Fraction) -> int:
+    """Distinct roots of the squarefree chain head in (lo, hi]; needs
+    head(lo) != 0, and a root at hi is counted."""
+    return _variations_at(chain, lo.numerator, lo.denominator) - _variations_at(
+        chain, hi.numerator, hi.denominator
+    )
 
 
 def sturm_count(p: Polynomial, lo: CoefficientLike, hi: CoefficientLike) -> int:
@@ -385,12 +433,12 @@ def sturm_count(p: Polynomial, lo: CoefficientLike, hi: CoefficientLike) -> int:
     a, b = _frac(lo), _frac(hi)
     if a >= b:
         raise ValueError("need lo < hi")
-    if p(a) == 0 or p(b) == 0:
+    if _sign_at(p, a) == 0 or _sign_at(p, b) == 0:
         raise EndpointRoot(f"polynomial vanishes at an endpoint of ({a}, {b})")
-    q = squarefree_part(p)
+    q, chain = _squarefree_chain(p)
     if q.degree < 1:
         return 0
-    return _count_half_open(_sturm_chain(q), a, b)
+    return _count_half_open(chain, a, b)
 
 
 def descartes_variations(p: Polynomial, hi: Fraction) -> int:
@@ -400,19 +448,14 @@ def descartes_variations(p: Polynomial, hi: Fraction) -> int:
     signs this bounds the number of roots of p in (0, hi), counted with
     multiplicity, and has its parity; zero variations certify that
     there is none (the test of Collins-Akritas bisection).  Needs
-    hi > 0.  The coefficients are cleared of denominators and shifted
-    by one in integers.
+    hi > 0.  The primitive coefficients are shifted by one in integers.
     """
-    coeffs = p.coefficients
+    coeffs = p.primitive()
     d = len(coeffs) - 1
-    common = math.lcm(*(c.denominator for c in coeffs))
     a, b = hi.numerator, hi.denominator
-    # Coefficient k of p times common * hi^k * b^d multiplies y^(d-k),
-    # so shifted lists the coefficients of y^0..y^d; then y = 1 + s.
-    shifted = [
-        c.numerator * (common // c.denominator) * a**k * b ** (d - k)
-        for k, c in enumerate(coeffs)
-    ][::-1]
+    # Coefficient k of p times hi^k * b^d multiplies y^(d-k), so shifted
+    # lists the coefficients of y^0..y^d; then y = 1 + s.
+    shifted = [c * a**k * b ** (d - k) for k, c in enumerate(coeffs)][::-1]
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
             shifted[j] += shifted[j + 1]
@@ -427,7 +470,7 @@ def root_free(p: Polynomial, hi: Fraction) -> bool:
     is inconclusive (complex roots near the interval), a Sturm count on
     the squarefree part decides.
     """
-    if p(hi) == 0:
+    if _sign_at(p, hi) == 0:
         return False
     return descartes_variations(p, hi) == 0 or sturm_count(p, 0, hi) == 0
 
@@ -436,25 +479,91 @@ def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
     """The rational with smallest denominator in [lo, hi]; needs lo > 0."""
     if not 0 < lo <= hi:
         raise ValueError("requires 0 < lo <= hi")
-    # Continued-fraction walk: an integer in range ends the descent.
+    # Continued-fraction walk on integer pairs a = an/ad, b = bn/bd: an
+    # integer in range ends the descent.
     terms: list[int] = []
-    a, b = lo, hi
+    an, ad, bn, bd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     while True:
-        floor_a = a.numerator // a.denominator
-        ceil_a = -((-a.numerator) // a.denominator)
-        if ceil_a <= b:
+        floor_a = an // ad
+        ceil_a = -(-an // ad)
+        if ceil_a * bd <= bn:
             terms.append(ceil_a)
             break
         terms.append(floor_a)
-        a, b = 1 / (b - floor_a), 1 / (a - floor_a)
-    value = Fraction(terms[-1])
-    for term in reversed(terms[:-1]):
-        value = term + 1 / value
-    return value
+        an, ad, bn, bd = bd, bn - floor_a * bd, ad, an - floor_a * ad
+    num, den = terms.pop(), 1
+    for term in reversed(terms):
+        num, den = term * num + den, num
+    return Fraction(num, den)
 
 
-def _exact_root(q: Polynomial, point: Fraction) -> AlgebraicRoot:
-    return AlgebraicRoot(q, point, point)
+def isolate_first_root(p: Polynomial) -> AlgebraicRoot | None:
+    """Smallest real root of p in (0, inf), isolated coarsely, or None.
+
+    Sturm bisection of (0, B] on the squarefree part stops as soon as
+    (lo, hi] holds one root, which is exact if a bisection point hit it.
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial has every point as a root")
+    if p.constant_term == 0:
+        raise ZeroAtOrigin("polynomial vanishes at the origin")
+    q, chain = _squarefree_chain(p)
+    if q.degree < 1:
+        return None
+    bound = cauchy_root_bound(q)
+    # (lo, hi] is (lo / den, hi / den], den = denominator(B) * 2^k.
+    lo, hi, den = 0, bound.numerator, bound.denominator
+    v_lo = _variations_at(chain, lo, den)
+    count = v_lo - _variations_at(chain, hi, den)
+    if count == 0:
+        return None
+    while count > 1:
+        mid, lo, hi, den = lo + hi, 2 * lo, 2 * hi, 2 * den
+        signs = [_int_sign(f, mid, den) for f in chain]
+        v_mid = _variations(signs)
+        left = v_lo - v_mid
+        if left == 0:
+            lo, v_lo = mid, v_mid
+        elif left == 1 and signs[0] == 0:
+            point = Fraction(mid, den)
+            return AlgebraicRoot(q, point, point)
+        else:
+            hi, count = mid, left
+    # hi is no root: B bounds the roots strictly, and a bisection point
+    # that is one and leaves a single root in (lo, hi] returned above.
+    return AlgebraicRoot(q, Fraction(lo, den), Fraction(hi, den))
+
+
+class _Bisection:
+    """The isolating interval (lo/den, hi/den) of a root, a point when
+    the root is rational, halved in integers by the sign kernel."""
+
+    __slots__ = ("witness", "coeffs", "lo", "hi", "den", "sign_lo")
+
+    def __init__(self, root: AlgebraicRoot):
+        self.witness = root.witness
+        self.coeffs = root.witness.primitive()
+        lo, hi = root.lo, root.hi
+        self.den = den = math.lcm(lo.denominator, hi.denominator)
+        self.lo = lo.numerator * (den // lo.denominator)
+        self.hi = hi.numerator * (den // hi.denominator)
+        self.sign_lo = _int_sign(self.coeffs, self.lo, den)
+
+    def halve(self) -> bool:
+        """One bisection step; True when the midpoint is the root."""
+        mid = self.lo + self.hi
+        self.lo, self.hi, self.den = 2 * self.lo, 2 * self.hi, 2 * self.den
+        sign = _int_sign(self.coeffs, mid, self.den)
+        if sign == 0:
+            self.lo = self.hi = mid
+        elif sign == self.sign_lo:
+            self.lo = mid
+        else:
+            self.hi = mid
+        return sign == 0
+
+    def root(self) -> AlgebraicRoot:
+        return AlgebraicRoot(self.witness, Fraction(self.lo, self.den), Fraction(self.hi, self.den))
 
 
 def first_positive_root(p: Polynomial) -> AlgebraicRoot | None:
@@ -462,117 +571,63 @@ def first_positive_root(p: Polynomial) -> AlgebraicRoot | None:
 
     Works on the squarefree part, so multiple roots collapse.  Rational
     roots (denominator below 2**64) are returned exactly; otherwise the
-    isolating interval has width at most ``DEFAULT_ROOT_WIDTH * max(1, B)``
-    where B is the Cauchy root bound.
+    isolating interval has width at most 2**-128.
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial has every point as a root")
-    if p(0) == 0:
-        raise ZeroAtOrigin("polynomial vanishes at the origin")
-    q = squarefree_part(p)
-    if q.degree < 1:
-        return None
-    bound = cauchy_root_bound(q)
-    chain = _sturm_chain(q)
-    lo, hi = Fraction(0), bound
-    count = _count_half_open(chain, lo, hi)
-    if count == 0:
-        return None
-    target = DEFAULT_ROOT_WIDTH * max(Fraction(1), bound)
-    probe_width = min(target, _RATIONAL_PROBE_WIDTH)
-    # Narrow (lo, hi] onto the leftmost root.  Endpoint lo is never a
-    # root; hi may be, in which case the count includes it.
-    while count > 1:
-        mid = (lo + hi) / 2
-        if q(mid) == 0:
-            left = _count_half_open(chain, lo, mid)
-            if left == 1:
-                return _exact_root(q, mid)
-            hi, count = mid, left
-            continue
-        left = _count_half_open(chain, lo, mid)
-        if left == 0:
-            lo = mid
-        else:
-            hi, count = mid, left
-    if q(hi) == 0:
-        return _exact_root(q, hi)
-    # One simple root strictly inside (lo, hi): bisect on sign changes.
-    sign_lo = _sign(q(lo))
-    while hi - lo > probe_width or lo == 0:
-        mid = (lo + hi) / 2
-        v = q(mid)
-        if v == 0:
-            return _exact_root(q, mid)
-        if _sign(v) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    candidate = simplest_rational_between(lo, hi)
-    if q(candidate) == 0:
-        return _exact_root(q, candidate)
-    return AlgebraicRoot(q, lo, hi)
+    root = isolate_first_root(p)
+    if root is None or root.is_rational:
+        return root
+    cell = _Bisection(root)
+    while (cell.hi - cell.lo) << _PROBE_BITS > cell.den or cell.lo == 0:
+        if cell.halve():
+            return cell.root()
+    root = cell.root()
+    candidate = simplest_rational_between(root.lo, root.hi)
+    if _sign_at(root.witness, candidate) == 0:
+        return AlgebraicRoot(root.witness, candidate, candidate)
+    return root
 
 
 def refine_root(root: AlgebraicRoot) -> AlgebraicRoot:
     """One bisection step; exact roots are returned unchanged."""
     if root.is_rational:
         return root
-    w = root.witness
-    mid = (root.lo + root.hi) / 2
-    v = w(mid)
-    if v == 0:
-        return AlgebraicRoot(w, mid, mid)
-    if _sign(v) == _sign(w(root.lo)):
-        return AlgebraicRoot(w, mid, root.hi)
-    return AlgebraicRoot(w, root.lo, mid)
-
-
-def _compare_exact_with_interval(point: Fraction, root: AlgebraicRoot) -> int:
-    """Sign of (point - root) for an interval-identified root."""
-    if root.lo < point < root.hi and root.witness(point) == 0:
-        return 0
-    current = root
-    while True:
-        if current.is_rational:
-            return _sign(point - current.lo)
-        if point <= current.lo:
-            return -1
-        if point >= current.hi:
-            return 1
-        current = refine_root(current)
+    cell = _Bisection(root)
+    cell.halve()
+    return cell.root()
 
 
 def compare_roots(a: AlgebraicRoot, b: AlgebraicRoot) -> int:
     """Exact three-way comparison: -1, 0, or 1.
 
-    Intervals are refined until disjoint; persistent overlap is decided
+    The wider interval is halved until the two are disjoint.  Overlap
+    is decided by the other witness's sign at a rational root, or
     through a common root of gcd(witness_a, witness_b) in the overlap.
     """
-    if a.is_rational and b.is_rational:
-        return _sign(a.lo - b.lo)
-    if a.is_rational:
-        return _compare_exact_with_interval(a.lo, b)
-    if b.is_rational:
-        return -_compare_exact_with_interval(b.lo, a)
-    x, y = a, b
+    x, y = _Bisection(a), _Bisection(b)
+    shared: list[tuple[int, ...]] | None = None
     while True:
-        if x.is_rational or y.is_rational:
-            return compare_roots(x, y)
-        if x.hi <= y.lo:
-            return -1
-        if y.hi <= x.lo:
-            return 1
-        g = poly_gcd(x.witness, y.witness)
-        if g.degree >= 1:
-            overlap_lo = max(x.lo, y.lo)
-            overlap_hi = min(x.hi, y.hi)
-            # Witness endpoints are never roots, so g is nonzero there.
-            if overlap_lo < overlap_hi and _count_half_open(
-                _sturm_chain(g), overlap_lo, overlap_hi
+        below = x.hi * y.den <= y.lo * x.den
+        above = y.hi * x.den <= x.lo * y.den
+        if below or above:
+            return above - below  # both: the same rational root
+        if x.lo == x.hi or y.lo == y.hi:
+            point, other = (x, y) if x.lo == x.hi else (y, x)
+            if _int_sign(other.coeffs, point.lo, point.den) == 0:
+                return 0
+        else:
+            if shared is None:
+                g = poly_gcd(a.witness, b.witness)
+                shared = _sturm_chain(g) if g.degree >= 1 else []
+            # Witness endpoints are never roots, so g is nonzero at the
+            # ends of the overlap.
+            lo = x if x.lo * y.den >= y.lo * x.den else y
+            hi = x if x.hi * y.den <= y.hi * x.den else y
+            if shared and _variations_at(shared, lo.lo, lo.den) - _variations_at(
+                shared, hi.hi, hi.den
             ):
                 return 0
-        x, y = refine_root(x), refine_root(y)
+        wider = x if (x.hi - x.lo) * y.den >= (y.hi - y.lo) * x.den else y
+        wider.halve()
 
 
 def evaluate_on_interval(
@@ -601,7 +656,7 @@ def sign_at_root(p: Polynomial, root: AlgebraicRoot) -> int:
     if p.is_zero:
         return 0
     if root.is_rational:
-        return _sign(p(root.value))
+        return _sign_at(p, root.value)
     g = poly_gcd(p, root.witness)
     if g.degree >= 1 and _count_half_open(_sturm_chain(g), root.lo, root.hi):
         return 0
@@ -614,7 +669,7 @@ def sign_at_root(p: Polynomial, root: AlgebraicRoot) -> int:
             return -1
         current = refine_root(current)
         if current.is_rational:
-            return _sign(p(current.value))
+            return _sign_at(p, current.value)
 
 
 def format_rational(x: Fraction) -> str:

@@ -8,7 +8,14 @@ from fractions import Fraction
 import pytest
 
 from configspaces.core import Configuration, Valuation
-from configspaces.poly import Polynomial
+from configspaces.poly import (
+    AlgebraicRoot,
+    Polynomial,
+    cauchy_root_bound,
+    poly_divmod,
+    simplest_rational_between,
+    squarefree_part,
+)
 
 
 def powerset_mobius(config: Configuration, valuation: Valuation | None = None) -> Polynomial:
@@ -33,6 +40,70 @@ def direct_transform(config: Configuration, valuation: Valuation, x: int) -> Pol
             sign = -1 if (k - x.bit_count()) % 2 else 1
             coeffs[k] += sign * valuation.of(y)
     return Polynomial(coeffs)
+
+
+def _fraction_variations(chain: list[Polynomial], x: Fraction) -> int:
+    count, last = 0, 0
+    for f in chain:
+        value = f(x)
+        s = (value > 0) - (value < 0)
+        if s == 0:
+            continue
+        if last != 0 and s != last:
+            count += 1
+        last = s
+    return count
+
+
+def fraction_first_positive_root(p: Polynomial) -> AlgebraicRoot | None:
+    """Oracle: Sturm bisection of (0, B] with every sign taken from an
+    exact Fraction evaluation, narrowed to width 2**-128 and probed for
+    the simplest rational inside (the isolation before the integer
+    sign kernel)."""
+    q = squarefree_part(p)
+    if q.degree < 1:
+        return None
+    chain = [q, q.derivative()]
+    while not chain[-1].is_zero:
+        chain.append(-poly_divmod(chain[-2], chain[-1])[1])
+    chain.pop()
+
+    def count(lo, hi):
+        return _fraction_variations(chain, lo) - _fraction_variations(chain, hi)
+
+    lo, hi = Fraction(0), cauchy_root_bound(q)
+    n = count(lo, hi)
+    if n == 0:
+        return None
+    while n > 1:
+        mid = (lo + hi) / 2
+        if q(mid) == 0:
+            left = count(lo, mid)
+            if left == 1:
+                return AlgebraicRoot(q, mid, mid)
+            hi, n = mid, left
+            continue
+        left = count(lo, mid)
+        if left == 0:
+            lo = mid
+        else:
+            hi, n = mid, left
+    if q(hi) == 0:
+        return AlgebraicRoot(q, hi, hi)
+    sign_lo = q(lo) > 0
+    while hi - lo > Fraction(1, 2**128) or lo == 0:
+        mid = (lo + hi) / 2
+        v = q(mid)
+        if v == 0:
+            return AlgebraicRoot(q, mid, mid)
+        if (v > 0) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    candidate = simplest_rational_between(lo, hi)
+    if q(candidate) == 0:
+        return AlgebraicRoot(q, candidate, candidate)
+    return AlgebraicRoot(q, lo, hi)
 
 
 def brute_independence_family(config: Configuration) -> set[int]:

@@ -5,6 +5,7 @@ import pytest
 import configspaces.poly as poly_module
 from configspaces.core import (
     NotIndependent,
+    Valuation,
     from_nubs,
     relative_configuration,
     valuation_of,
@@ -27,6 +28,7 @@ from configspaces.poly import (
 from configspaces.structure import (
     builtin,
     components,
+    disjoint_union,
     random_configuration,
     random_valuation,
     star,
@@ -90,6 +92,24 @@ def test_inversion_check():
         c = random_configuration(rng_seeded.randint(1, 8), rng_seeded)
         f = random_valuation(c, rng_seeded)
         assert MobiusFamily(c, f).inversion_check()
+
+
+def test_inversion_check_detects_a_tampered_transform(rng, monkeypatch):
+    families = [MobiusFamily(star(4, 2)), MobiusFamily(from_nubs(5, []))]
+    for _ in range(4):
+        c = random_configuration(rng.randint(2, 6), rng)
+        families.append(MobiusFamily(c, random_valuation(c, rng)))
+    for family in families:
+        assert family.inversion_check()
+        transform = family.transform
+        for target in family.members():
+            def tampered(x, target=target):
+                return transform(x) + P([0, 0, 1]) if x == target else transform(x)
+
+            monkeypatch.setattr(family, "transform", tampered)
+            assert not family.inversion_check()
+        monkeypatch.setattr(family, "transform", transform)
+        assert family.inversion_check()
 
 
 def test_sum_of_transforms_is_one(rng):
@@ -356,6 +376,43 @@ def test_lazy_critical_root_matches_eager_oracle(rng, monkeypatch):
         f = random_valuation(c, rng) if rng.random() < 0.5 else None
         family = MobiusFamily(c, f)
         assert family.critical_root() == _eager_critical_root(family)
+    # Weighted disjoint unions c + c' with an irrational t0 of c.  With
+    # c' = c, distinct relative polynomials share the irrational root, so
+    # compare_roots must answer 0 through a common factor; with every
+    # weight of c' scaled by 1 + 2**-140, c' has the root t0 / (1 + 2**-140),
+    # closer to t0 than 2**-130.
+    shared_factors = []
+    original_gcd = poly_module.poly_gcd
+
+    def recording_gcd(p, q):
+        g = original_gcd(p, q)
+        if q != p.derivative():  # not a squarefree-part gcd
+            shared_factors.append(g.degree)
+        return g
+
+    monkeypatch.setattr(poly_module, "poly_gcd", recording_gcd)
+    unions = 0
+    while unions < 4:
+        c = random_configuration(rng.randint(2, 4), rng)
+        f = random_valuation(c, rng)
+        t0 = MobiusFamily(c, f).critical_root()[0]
+        if t0.is_rational:
+            continue
+        unions += 1
+        for scale in (Fraction(1), 1 + Fraction(1, 2**140)):
+            scaled = Valuation(tuple(w * scale for w in f.weights))
+            family = MobiusFamily(disjoint_union(c, c), Valuation(f.weights + scaled.weights))
+            shared_factors.clear()
+            root, attained = family.critical_root()
+            if scale == 1:
+                assert any(degree >= 1 for degree in shared_factors)
+                assert compare_roots(root, t0) == 0
+            else:
+                assert compare_roots(root, t0) == -1
+                assert compare_roots(root, MobiusFamily(c, scaled).critical_root()[0]) == 0
+                # t0 - t0 / (1 + 2**-140) < t0 * 2**-140
+                assert t0.hi * Fraction(1, 2**140) < Fraction(1, 2**130)
+            assert (root, attained) == _eager_critical_root(family)
 
 
 def test_descartes_never_misses_a_root(rng):

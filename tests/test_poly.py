@@ -14,7 +14,9 @@ from configspaces.poly import (
     evaluate_on_interval,
     first_positive_root,
     format_rational,
+    isolate_first_root,
     parse_rational,
+    poly_divmod,
     poly_gcd,
     poly_to_strings,
     refine_root,
@@ -23,7 +25,10 @@ from configspaces.poly import (
     simplest_rational_between,
     squarefree_part,
     sturm_count,
+    _sign_at,
 )
+
+from conftest import fraction_first_positive_root
 
 P = Polynomial
 
@@ -255,3 +260,89 @@ def test_evaluate_matches_power_sum(p, t):
 def test_mul_evaluates_pointwise(p, q):
     t = Fraction(3, 7)
     assert (p * q)(t) == p(t) * q(t)
+
+
+def _fraction_gcd(p, q):
+    """Euclid over the rationals, made monic."""
+    a, b = p, q
+    while not b.is_zero:
+        a, b = b, poly_divmod(a, b)[1]
+    return a if a.is_zero else a * (1 / a.leading_coefficient)
+
+
+def _random_root_polynomial(rng):
+    """A product of factors with positive roots: rational ones, some with
+    denominators near 2**63, square roots of rationals, some of either
+    clustered within 2**-60 or 2**-140, and perhaps a double root or a
+    factor with complex roots."""
+    factors = []
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.random()
+        if kind < 0.25:
+            r = Fraction(rng.randint(1, 2**63), rng.randint(2**62, 2**63))
+            factors.append(P([-r, 1]))
+            continue
+        a = Fraction(rng.randint(1, 50), rng.randint(1, 50))
+        gap = Fraction(1, 2 ** rng.choice([60, 140]))
+        # t - a, or t^2 - a: a is rarely a square, so sqrt(a) is irrational
+        make = (lambda r: P([-r, 1])) if kind < 0.55 else (lambda r: P([-r, 0, 1]))
+        factors += [make(a), make(a + gap), make(a + 3 * gap)][: rng.randint(1, 3)]
+    del factors[3:]
+    if rng.random() < 0.4:
+        factors.append(factors[0])  # a double root
+    if rng.random() < 0.3:
+        factors.append(P([1, 0, Fraction(1, rng.randint(1, 9))]))
+    p = P([rng.choice([-1, 1]) * rng.randint(1, 9)])
+    for factor in factors:
+        p = p * factor
+    return p
+
+
+def test_first_positive_root_matches_fraction_oracle(rng):
+    found = []
+    for _ in range(40):
+        p = _random_root_polynomial(rng)
+        expected = fraction_first_positive_root(p)
+        root = first_positive_root(p)
+        assert (root.witness, root.lo, root.hi) == (expected.witness, expected.lo, expected.hi)
+        coarse = isolate_first_root(p)
+        assert coarse.witness == root.witness
+        assert coarse.lo <= root.lo <= root.hi <= coarse.hi
+        assert compare_roots(coarse, root) == 0 == compare_roots(root, coarse)
+        for other in found[-4:]:
+            order = compare_roots(root, other)
+            assert compare_roots(other, root) == -order
+            if root.hi < other.lo or other.hi < root.lo:
+                assert order == (-1 if root.hi < other.lo else 1)
+            elif root.is_rational and other.is_rational:
+                assert order == (root.lo > other.lo) - (root.lo < other.lo)
+        found.append(root)
+    for p in (P([1, -5, 5]), P([1, -3, 3]), P([-2, 0, 1]), P([1, -5, 6, -1]), P([1, -4, 6, -4, 1])):
+        assert first_positive_root(p) == fraction_first_positive_root(p)
+    # (t-2)(t-3) has Cauchy bound 8; the Sturm bisection visits 4, then
+    # hits the smaller root 2 while (0, 4] still holds both roots
+    root = isolate_first_root(P([6, -5, 1]))
+    assert root.is_rational and root.value == 2
+    assert first_positive_root(P([6, -5, 1])) == fraction_first_positive_root(P([6, -5, 1]))
+
+
+def test_integer_gcd_matches_rational_euclid(rng):
+    for _ in range(25):
+        p, q = _random_root_polynomial(rng), _random_root_polynomial(rng)
+        shared = P([Fraction(rng.randint(-9, 9), rng.randint(1, 9)), 1])
+        for a, b in ((p, q), (p * shared, q * shared), (p, p.derivative()), (p, P()), (P(), q)):
+            assert poly_gcd(a, b) == _fraction_gcd(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys, small_fractions)
+def test_integer_sign_matches_fraction_sign(p, x):
+    if p.is_zero:
+        return
+    value = p(x)
+    assert _sign_at(p, x) == (value > 0) - (value < 0)
+    # x is an exact root of p * (t - x); isolation agrees with the oracle
+    assert _sign_at(p * P([-x, 1]), x) == 0
+    if x > 0 and p.constant_term != 0:
+        root = first_positive_root(p * P([-x, 1]))
+        assert root == fraction_first_positive_root(p * P([-x, 1]))
