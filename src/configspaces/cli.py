@@ -1,6 +1,10 @@
 """Command line interface: parse a configuration, run one operation,
 emit a deterministic JSON report on stdout.
 
+The argument parser is built once, on the first ``main`` call.  Each
+input format checks only its own syntax and shape; ``_assemble`` turns
+labels, nubs and weights into the configuration for both.
+
 Each handler builds at most one ``MobiusFamily`` per configuration it
 analyses and reads every reported quantity from it; ``space``,
 ``verify`` and ``sample`` get theirs through ``canonical_space``.
@@ -16,13 +20,14 @@ refuses larger configurations (exit 2) before allocating anything.
 
 Exit codes: 0 on success, 1 when a verification command found a
 violation (or the requested t is out of range), 2 on usage, parse, or
-validation errors, 3 on an internal error (reported on one stderr line,
-never as a traceback).
+validation errors (malformed input fields included), 3 on an internal
+error (reported on one stderr line, never as a traceback).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -92,8 +97,8 @@ OPERATION_COMMANDS = {
     "classify": "classify",
     # probspace
     "atoms_from_intersections": "verify",
-    # verify's nub exclusivity check sums the atoms through it; its
-    # marginals and joint probabilities come from one zeta transform.
+    # verify reads every marginal, joint and nub probability from one
+    # zeta transform of the atoms; event_probability gives any one word's.
     "event_probability": "verify",
     "canonical_space": "space",
     "verify_realization": "verify",
@@ -111,6 +116,40 @@ OPERATION_COMMANDS = {
     "builtin": "builtin",
 }
 
+
+def _assemble(labels, nubs, weights) -> tuple[Configuration, Valuation]:
+    """The configuration and valuation that either input format describes.
+
+    Nubs come as (line, labels) and weights as (line, label, value); the
+    line, None for JSON, is reported in errors about that entry.
+    """
+    index = {label: i for i, label in enumerate(labels)}
+    if len(index) != len(labels):
+        raise ParseError("vertex labels must be unique")
+    masks = []
+    for line, names in nubs:
+        mask = 0
+        for name in names:
+            if name not in index:
+                raise ParseError(f"nub mentions unknown vertex {name!r}", line)
+            mask |= 1 << index[name]
+        masks.append(mask)
+    config = core.from_nubs(len(labels), masks, labels)
+    values = [Fraction(1)] * len(labels)
+    for line, name, value in weights:
+        if name not in index:
+            raise ParseError(f"weight for unknown vertex {name!r}", line)
+        try:
+            values[index[name]] = parse_rational(str(value))
+        except ValueError as exc:
+            raise ParseError(f"weight for {name!r}: {exc}", line) from exc
+    return config, core.valuation_of(config, values)
+
+
+def _is_label_list(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def parse_config_json(text: str) -> tuple[Configuration, Valuation]:
     try:
         data = json.loads(text)
@@ -118,41 +157,28 @@ def parse_config_json(text: str) -> tuple[Configuration, Valuation]:
         raise ParseError(str(exc), exc.lineno) from exc
     if not isinstance(data, dict) or "vertices" not in data:
         raise ParseError("expected an object with a 'vertices' list")
-    labels = data["vertices"]
-    if not isinstance(labels, list) or not all(isinstance(v, str) for v in labels):
+    if not _is_label_list(data["vertices"]):
         raise ParseError("'vertices' must be a list of strings")
-    n = len(labels)
-    index = {label: i for i, label in enumerate(labels)}
-    if len(index) != n:
-        raise ParseError("vertex labels must be unique")
-    nubs = []
-    for entry in data.get("nubs", []):
-        if not isinstance(entry, list):
-            raise ParseError(f"nub {entry!r} is not a list of labels")
-        mask = 0
-        for label in entry:
-            if label not in index:
-                raise ParseError(f"nub {entry!r} mentions unknown vertex {label!r}")
-            mask |= 1 << index[label]
-        nubs.append(mask)
-    config = core.from_nubs(n, nubs, labels)
-    weights = [Fraction(1)] * n
-    for label, value in data.get("weights", {}).items():
-        if label not in index:
-            raise ParseError(f"weight for unknown vertex {label!r}")
-        if isinstance(value, float):
-            raise ParseError(f"weight for {label!r} must be exact, not a float")
-        try:
-            weights[index[label]] = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad weight {value!r} for vertex {label!r}") from exc
-    return config, core.valuation_of(config, weights)
+    nubs = data.get("nubs", [])
+    if not isinstance(nubs, list) or not all(_is_label_list(nub) for nub in nubs):
+        raise ParseError("'nubs' must be a list of label lists")
+    weights = data.get("weights", {})
+    # Exact types: a bool is an int subclass and a float is inexact.
+    if not isinstance(weights, dict) or any(
+        type(w) not in (int, str) for w in weights.values()
+    ):
+        raise ParseError("'weights' must map labels to integers or rational strings")
+    return _assemble(
+        data["vertices"],
+        [(None, nub) for nub in nubs],
+        [(None, label, value) for label, value in weights.items()],
+    )
 
 
 def parse_config_text(text: str) -> tuple[Configuration, Valuation]:
     labels: list[str] | None = None
-    nub_lines: list[tuple[int, list[str]]] = []
-    weight_lines: list[tuple[int, str, str]] = []
+    nubs: list[tuple[int, list[str]]] = []
+    weights: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -167,36 +193,16 @@ def parse_config_text(text: str) -> tuple[Configuration, Valuation]:
                 raise ParseError("duplicate 'vertices' line", lineno)
             labels = args
         elif directive == "nub":
-            nub_lines.append((lineno, args))
+            nubs.append((lineno, args))
         elif directive == "weight":
             if len(args) != 2:
                 raise ParseError("'weight' needs a vertex and a rational", lineno)
-            weight_lines.append((lineno, args[0], args[1]))
+            weights.append((lineno, args[0], args[1]))
         else:
             raise ParseError(f"unknown directive {directive!r}", lineno)
     if labels is None:
         raise ParseError("missing 'vertices' line")
-    index = {label: i for i, label in enumerate(labels)}
-    if len(index) != len(labels):
-        raise ParseError("vertex labels must be unique")
-    nubs = []
-    for lineno, names in nub_lines:
-        mask = 0
-        for name in names:
-            if name not in index:
-                raise ParseError(f"unknown vertex {name!r}", lineno)
-            mask |= 1 << index[name]
-        nubs.append(mask)
-    config = core.from_nubs(len(labels), nubs, labels)
-    weights = [Fraction(1)] * len(labels)
-    for lineno, name, value in weight_lines:
-        if name not in index:
-            raise ParseError(f"unknown vertex {name!r}", lineno)
-        try:
-            weights[index[name]] = parse_rational(value)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from exc
-    return config, core.valuation_of(config, weights)
+    return _assemble(labels, nubs, weights)
 
 
 def parse_config(text: str) -> tuple[Configuration, Valuation]:
@@ -249,12 +255,12 @@ def _rest_json(rest: Fraction | RestBound) -> Any:
 
 
 def _load(args: argparse.Namespace) -> tuple[Configuration, Valuation]:
-    if getattr(args, "name", None) and getattr(args, "input", None):
+    if args.name and args.input:
         raise ParseError("give either --input or --name, not both")
-    if getattr(args, "name", None):
+    if args.name:
         config = structure.builtin(args.name)
         return config, Valuation.uniform(config.n)
-    if not getattr(args, "input", None):
+    if not args.input:
         raise ParseError("an input configuration is required (--input or --name)")
     if args.input == "-":
         text = sys.stdin.read()
@@ -501,9 +507,6 @@ def _cmd_symmetric_counts(args, config, valuation) -> tuple[dict, int]:
 
 
 def _cmd_builtin(args, config, valuation) -> tuple[dict, int]:
-    rebuilt = core.from_nubs(config.n, config.nubs, config.labels)
-    if core.canonical_key(rebuilt) != core.canonical_key(config):
-        raise AssertionError("builtin round-trip changed the configuration")
     payload = config_to_json(config, valuation)
     payload["canonical_key"] = core.canonical_key(config)
     return payload, 0
@@ -560,7 +563,9 @@ def _pretty_summary(command: str, payload: dict) -> str:
     return _canonical_json(payload)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="configspaces",
         description="Exact computations on configurations and their Mobius polynomials",

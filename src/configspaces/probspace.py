@@ -252,10 +252,10 @@ def verify_realization(space: ConfiguredSpace) -> RealizationReport:
     sufficient.  Violations are reported, never raised.
 
     One zeta transform of the atoms over the downward closure of their
-    sets gives every joint probability the first two checks need (the
-    marginals are its singleton entries), on integer numerators over a
-    common denominator.  The nub check sums the atoms directly.  The
-    rest is compared with mu(t) from the space's Mobius family.
+    sets gives every joint probability the three checks need, on integer
+    numerators over a common denominator: the marginals are its
+    singleton entries, and a nub outside the closure lies in no atom.
+    The rest is compared with mu(t) from the space's Mobius family.
     """
     config, valuation, t = space.config, space.valuation, space.t
     atoms = space.atoms
@@ -287,10 +287,12 @@ def verify_realization(space: ConfiguredSpace) -> RealizationReport:
             )
     exclusivity_ok = True
     for nub in config.nubs:
-        got = event_probability(space, SignedWord(nub, 0))
+        got = joint.get(nub, 0)
         if got != 0:
             exclusivity_ok = False
-            violations.append(f"nub {config.word(nub)} has joint probability {got}")
+            violations.append(
+                f"nub {config.word(nub)} has joint probability {Fraction(got, scale)}"
+            )
     rest = space.rest()
     mu_at_t = space._family.mu()(t)
     if rest != mu_at_t:

@@ -29,7 +29,6 @@ from .poly import (
     AlgebraicRoot,
     Series,
     poly_gcd,
-    refine_root,
     series_inverse,
     sign_at_root,
 )
@@ -170,17 +169,6 @@ def star(n: int, k: int) -> Configuration:
     return from_nubs(n, nubs)
 
 
-def _dependence_closure_masks(config: Configuration) -> list[int]:
-    """For each vertex, the vertex itself plus its nub partners."""
-    closure = [1 << a for a in range(config.n)]
-    for nub in config.nubs:
-        verts = indices_of(nub)
-        for a in verts:
-            for b in verts:
-                closure[a] |= 1 << b
-    return closure
-
-
 def trace_series(
     config: Configuration,
     valuation: Valuation | None = None,
@@ -212,64 +200,40 @@ def trace_count_cf(
 
     An element is a sequence of nonempty commuting cliques where every
     vertex of a clique is dependent on some vertex of the previous one;
-    lengths add up.  Dynamic programming over the transfer structure;
-    the weighted variant multiplies vertex weights along the element.
+    lengths add up.  One forward pass of dynamic programming in the
+    total size; the weighted variant multiplies vertex weights along
+    the element.
     """
     if not is_right_angled(config):
         raise NotRightAngled("normal-form counting needs all nubs of size 2")
     if length < 0:
         raise ValueError("length must be nonnegative")
-    clique_set = set(enumerate_independence_sets(config, max_vertices))
-    clique_set.discard(0)
-    closure = _dependence_closure_masks(config)
     zero = 0 if valuation is None else Fraction(0)
-    one = 1 if valuation is None else Fraction(1)
-    weights = {c: one if valuation is None else valuation.of(c) for c in clique_set}
-    allowed_after = {}
-    for c in clique_set:
-        mask = 0
-        for a in indices_of(c):
-            mask |= closure[a]
-        allowed_after[c] = mask
-
-    inside: dict[int, list[int]] = {}
-
-    def cliques_inside(allowed: int) -> list[int]:
-        """Cliques within `allowed`, in the descending order of a submask walk."""
-        if allowed not in inside:
-            subs = inside[allowed] = []
-            sub = allowed
-            while sub:
-                if sub in clique_set:
-                    subs.append(sub)
-                sub = (sub - 1) & allowed
-        return inside[allowed]
-
-    # needed[remaining] holds the masks `allowed` whose entry the count
-    # reaches, found top-down; the table is then filled bottom-up in
-    # `remaining`, so long lengths need no deep call stack.
-    needed: list[set[int]] = [set() for _ in range(length + 1)]
-    needed[length].add(config.vertex_mask)
-    for remaining in range(length, 0, -1):
-        for allowed in needed[remaining]:
-            for sub in cliques_inside(allowed):
-                if sub.bit_count() < remaining:
-                    needed[remaining - sub.bit_count()].add(allowed_after[sub])
-
-    # tails[(allowed, remaining)] = weighted count of clique sequences of
-    # total size `remaining` whose first clique fits inside `allowed`.
-    tails: dict[tuple[int, int], int | Fraction] = {}
-    for remaining in range(1, length + 1):
-        for allowed in needed[remaining]:
-            total = zero
-            for sub in inside[allowed]:
-                size = sub.bit_count()
-                if size == remaining:
-                    total += weights[sub] * one
-                elif size < remaining:
-                    total += weights[sub] * tails[(allowed_after[sub], remaining - size)]
-            tails[(allowed, remaining)] = total
-    return tails[(config.vertex_mask, length)] if length else one
+    # (clique, size, weight, mask the next clique must fit inside: the
+    # clique together with every nub that meets it)
+    cliques = []
+    for c in enumerate_independence_sets(config, max_vertices):
+        if c:
+            after = c
+            for nub in config.nubs:
+                if nub & c:
+                    after |= nub
+            weight = 1 if valuation is None else valuation.of(c)
+            cliques.append((c, c.bit_count(), weight, after))
+    # counts[k][allowed]: weighted number of clique sequences of total
+    # size k after which the next clique must fit inside `allowed`.
+    counts: list[dict[int, int | Fraction]] = [{} for _ in range(length + 1)]
+    counts[0][config.vertex_mask] = 1 if valuation is None else Fraction(1)
+    inside: dict[int, list] = {}
+    for k in range(length):
+        for allowed, count in counts[k].items():
+            if allowed not in inside:
+                inside[allowed] = [e for e in cliques if e[0] & allowed == e[0]]
+            for c, size, weight, after in inside[allowed]:
+                if k + size <= length:
+                    row = counts[k + size]
+                    row[after] = row.get(after, zero) + count * weight
+    return sum(counts[length].values(), zero)
 
 
 @dataclass(frozen=True)
@@ -316,14 +280,7 @@ def right_angled_properties(
 
     # Monotonicity under anchor inclusion, sampled on covering pairs:
     # a smaller anchor has a smaller relative polynomial on (0, t0].
-    if root.is_rational:
-        top = root.value
-    else:
-        narrowed = root
-        while narrowed.lo <= 0:
-            narrowed = refine_root(narrowed)
-        top = narrowed.lo
-    samples = [top * Fraction(k, 4) for k in (1, 2, 3, 4)]
+    samples = [root.lo * Fraction(k, 4) for k in (1, 2, 3, 4)]
     # One evaluation per distinct polynomial, not per covering pair.
     values = {
         poly: tuple(poly(t) for t in samples)

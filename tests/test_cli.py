@@ -1,3 +1,4 @@
+import argparse
 import json
 import tracemalloc
 
@@ -263,6 +264,42 @@ def test_validation_error_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "classify", "--input", str(path))
     assert code == 2
     assert "nub" in err
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"vertices": ["a", "b"], "weights": {"a": [1]}},
+        {"vertices": ["a", "b"], "weights": ["a"]},
+        {"vertices": ["a", "b"], "nubs": [[["a"], "b"]]},
+        {"vertices": ["a", "b"], "nubs": 5},
+        {"vertices": ["a", "b"], "weights": {"a": True}},
+    ],
+    ids=["list-weight", "weights-list", "nested-nub", "nubs-number", "bool-weight"],
+)
+def test_malformed_json_fields_are_input_errors(capsys, tmp_path, document):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "mobius", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "internal" not in err
+    assert "Traceback" not in err
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    assert run(capsys, "mobius", "--name", "fig1-left")[0] == 0
+    built = []
+    original_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "classify", "--name", "star-3-2")[0] == 0
+    assert run(capsys, "space", "--name", "star-4-3", "--t", "1/2")[0] == 0
+    assert len(built) == 0
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

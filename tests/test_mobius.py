@@ -265,6 +265,7 @@ def test_type_one_iff_mu_vanishes_at_root(rng):
     for c in cases:
         family = MobiusFamily(c)
         root, attained = family.critical_root()
+        assert root.lo > 0
         assert (0 in attained) == (sign_at_root(family.mu(), root) == 0)
 
 

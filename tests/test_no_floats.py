@@ -1,8 +1,10 @@
-"""No float enters a decision of root isolation or classification.
+"""No float enters a decision on the serving path.
 
-An AST scan of ``poly.py`` and ``mobius.py`` rejects every ``float(...)``
+An AST scan of the parser, the configuration model, root isolation,
+classification and the probability spaces rejects every ``float(...)``
 call and every float literal, except inside ``AlgebraicRoot.approx``,
-which renders a root for display only.
+which renders a root for display only.  ``structure.py`` is left out:
+its random generator draws with a float probability.
 """
 
 import ast
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import configspaces
 
-SOURCES = ("poly.py", "mobius.py")
+SOURCES = ("poly.py", "mobius.py", "core.py", "probspace.py", "cli.py")
 
 
 def _float_uses(tree: ast.AST) -> list[tuple[int, str]]:

@@ -145,6 +145,22 @@ def test_trace_weighted_agreement(rng):
     series = trace_series(k3, f, order=6)
     counts = [trace_count_cf(k3, L, f) for L in range(7)]
     assert list(series.coefficients) == counts
+    for _ in range(12):
+        n = rng.randint(1, 7)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.4]
+        graph = from_dependence_graph(n, edges)
+        f = valuation_of(graph, [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(n)])
+        series = trace_series(graph, f, order=8)
+        assert list(series.coefficients) == [trace_count_cf(graph, L, f) for L in range(9)]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["fig1-left", "fig1-right", "dodecahedron", "star-5-3", "star-7-1", "path-6", "complete-4"],
+)
+def test_builtin_round_trips_through_from_nubs(name):
+    c = builtin(name)
+    assert from_nubs(c.n, c.nubs, c.labels) == c
 
 
 def test_right_angled_properties_path():
