@@ -9,8 +9,9 @@ Each handler builds at most one ``MobiusFamily`` per configuration it
 analyses and reads every reported quantity from it; ``space``,
 ``verify`` and ``sample`` get theirs through ``canonical_space``.
 ``relative`` builds its family on the anchor's link, the relative
-configuration, so it enumerates the link alone; ``--max-n`` still caps
-the input's vertex count.
+configuration, so it enumerates the link alone.  Every enumeration
+stops past ``core.MEMBER_BUDGET`` independence sets (exit 2), before
+anything built from the family is stored.
 ``verify`` reports ``routes_agree``: whether the dense sign-word route
 (``atoms_from_intersections`` over all 2^n subsets) reproduces the
 canonical atoms.  That route takes independence from the nubs, closed
@@ -274,7 +275,7 @@ def _load(args: argparse.Namespace) -> tuple[Configuration, Valuation]:
 
 
 def _cmd_mobius(args, config, valuation) -> tuple[dict, int]:
-    mu = MobiusFamily(config, valuation, args.max_n).mu()
+    mu = MobiusFamily(config, valuation).mu()
     return {"mu": poly_to_strings(mu)}, 0
 
 
@@ -284,11 +285,8 @@ def _cmd_relative(args, config, valuation) -> tuple[dict, int]:
     names = [s for s in args.set.split(",") if s]
     anchor = config.mask_of_labels(names)
     view = core.relative_configuration(config, anchor)
-    core.check_enumeration_cap(config.n, args.max_n)
     # mu^{|x} is the Mobius polynomial of the link: only it is enumerated.
-    poly = MobiusFamily(
-        view.standalone, valuation.restrict(view.index_map), args.max_n
-    ).mu()
+    poly = MobiusFamily(view.standalone, valuation.restrict(view.index_map)).mu()
     return {
         "set": config.labels_of(anchor),
         "vertices": config.labels_of(view.vertices),
@@ -298,7 +296,7 @@ def _cmd_relative(args, config, valuation) -> tuple[dict, int]:
 
 
 def _cmd_critical_root(args, config, valuation) -> tuple[dict, int]:
-    root, attained = MobiusFamily(config, valuation, args.max_n).critical_root()
+    root, attained = MobiusFamily(config, valuation).critical_root()
     return {
         "t0": _root_json(root),
         "attained_at": [config.labels_of(x) for x in attained],
@@ -306,7 +304,7 @@ def _cmd_critical_root(args, config, valuation) -> tuple[dict, int]:
 
 
 def _cmd_classify(args, config, valuation) -> tuple[dict, int]:
-    family = MobiusFamily(config, valuation, args.max_n)
+    family = MobiusFamily(config, valuation)
     result = family.classify()
     return {
         "mu": poly_to_strings(family.mu()),
@@ -321,9 +319,7 @@ def _space(args, config, valuation) -> probspace.ConfiguredSpace:
     """The canonical space at ``--t``; ``main`` reports OutOfRange."""
     if args.t is None:
         raise ParseError(f"the {args.command} command needs --t")
-    return probspace.canonical_space(
-        config, valuation, parse_rational(args.t), args.max_n
-    )
+    return probspace.canonical_space(config, valuation, parse_rational(args.t))
 
 
 def _out_of_range_payload(config, exc: probspace.OutOfRange) -> dict:
@@ -428,13 +424,13 @@ def _cmd_sample(args, config, valuation) -> tuple[dict, int]:
 
 
 def _component_product(
-    decomposition: structure.Decomposition, valuation: Valuation, max_n: int
+    decomposition: structure.Decomposition, valuation: Valuation
 ) -> Polynomial:
     """Product of the Mobius polynomials of the nub-connected components."""
     product = Polynomial([1])
     for part in decomposition.components:
         product = product * MobiusFamily(
-            part.config, valuation.restrict(part.index_map), max_n
+            part.config, valuation.restrict(part.index_map)
         ).mu()
     return product
 
@@ -448,8 +444,8 @@ def _cmd_decompose(args, config, valuation) -> tuple[dict, int]:
         }
         for part in decomposition.components
     ]
-    whole = MobiusFamily(config, valuation, args.max_n).mu()
-    product = _component_product(decomposition, valuation, args.max_n)
+    whole = MobiusFamily(config, valuation).mu()
+    product = _component_product(decomposition, valuation)
     return {
         "components": parts,
         "irreducible": structure.is_irreducible(config),
@@ -460,7 +456,7 @@ def _cmd_decompose(args, config, valuation) -> tuple[dict, int]:
 def _cmd_right_angled(args, config, valuation) -> tuple[dict, int]:
     if not structure.is_right_angled(config):
         return {"right_angled": False}, 0
-    report = structure.right_angled_properties(config, valuation, args.max_n)
+    report = structure.right_angled_properties(config, valuation)
     payload = {
         "right_angled": True,
         "type_one": report.type_one,
@@ -480,7 +476,7 @@ def _cmd_right_angled(args, config, valuation) -> tuple[dict, int]:
 
 
 def _cmd_series(args, config, valuation) -> tuple[dict, int]:
-    series = structure.trace_series(config, valuation, args.order, args.max_n)
+    series = structure.trace_series(config, valuation, args.order)
     return {
         "order": args.order,
         "coefficients": [format_rational(c) for c in series.coefficients],
@@ -489,15 +485,13 @@ def _cmd_series(args, config, valuation) -> tuple[dict, int]:
 
 def _cmd_cf_count(args, config, valuation) -> tuple[dict, int]:
     weighted = any(w != 1 for w in valuation.weights)
-    count = structure.trace_count_cf(
-        config, args.length, valuation if weighted else None, args.max_n
-    )
+    count = structure.trace_count_cf(config, args.length, valuation if weighted else None)
     value = format_rational(Fraction(count)) if weighted else int(count)
     return {"length": args.length, "count": value}, 0
 
 
 def _cmd_symmetric_counts(args, config, valuation) -> tuple[dict, int]:
-    report = structure.symmetric_counts(config, args.max_n)
+    report = structure.symmetric_counts(config)
     return {
         "counts": list(report.counts),
         "eta": list(report.eta),
@@ -520,17 +514,15 @@ def _cmd_check_identities(args) -> tuple[dict, int]:
     for trial in range(args.trials):
         config = structure.random_configuration(args.n, rng)
         valuation = structure.random_valuation(config, rng)
-        family = MobiusFamily(config, valuation, args.max_n)
+        family = MobiusFamily(config, valuation)
         if not family.derivative_identity_residual().is_zero:
             failures.append(f"trial {trial}: derivative identity residual nonzero")
         if not family.inversion_check():
             failures.append(f"trial {trial}: inversion identity failed")
-        product = _component_product(structure.components(config), valuation, args.max_n)
+        product = _component_product(structure.components(config), valuation)
         if product != family.mu():
             failures.append(f"trial {trial}: decomposition product mismatch")
-        rebuilt = core.from_independence_list(
-            config.n, family.members(), config.labels, args.max_n
-        )
+        rebuilt = core.from_independence_list(config.n, family.members(), config.labels)
         if rebuilt.nubs != config.nubs:
             failures.append(f"trial {trial}: independence-list round trip changed nubs")
     payload = {
@@ -576,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--input", help="configuration file (JSON or text), '-' for stdin")
         cmd.add_argument("--name", help="built-in dataset name")
         cmd.add_argument("--pretty", action="store_true", help="human summary on stderr")
-        cmd.add_argument("--max-n", type=int, default=core.DEFAULT_ENUMERATION_CAP)
         if name == "relative":
             cmd.add_argument("--set", help="comma separated vertex labels")
         if name in ("space", "verify", "sample"):

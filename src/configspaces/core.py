@@ -5,6 +5,9 @@ determine the family completely.  Every singleton is independent, so a
 nub always has at least two vertices, and the nubs form an antichain.
 
 Vertex sets are plain Python ints used as bitmasks: bit i is vertex i.
+Every object built from the independence family costs work in
+proportion to its size, so enumeration stops past ``MEMBER_BUDGET``
+members rather than at a vertex count.
 Configurations are immutable after construction and all queries are
 read-only, so they are safe to share across threads.
 """
@@ -28,9 +31,9 @@ __all__ = [
     "NotIndependent",
     "NonPositiveWeight",
     "TooLarge",
-    "DEFAULT_ENUMERATION_CAP",
     "MAX_VERTICES",
-    "check_enumeration_cap",
+    "MEMBER_BUDGET",
+    "check_vertex_count",
     "mask_from_indices",
     "indices_of",
     "default_labels",
@@ -44,8 +47,8 @@ __all__ = [
 
 #: Hard limit imposed by the bitmask representation.
 MAX_VERTICES = 64
-#: Default cap for independence-family enumeration (guards 2**n blowup).
-DEFAULT_ENUMERATION_CAP = 24
+#: Most independence sets any enumeration produces (see the module docstring).
+MEMBER_BUDGET = 2**17
 
 
 class ConfigurationError(ValueError):
@@ -77,7 +80,7 @@ class NonPositiveWeight(ConfigurationError):
 
 
 class TooLarge(ConfigurationError):
-    """Enumeration was requested beyond the configured vertex cap."""
+    """An independence family (or a star's nub list) exceeds MEMBER_BUDGET."""
 
 
 def mask_from_indices(indices: Iterable[int]) -> int:
@@ -189,9 +192,14 @@ class RelativeView:
     index_map: tuple[int, ...]
 
 
-def _validate_nub_masks(n: int, masks: Iterable[int]) -> list[int]:
+def check_vertex_count(n: int) -> None:
+    """Refuse a vertex count the bitmask representation cannot hold."""
     if n < 0 or n > MAX_VERTICES:
         raise VertexOutOfRange(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
+def _validate_nub_masks(n: int, masks: Iterable[int]) -> list[int]:
+    check_vertex_count(n)
     full = (1 << n) - 1
     out = []
     for mask in masks:
@@ -221,12 +229,6 @@ def _antichain_minimal(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def check_enumeration_cap(n: int, max_vertices: int) -> None:
-    """Refuse a configuration of n vertices above the enumeration cap."""
-    if n > max_vertices:
-        raise TooLarge(f"{n} vertices exceeds the enumeration cap {max_vertices}")
-
-
 def from_nubs(
     n: int,
     nub_sets: Iterable[Iterable[int] | int] = (),
@@ -254,15 +256,16 @@ def from_independence_list(
     n: int,
     independent_sets: Iterable[Iterable[int] | int],
     labels: Sequence[str] | None = None,
-    max_vertices: int = DEFAULT_ENUMERATION_CAP,
 ) -> Configuration:
     """Build a configuration whose independence family is exactly the list.
 
     The list must be downward closed and contain the empty set and every
     singleton; violations raise with the offending set named.  Nubs are
-    recovered as the minimal non-members.
+    recovered as the minimal non-members: a nub N minus its top vertex
+    is a member x, so each nub is found once, as x | a with a above
+    top(x), outside the family, and with every x | a - v inside it.
     """
-    check_enumeration_cap(n, max_vertices)
+    check_vertex_count(n)
     family = set()
     for item in independent_sets:
         mask = item if isinstance(item, int) else mask_from_indices(item)
@@ -281,17 +284,15 @@ def from_independence_list(
                     f"set {sorted(indices_of(mask))} present but subset without {i} is not"
                 )
     nubs = []
-    for mask in range(1 << n):
-        if mask in family:
-            continue
-        if all(mask ^ (1 << i) in family for i in indices_of(mask)):
-            nubs.append(mask)
+    for x in family:
+        for a in range(x.bit_length(), n):
+            y = x | (1 << a)
+            if y not in family and all(y ^ (1 << i) in family for i in indices_of(x)):
+                nubs.append(y)
     return from_nubs(n, nubs, labels)
 
 
-def enumerate_independence_sets(
-    config: Configuration, max_vertices: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[int]:
+def enumerate_independence_sets(config: Configuration) -> Iterator[int]:
     """Yield every independence set exactly once, as bitmasks.
 
     Backtracking never extends a dependent set: a vertex is added only
@@ -301,15 +302,20 @@ def enumerate_independence_sets(
     set without its top vertex, and that set is still on the current
     branch.  A nub inside x | a that x does not contain holds a and
     nothing above it, so each extension checks only the nubs whose top
-    vertex is a.
+    vertex is a.  Producing a member past ``MEMBER_BUDGET`` raises
+    :class:`TooLarge`, before any caller has stored or summed it.
     """
-    check_enumeration_cap(config.n, max_vertices)
     n = config.n
     nubs_topped_by = [[] for _ in range(n)]
     for nub in config.nubs:
         nubs_topped_by[nub.bit_length() - 1].append(nub)
+    produced = 0
 
     def walk(x: int, start: int) -> Iterator[int]:
+        nonlocal produced
+        produced += 1
+        if produced > MEMBER_BUDGET:
+            raise TooLarge(f"the independence family exceeds the member budget of {MEMBER_BUDGET}")
         yield x
         for a in range(start, n):
             y = x | (1 << a)
@@ -344,13 +350,14 @@ def relative_configuration(config: Configuration, x: int) -> RelativeView:
     relative_nubs = _antichain_minimal(traces)
     index_map = tuple(indices_of(kept))
     position = {orig: i for i, orig in enumerate(index_map)}
+    # The increasing re-indexing keeps the antichain and its (size, mask) order.
     compact_nubs = tuple(
         mask_from_indices(position[i] for i in indices_of(nub)) for nub in relative_nubs
     )
     standalone = Configuration(
         n=len(index_map),
         labels=tuple(config.labels[i] for i in index_map),
-        nubs=_antichain_minimal(compact_nubs),
+        nubs=compact_nubs,
     )
     return RelativeView(
         base=config,

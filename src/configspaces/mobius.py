@@ -42,7 +42,6 @@ from typing import Iterable, MutableMapping, Union
 
 from .core import (
     Configuration,
-    DEFAULT_ENUMERATION_CAP,
     NonPositiveWeight,
     NotIndependent,
     Valuation,
@@ -147,15 +146,9 @@ class MobiusFamily:
     concurrent reads are safe.
     """
 
-    def __init__(
-        self,
-        config: Configuration,
-        valuation: Valuation | None = None,
-        max_vertices: int = DEFAULT_ENUMERATION_CAP,
-    ):
+    def __init__(self, config: Configuration, valuation: Valuation | None = None):
         self.config = config
         self.valuation = valuation if valuation is not None else Valuation.uniform(config.n)
-        self.max_vertices = max_vertices
         if any(w <= 0 for w in self.valuation.weights):
             raise NonPositiveWeight("the packed transform needs positive weights")
         self._members: list[int] | None = None
@@ -167,8 +160,7 @@ class MobiusFamily:
         """The independence family, enumerated once."""
         if self._members is None:
             self._members = sorted(
-                enumerate_independence_sets(self.config, self.max_vertices),
-                key=lambda m: (m.bit_count(), m),
+                enumerate_independence_sets(self.config), key=lambda m: (m.bit_count(), m)
             )
         return self._members
 
@@ -182,7 +174,7 @@ class MobiusFamily:
         # The current branch of the depth-first walk, as (z, D f(z)) pairs:
         # z minus its top vertex is on it when z is yielded.
         branch = [(0, scale)]
-        for z in enumerate_independence_sets(self.config, self.max_vertices):
+        for z in enumerate_independence_sets(self.config):
             if z:
                 top = z.bit_length() - 1
                 while branch[-1][0] != z ^ (1 << top):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .core import Configuration, DEFAULT_ENUMERATION_CAP, Valuation
+from .core import Configuration, Valuation
 from .mobius import MobiusFamily, _scaled_products, _superset_transform
 
 __all__ = [
@@ -209,7 +209,6 @@ def canonical_space(
     config: Configuration,
     valuation: Valuation | None = None,
     t: Fraction | int | str = Fraction(0),
-    max_vertices: int = DEFAULT_ENUMERATION_CAP,
 ) -> ConfiguredSpace:
     """The canonical configured space at rational t.
 
@@ -225,7 +224,7 @@ def canonical_space(
     t = Fraction(t)
     if t < 0:
         raise OutOfRange(t, 0, t)
-    family = MobiusFamily(config, valuation, max_vertices)
+    family = MobiusFamily(config, valuation)
     members = family.members()
     scale, products = _scaled_products(members, family.valuation, t)
     masses = dict(products)

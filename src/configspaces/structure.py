@@ -8,15 +8,16 @@ formula, and the named built-in datasets.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from . import core
 from .core import (
     Configuration,
-    DEFAULT_ENUMERATION_CAP,
     Valuation,
     default_labels,
     enumerate_independence_sets,
@@ -159,12 +160,19 @@ def star(n: int, k: int) -> Configuration:
     """The star configuration: n vertices, independent = size at most k.
 
     Nubs are all (k+1)-subsets; empty for k = n.  The Mobius polynomial
-    is (1-t)^n truncated to degree k.
+    is (1-t)^n truncated to degree k.  Stars with more nubs than
+    ``core.MEMBER_BUDGET`` are refused before any nub is listed.
     """
     if n == k == 0:
         return from_nubs(0, (), ())
     if not 1 <= k <= n:
         raise BadParameters(f"need 1 <= k <= n, got n={n}, k={k}")
+    core.check_vertex_count(n)
+    count = math.comb(n, k + 1)
+    if count > core.MEMBER_BUDGET:
+        raise core.TooLarge(
+            f"star({n}, {k}) has {count} nubs, more than the member budget of {core.MEMBER_BUDGET}"
+        )
     nubs = (mask_from_indices(c) for c in combinations(range(n), k + 1))
     return from_nubs(n, nubs)
 
@@ -173,7 +181,6 @@ def trace_series(
     config: Configuration,
     valuation: Valuation | None = None,
     order: int = 8,
-    max_vertices: int = DEFAULT_ENUMERATION_CAP,
 ) -> Series:
     """Generating series of the trace monoid: the inverse of mu.
 
@@ -182,7 +189,7 @@ def trace_series(
     """
     if not is_right_angled(config):
         raise NotRightAngled("the trace series needs all nubs of size 2")
-    mu = MobiusFamily(config, valuation, max_vertices).mu()
+    mu = MobiusFamily(config, valuation).mu()
     result = series_inverse(mu, order)
     assert all(c >= 0 for c in result.coefficients), (
         "inverse of a right-angled Mobius polynomial went negative"
@@ -194,7 +201,6 @@ def trace_count_cf(
     config: Configuration,
     length: int,
     valuation: Valuation | None = None,
-    max_vertices: int = DEFAULT_ENUMERATION_CAP,
 ) -> int | Fraction:
     """Count monoid elements of one length via the normal form.
 
@@ -212,7 +218,7 @@ def trace_count_cf(
     # (clique, size, weight, mask the next clique must fit inside: the
     # clique together with every nub that meets it)
     cliques = []
-    for c in enumerate_independence_sets(config, max_vertices):
+    for c in enumerate_independence_sets(config):
         if c:
             after = c
             for nub in config.nubs:
@@ -247,9 +253,7 @@ class RightAngledReport:
 
 
 def right_angled_properties(
-    config: Configuration,
-    valuation: Valuation | None = None,
-    max_vertices: int = DEFAULT_ENUMERATION_CAP,
+    config: Configuration, valuation: Valuation | None = None
 ) -> RightAngledReport:
     """Certified checks of the right-angled package of properties.
 
@@ -262,7 +266,7 @@ def right_angled_properties(
     """
     if not is_right_angled(config):
         raise NotRightAngled("property report needs all nubs of size 2")
-    family = MobiusFamily(config, valuation, max_vertices)
+    family = MobiusFamily(config, valuation)
     result = family.classify()
     root = result.critical_root
     irreducible = is_irreducible(config)
@@ -311,9 +315,7 @@ class SymmetricCountReport:
     failed_level: int | None
 
 
-def symmetric_counts(
-    config: Configuration, max_vertices: int = DEFAULT_ENUMERATION_CAP
-) -> SymmetricCountReport:
+def symmetric_counts(config: Configuration) -> SymmetricCountReport:
     """Level counts and the factorial counting formula.
 
     ``counts[j]`` is the number of independence sets of size j.  When
@@ -324,7 +326,7 @@ def symmetric_counts(
     uniform Mobius polynomial has coefficients (-1)^k counts[k], so its
     coefficient form of the formula needs no separate check.
     """
-    members = MobiusFamily(config, max_vertices=max_vertices).members()
+    members = MobiusFamily(config).members()
     top = max(x.bit_count() for x in members)
     counts = [0] * (top + 1)
     # free[x]: the vertices a parallel to x, counted from each member x | a.
@@ -424,18 +426,14 @@ def builtin(name: str) -> Configuration:
     try:
         if len(parts) == 3 and parts[0] == "star":
             return star(int(parts[1]), int(parts[2]))
-        if len(parts) == 2 and parts[0] == "path":
+        if len(parts) == 2 and parts[0] in ("path", "complete"):
             n = int(parts[1])
-            return from_dependence_graph(
-                n, [(i, i + 1) for i in range(n - 1)], tuple(str(i + 1) for i in range(n))
-            )
-        if len(parts) == 2 and parts[0] == "complete":
-            n = int(parts[1])
-            return from_dependence_graph(
-                n,
-                [(a, b) for a, b in combinations(range(n), 2)],
-                tuple(str(i + 1) for i in range(n)),
-            )
+            core.check_vertex_count(n)
+            if parts[0] == "path":
+                edges = [(i, i + 1) for i in range(n - 1)]
+            else:
+                edges = combinations(range(n), 2)
+            return from_dependence_graph(n, edges, tuple(str(i + 1) for i in range(n)))
     except (ValueError, BadParameters) as exc:
         raise UnknownDataset(f"bad dataset parameters in {name!r}: {exc}") from exc
     raise UnknownDataset(f"no built-in configuration named {name!r}")
@@ -455,7 +453,9 @@ def random_configuration(
     sizes: tuple[int, ...] = (2, 3, 4),
 ) -> Configuration:
     """Random nub family: each candidate subset of the given sizes is
-    included independently, then reduced to an antichain."""
+    included independently, then reduced to an antichain.  The vertex
+    count is checked before the first draw."""
+    core.check_vertex_count(n)
     nubs = []
     for size in sizes:
         if size > n:
@@ -466,14 +466,8 @@ def random_configuration(
     return from_nubs(n, nubs)
 
 
-def random_valuation(
-    config: Configuration,
-    rng: random.Random,
-    max_numerator: int = 8,
-    max_denominator: int = 8,
-) -> Valuation:
-    weights = tuple(
-        Fraction(rng.randint(1, max_numerator), rng.randint(1, max_denominator))
-        for _ in range(config.n)
+def random_valuation(config: Configuration, rng: random.Random) -> Valuation:
+    """Random weights p/q with 1 <= p, q <= 8."""
+    return Valuation(
+        tuple(Fraction(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(config.n))
     )
-    return Valuation(weights)

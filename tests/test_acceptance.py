@@ -86,7 +86,7 @@ def test_criterion_2_derivative_identity():
     rng = random.Random(2)
     for _ in range(200):
         c = random_configuration(rng.randint(1, 10), rng)
-        f = random_valuation(c, rng, max_numerator=8, max_denominator=8)
+        f = random_valuation(c, rng)
         if not MobiusFamily(c, f).derivative_identity_residual().is_zero:
             failures += 1
     _report(

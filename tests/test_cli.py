@@ -1,6 +1,8 @@
 import argparse
 import json
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -358,6 +360,21 @@ def test_dense_dependence_indicator(rng):
         ]
 
 
+def refused_within_a_mebibyte(capsys, *argv):
+    """Run a command that must exit 2 with one stderr line; return that line."""
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    return err
+
+
 def test_verify_dense_check_bound(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("verify built a table past the dense bound")
@@ -365,18 +382,9 @@ def test_verify_dense_check_bound(capsys, monkeypatch):
     for name in ("canonical_space", "verify_realization", "atoms_from_intersections"):
         monkeypatch.setattr(cli.probspace, name, refuse)
     monkeypatch.setattr(cli, "_dependence_indicator", refuse)
-    tracemalloc.start()
-    try:
-        code, out, err = run(capsys, "verify", "--name", "star-21-1", "--t", "1/40")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20  # one byte per subset would already be 2 MiB
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1
+    # One byte per subset would already be 2 MiB.
+    err = refused_within_a_mebibyte(capsys, "verify", "--name", "star-21-1", "--t", "1/40")
     assert "dense cross-check" in err and "21 vertices" in err
-    assert "Traceback" not in err
 
 
 def test_verify_dense_check_bound_is_inclusive(capsys, monkeypatch):
@@ -394,19 +402,60 @@ def test_pretty_flag(capsys):
     payload_of(out)  # stdout still machine readable
 
 
-def test_max_n_flag(capsys):
-    code, _, err = run(capsys, "mobius", "--name", "dodecahedron", "--max-n", "10")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--name", "path-20"),  # 17,711 independence sets
+        ("mobius", "--name", "path-20"),  # streaming: nothing stored
+        ("relative", "--name", "path-20", "--set", "1"),  # a link of 6,765
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_member_budget(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli.core, "MEMBER_BUDGET", 4096)
+    err = refused_within_a_mebibyte(capsys, *argv)
+    assert "member budget of 4096" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("builtin", "--name", "star-40-20"),
+        ("classify", "--name", "complete-100000"),
+        ("mobius", "--name", "path-1000000000"),
+        ("check-identities", "--n", "100000"),
+    ],
+    ids=lambda argv: argv[-1],
+)
+def test_sizes_refused_before_generation(capsys, argv):
+    refused_within_a_mebibyte(capsys, *argv)
+
+
+def test_no_vertex_cap(capsys):
+    code, out, _ = run(capsys, "classify", "--name", "complete-30")  # 31 members
+    assert code == 0
+    assert payload_of(out)["mu"] == ["1", "-30"]
+    code, _, _ = run(capsys, "mobius", "--name", "path-8", "--max-n", "30")
     assert code == 2
-    assert "cap" in err
 
 
-def test_relative_max_n_caps_input(capsys):
-    # The link of vertex 1 has 3 vertices, but the cap applies to the input.
-    code, out, err = run(
-        capsys, "relative", "--name", "dodecahedron", "--set", "1", "--max-n", "10"
+def test_readme_flags_match_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("\nFlags:") :].split("\n\n", 1)[0]
+    documented = set(re.findall(r"`(--[a-z-]+)", paragraph))
+    subparsers = next(
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
     )
-    assert (code, out) == (2, "")
-    assert err.splitlines() == ["error: 20 vertices exceeds the enumeration cap 10"]
+    options = {
+        option
+        for command in subparsers.choices.values()
+        for action in command._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert documented == options
 
 
 def test_operation_registry_covers_all_commands():

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from configspaces import core
 from configspaces.core import (
     MissingSingleton,
     NonPositiveWeight,
@@ -21,7 +23,7 @@ from configspaces.core import (
     relative_configuration,
     valuation_of,
 )
-from configspaces.structure import random_configuration, star
+from configspaces.structure import builtin, from_dependence_graph, random_configuration, star
 
 from conftest import brute_independence_family
 
@@ -107,10 +109,21 @@ def test_enumerate_counts():
     assert len(list(enumerate_independence_sets(from_nubs(3, [])))) == 8
 
 
-def test_enumerate_cap():
-    c = from_nubs(10, [])
-    with pytest.raises(TooLarge):
-        list(enumerate_independence_sets(c, max_vertices=8))
+def test_enumerate_budget(monkeypatch):
+    path = builtin("path-20")  # 17,711 independence sets
+    monkeypatch.setattr(core, "MEMBER_BUDGET", 17711)
+    assert len(list(enumerate_independence_sets(path))) == 17711
+    monkeypatch.setattr(core, "MEMBER_BUDGET", 4096)
+    with pytest.raises(TooLarge, match="member budget of 4096"):
+        list(enumerate_independence_sets(path))
+
+
+def test_roundtrip_thirty_vertices(rng):
+    # Nub recovery walks the family, not all 2^30 vertex sets.
+    edges = [e for e in combinations(range(30), 2) if rng.random() < 0.7]
+    for c in (builtin("complete-30"), star(30, 2), from_dependence_graph(30, edges)):
+        rebuilt = from_independence_list(30, enumerate_independence_sets(c), c.labels)
+        assert rebuilt == c
 
 
 def test_nubs_roundtrip():
@@ -204,6 +217,8 @@ def test_relative_composition(rng):
         members = list(enumerate_independence_sets(c))
         x = rng.choice(members)
         view_x = relative_configuration(c, x)
+        link = view_x.standalone
+        assert from_nubs(link.n, link.nubs).nubs == link.nubs  # an antichain, in order
         inner = list(enumerate_independence_sets(view_x.standalone))
         z_local = rng.choice(inner)
         z = mask_from_indices(view_x.index_map[i] for i in range(view_x.standalone.n) if (z_local >> i) & 1)

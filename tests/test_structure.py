@@ -4,7 +4,10 @@ from itertools import combinations
 
 import pytest
 
+from configspaces import core
 from configspaces.core import (
+    TooLarge,
+    VertexOutOfRange,
     enumerate_independence_sets,
     from_nubs,
     mask_from_indices,
@@ -261,6 +264,28 @@ def test_builtin_names():
         builtin("klein-bottle")
     with pytest.raises(UnknownDataset):
         builtin("star-3-9")
+
+
+class _NoDraws:
+    def random(self):
+        raise AssertionError("drew before checking the vertex count")
+
+
+def test_sizes_checked_before_generation(monkeypatch):
+    with pytest.raises(TooLarge, match="131282408400 nubs"):
+        star(40, 20)
+    with pytest.raises(VertexOutOfRange):
+        star(65, 1)
+    assert len(star(18, 8).nubs) == math.comb(18, 9)  # 48,620 nubs: admitted
+    monkeypatch.setattr(core, "MEMBER_BUDGET", 100)
+    with pytest.raises(TooLarge):
+        star(9, 3)  # 126 nubs
+    for name in ("path-65", "complete-100000", "star-40-20"):
+        with pytest.raises(UnknownDataset):
+            builtin(name)
+    for n in (-1, 65, 100000):
+        with pytest.raises(VertexOutOfRange):
+            random_configuration(n, _NoDraws())
 
 
 def test_dodecahedron_graph_sanity():
