@@ -5,6 +5,13 @@ determine the family completely.  Every singleton is independent, so a
 nub always has at least two vertices, and the nubs form an antichain.
 
 Vertex sets are plain Python ints used as bitmasks: bit i is vertex i.
+The family is enumerated depth first, adding vertices in increasing
+order, by extension bitsets: a child's set of extending vertices is the
+intersection of its parent's, those of its subsets one smaller, and the
+complement of the vertices that top a nub over it, so no nub is scanned
+per member.  When every nub is a pair the parent's set suffices and only
+the current branch is kept; otherwise the subsets' sets are memoised,
+one mask per member reached (see ``enumerate_independence_sets``).
 Every object built from the independence family costs work in
 proportion to its size, so enumeration stops past ``MEMBER_BUDGET``
 members rather than at a vertex count.
@@ -91,12 +98,12 @@ def mask_from_indices(indices: Iterable[int]) -> int:
 
 
 def indices_of(mask: int) -> list[int]:
+    """The vertices of mask in increasing order, one step per set bit."""
     out = []
-    i = 0
-    while mask >> i:
-        if (mask >> i) & 1:
-            out.append(i)
-        i += 1
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -295,34 +302,83 @@ def from_independence_list(
 def enumerate_independence_sets(config: Configuration) -> Iterator[int]:
     """Yield every independence set exactly once, as bitmasks.
 
-    Backtracking never extends a dependent set: a vertex is added only
-    when no nub becomes contained, so the cost is proportional to the
-    family size times n rather than 2**n.  The walk is depth first and
-    adds vertices in increasing order, so each set is yielded after the
-    set without its top vertex, and that set is still on the current
-    branch.  A nub inside x | a that x does not contain holds a and
-    nothing above it, so each extension checks only the nubs whose top
-    vertex is a.  Producing a member past ``MEMBER_BUDGET`` raises
-    :class:`TooLarge`, before any caller has stored or summed it.
+    The walk is depth first and adds vertices in increasing order, so
+    each set is yielded after the set without its top vertex, and that
+    set is still on the current branch.  Each member x carries ext(x):
+    the vertices b above top(x) with x | b independent.  Its children
+    are x | a for a in ext(x), and no nub is scanned.  A set is
+    independent iff it is not a nub and every subset one smaller is
+    independent (the Apriori candidate test, here run as bitset
+    intersection).  With tops(s) the vertices b that top a nub N with
+    N - b = s, a child y = x | a gets
+
+        ext(y) = ext(x) & above(a) & ~tops({a}) & ~tops(y)
+                 & AND over v in x of ext(y - v),
+
+    because a nub inside y | b either is {a, b}, or is y | b, or misses
+    some v in x.  When every nub is a pair, tops(y) is empty for
+    |y| > 1 and the subsets add nothing, so the walk needs only the
+    parent and keeps nothing but its branch.  When some nub has three
+    or more vertices, each y - v comes later in the walk, so its ext is
+    computed on demand and memoised: one mask per member reached.
+    Producing a member past ``MEMBER_BUDGET`` raises :class:`TooLarge`,
+    before any caller has stored or summed it.
     """
     n = config.n
-    nubs_topped_by = [[] for _ in range(n)]
+    tops: dict[int, int] = {}
     for nub in config.nubs:
-        nubs_topped_by[nub.bit_length() - 1].append(nub)
-    produced = 0
+        top = 1 << (nub.bit_length() - 1)
+        tops[nub ^ top] = tops.get(nub ^ top, 0) | top
+    # excluded[a]: every vertex up to a, and every b with {a, b} a nub.
+    excluded = [((2 << a) - 1) | tops.get(1 << a, 0) for a in range(n)]
+    wide = any(nub.bit_count() > 2 for nub in config.nubs)
+    memo = {0: (1 << n) - 1}
 
-    def walk(x: int, start: int) -> Iterator[int]:
-        nonlocal produced
-        produced += 1
-        if produced > MEMBER_BUDGET:
-            raise TooLarge(f"the independence family exceeds the member budget of {MEMBER_BUDGET}")
-        yield x
-        for a in range(start, n):
-            y = x | (1 << a)
-            if all(nub & y != nub for nub in nubs_topped_by[a]):
-                yield from walk(y, a + 1)
+    def ext_of(y: int) -> int:
+        found = memo.get(y)
+        if found is None:
+            top = y.bit_length() - 1
+            x = y ^ (1 << top)
+            found = ext_of(x) & ~(excluded[top] | tops.get(y, 0))
+            # For |x| = 1, ext(y - v) = ext({top}) adds nothing.
+            if x & (x - 1):
+                while x and found:
+                    v = x & -x
+                    found &= ext_of(y ^ v)
+                    x ^= v
+            memo[y] = found
+        return found
 
-    return walk(0, 0)
+    def walk() -> Iterator[int]:
+        produced = 0
+        # Per branch member x: the vertices of ext(x) not yet walked.
+        branch: list[int] = []
+        rests: list[int] = []
+        y, ext = 0, (1 << n) - 1
+        while True:
+            produced += 1
+            if produced > MEMBER_BUDGET:
+                raise TooLarge(
+                    f"the independence family exceeds the member budget of {MEMBER_BUDGET}"
+                )
+            yield y
+            if ext:
+                branch.append(y)
+                rests.append(ext)
+            elif not rests:
+                return
+            rest = rests[-1]
+            low = rest & -rest
+            rest ^= low
+            y = branch[-1] | low
+            if rest:
+                rests[-1] = rest
+            else:
+                branch.pop()
+                rests.pop()
+            ext = ext_of(y) if wide else rest & ~excluded[low.bit_length() - 1]
+
+    return walk()
 
 
 def relative_configuration(config: Configuration, x: int) -> RelativeView:

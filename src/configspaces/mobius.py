@@ -165,7 +165,13 @@ class MobiusFamily:
         return self._members
 
     def mu(self) -> Polynomial:
-        """The Mobius polynomial, summed by size without storing the family."""
+        """The Mobius polynomial, summed by size straight from the walk.
+
+        Nothing per member is stored here; on a right-angled
+        configuration the enumeration keeps only its branch, otherwise
+        it keeps one extension mask per member (see
+        ``core.enumerate_independence_sets``).
+        """
         if self._zeta is not None:
             return self.relative(0)
         weights = self.valuation.weights

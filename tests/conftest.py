@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from configspaces.core import Configuration, Valuation
+from configspaces import core
+from configspaces.core import Configuration, TooLarge, Valuation
 from configspaces.poly import (
     AlgebraicRoot,
     Polynomial,
@@ -108,6 +109,31 @@ def fraction_first_positive_root(p: Polynomial) -> AlgebraicRoot | None:
 
 def brute_independence_family(config: Configuration) -> set[int]:
     return {m for m in range(1 << config.n) if config.is_independent(m)}
+
+
+def nub_scan_enumeration(config: Configuration):
+    """Oracle: the depth-first walk that tests every nub topped by each
+    added vertex, in the order and under the member budget of
+    ``enumerate_independence_sets``."""
+    n = config.n
+    nubs_topped_by = [[] for _ in range(n)]
+    for nub in config.nubs:
+        nubs_topped_by[nub.bit_length() - 1].append(nub)
+    produced = 0
+
+    def walk(x: int, start: int):
+        nonlocal produced
+        produced += 1
+        if produced > core.MEMBER_BUDGET:
+            budget = core.MEMBER_BUDGET
+            raise TooLarge(f"the independence family exceeds the member budget of {budget}")
+        yield x
+        for a in range(start, n):
+            y = x | (1 << a)
+            if all(nub & y != nub for nub in nubs_topped_by[a]):
+                yield from walk(y, a + 1)
+
+    return walk(0, 0)
 
 
 @pytest.fixture

@@ -417,6 +417,14 @@ def test_member_budget(capsys, monkeypatch, argv):
     assert "member budget of 4096" in err
 
 
+def test_member_budget_wide_nubs(capsys):
+    # star-19-8: 169,766 members and nubs of nine vertices, so the walk
+    # memoises extension sets; it still stops at member 131,073.
+    code, out, err = run(capsys, "classify", "--name", "star-19-8")
+    assert (code, out) == (2, "")
+    assert err == "error: the independence family exceeds the member budget of 131072\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

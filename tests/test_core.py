@@ -25,7 +25,7 @@ from configspaces.core import (
 )
 from configspaces.structure import builtin, from_dependence_graph, random_configuration, star
 
-from conftest import brute_independence_family
+from conftest import brute_independence_family, nub_scan_enumeration
 
 FIG1_LEFT_FAMILY = (
     [()]
@@ -116,6 +116,43 @@ def test_enumerate_budget(monkeypatch):
     monkeypatch.setattr(core, "MEMBER_BUDGET", 4096)
     with pytest.raises(TooLarge, match="member budget of 4096"):
         list(enumerate_independence_sets(path))
+
+
+def test_enumeration_matches_nub_scan_on_mixed_nubs(rng):
+    # Random nubs of 2, 3 and 4 vertices: the memoised rule, in order.
+    size_mixes = [(2, 3), (2, 3, 4), (3, 4), (2, 4), (3,), (4,)]
+    for trial in range(240):
+        n = rng.randint(0, 12)
+        c = random_configuration(n, rng, rng.choice([0.05, 0.1, 0.25]), size_mixes[trial % 6])
+        assert list(enumerate_independence_sets(c)) == list(nub_scan_enumeration(c)), c
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["fig1-left", "fig1-right", "dodecahedron", "star-9-1", "star-10-3", "star-12-6",
+     "star-7-7", "star-40-2", "path-16", "complete-12"],
+)
+def test_enumeration_matches_nub_scan_on_builtins(name):
+    c = builtin(name)
+    assert list(enumerate_independence_sets(c)) == list(nub_scan_enumeration(c))
+
+
+@pytest.mark.parametrize(
+    "name, budget", [("star-12-6", 1000), ("path-20", 4096), ("fig1-left", 9)]
+)
+def test_enumeration_budget_matches_nub_scan(monkeypatch, name, budget):
+    # Both raise TooLarge at the same member: the kernel's prefix before
+    # the raise is the oracle's.
+    c = builtin(name)
+    monkeypatch.setattr(core, "MEMBER_BUDGET", budget)
+    seen = {}
+    for enumerate_ in (enumerate_independence_sets, nub_scan_enumeration):
+        got = []
+        with pytest.raises(TooLarge, match=f"member budget of {budget}$"):
+            got.extend(enumerate_(c))
+        seen[enumerate_] = got
+    assert len(seen[enumerate_independence_sets]) == budget
+    assert seen[enumerate_independence_sets] == seen[nub_scan_enumeration]
 
 
 def test_roundtrip_thirty_vertices(rng):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,20 @@ def test_mobius_star_n2():
 
 def test_mobius_trivial():
     assert MobiusFamily(from_nubs(0, [])).mu() == P([1])
+
+
+def test_mu_streams_on_right_angled():
+    # path-20 has 17,711 members; a walk that kept one mask per member,
+    # or a whole level of them, peaks at 0.8 MB or more.
+    family = MobiusFamily(builtin("path-20"))
+    tracemalloc.start()
+    try:
+        mu = family.mu()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert mu(Fraction(0)) == 1 and mu.degree == 10
 
 
 def test_mobius_matches_powerset_oracle(rng):
