@@ -11,10 +11,11 @@ intersection of its parent's, those of its subsets one smaller, and the
 complement of the vertices that top a nub over it, so no nub is scanned
 per member.  When every nub is a pair the parent's set suffices and only
 the current branch is kept; otherwise the subsets' sets are memoised,
-one mask per member reached (see ``enumerate_independence_sets``).
-Every object built from the independence family costs work in
-proportion to its size, so enumeration stops past ``MEMBER_BUDGET``
-members rather than at a vertex count.
+one mask per member the memo reaches, walked or not (see
+``enumerate_independence_sets``).  Every object built from the
+independence family costs work in proportion to its size, so
+enumeration stops past ``MEMBER_BUDGET`` members, yielded or memoised,
+rather than at a vertex count.
 Configurations are immutable after construction and all queries are
 read-only, so they are safe to share across threads.
 """
@@ -46,6 +47,7 @@ __all__ = [
     "default_labels",
     "from_nubs",
     "from_independence_list",
+    "is_right_angled",
     "enumerate_independence_sets",
     "relative_configuration",
     "valuation_of",
@@ -299,6 +301,15 @@ def from_independence_list(
     return from_nubs(n, nubs, labels)
 
 
+def is_right_angled(config: Configuration) -> bool:
+    """True iff every nub has exactly two vertices (vacuous if none)."""
+    return all(nub.bit_count() == 2 for nub in config.nubs)
+
+
+def _over_budget() -> str:
+    return f"the independence family exceeds the member budget of {MEMBER_BUDGET}"
+
+
 def enumerate_independence_sets(config: Configuration) -> Iterator[int]:
     """Yield every independence set exactly once, as bitmasks.
 
@@ -320,9 +331,16 @@ def enumerate_independence_sets(config: Configuration) -> Iterator[int]:
     |y| > 1 and the subsets add nothing, so the walk needs only the
     parent and keeps nothing but its branch.  When some nub has three
     or more vertices, each y - v comes later in the walk, so its ext is
-    computed on demand and memoised: one mask per member reached.
-    Producing a member past ``MEMBER_BUDGET`` raises :class:`TooLarge`,
-    before any caller has stored or summed it.
+    computed on demand, recursively, and memoised.  The memo can then
+    run far ahead of the walk: on a branch 0..k it may hold every subset
+    of that branch containing k.  Its keys are distinct members, though,
+    so it holds at most one mask per member.
+
+    :class:`TooLarge` is raised when the walk is about to yield a member
+    past ``MEMBER_BUDGET``, or as soon as the memo holds more masks than
+    that, before any caller has stored or summed the excess.  On a
+    right-angled configuration that is always member ``MEMBER_BUDGET +
+    1``; with wider nubs the memo can reach it with fewer yielded.
     """
     n = config.n
     tops: dict[int, int] = {}
@@ -331,7 +349,7 @@ def enumerate_independence_sets(config: Configuration) -> Iterator[int]:
         tops[nub ^ top] = tops.get(nub ^ top, 0) | top
     # excluded[a]: every vertex up to a, and every b with {a, b} a nub.
     excluded = [((2 << a) - 1) | tops.get(1 << a, 0) for a in range(n)]
-    wide = any(nub.bit_count() > 2 for nub in config.nubs)
+    wide = not is_right_angled(config)
     memo = {0: (1 << n) - 1}
 
     def ext_of(y: int) -> int:
@@ -347,6 +365,10 @@ def enumerate_independence_sets(config: Configuration) -> Iterator[int]:
                     found &= ext_of(y ^ v)
                     x ^= v
             memo[y] = found
+            # Memo keys are distinct members, walked or not: past
+            # the budget the family is too, however few have been yielded.
+            if len(memo) > MEMBER_BUDGET:
+                raise TooLarge(_over_budget())
         return found
 
     def walk() -> Iterator[int]:
@@ -358,9 +380,7 @@ def enumerate_independence_sets(config: Configuration) -> Iterator[int]:
         while True:
             produced += 1
             if produced > MEMBER_BUDGET:
-                raise TooLarge(
-                    f"the independence family exceeds the member budget of {MEMBER_BUDGET}"
-                )
+                raise TooLarge(_over_budget())
             yield y
             if ext:
                 branch.append(y)

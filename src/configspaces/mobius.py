@@ -169,7 +169,8 @@ class MobiusFamily:
 
         Nothing per member is stored here; on a right-angled
         configuration the enumeration keeps only its branch, otherwise
-        it keeps one extension mask per member (see
+        it keeps up to one extension mask per member, at most
+        ``core.MEMBER_BUDGET`` of them (see
         ``core.enumerate_independence_sets``).
         """
         if self._zeta is not None:

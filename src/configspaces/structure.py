@@ -23,6 +23,7 @@ from .core import (
     enumerate_independence_sets,
     from_nubs,
     indices_of,
+    is_right_angled,
     mask_from_indices,
 )
 from .mobius import MobiusFamily, TYPE_I
@@ -131,11 +132,6 @@ def components(config: Configuration) -> Decomposition:
 def is_irreducible(config: Configuration) -> bool:
     """True iff the nub hypergraph is connected."""
     return len(components(config).components) <= 1
-
-
-def is_right_angled(config: Configuration) -> bool:
-    """True iff every nub has exactly two vertices (vacuous if none)."""
-    return all(nub.bit_count() == 2 for nub in config.nubs)
 
 
 def from_dependence_graph(

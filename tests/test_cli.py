@@ -417,12 +417,41 @@ def test_member_budget(capsys, monkeypatch, argv):
     assert "member budget of 4096" in err
 
 
-def test_member_budget_wide_nubs(capsys):
-    # star-19-8: 169,766 members and nubs of nine vertices, so the walk
-    # memoises extension sets; it still stops at member 131,073.
-    code, out, err = run(capsys, "classify", "--name", "star-19-8")
+# 40 vertices and the one nub {37, 38, 39}: 2^40 - 2^37 members, and a
+# branch 37 deep before the walk first meets the nub.
+DEEP_TRIPLE = json.dumps(
+    {"vertices": [f"v{i}" for i in range(40)], "nubs": [["v37", "v38", "v39"]]}
+)
+
+
+def wide_nub_argv(name, tmp_path):
+    if name != "deep-triple":
+        return ("classify", "--name", name)
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_TRIPLE)
+    return ("classify", "--input", str(path))
+
+
+# star-19-8: 169,766 members and nubs of nine vertices; star-30-28: nubs
+# of 29 vertices.  The walk memoises extension sets of members it has not
+# yet reached, so it must stop once the memo, not only the count of
+# members yielded, passes the budget.
+WIDE_NUBS = ["star-19-8", "star-30-28", "deep-triple"]
+
+
+@pytest.mark.parametrize("name", WIDE_NUBS)
+def test_member_budget_wide_nubs(capsys, tmp_path, name):
+    code, out, err = run(capsys, *wide_nub_argv(name, tmp_path))
     assert (code, out) == (2, "")
     assert err == "error: the independence family exceeds the member budget of 131072\n"
+
+
+# star-19-8's 92,378 nubs would trip the star guard under this budget.
+@pytest.mark.parametrize("name", ["star-30-28", "deep-triple"])
+def test_member_budget_wide_nubs_memory(capsys, monkeypatch, tmp_path, name):
+    monkeypatch.setattr(cli.core, "MEMBER_BUDGET", 4096)
+    err = refused_within_a_mebibyte(capsys, *wide_nub_argv(name, tmp_path))
+    assert "member budget of 4096" in err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,6 +20,7 @@ from configspaces.core import (
     enumerate_independence_sets,
     from_independence_list,
     from_nubs,
+    is_right_angled,
     mask_from_indices,
     relative_configuration,
     valuation_of,
@@ -141,8 +143,10 @@ def test_enumeration_matches_nub_scan_on_builtins(name):
     "name, budget", [("star-12-6", 1000), ("path-20", 4096), ("fig1-left", 9)]
 )
 def test_enumeration_budget_matches_nub_scan(monkeypatch, name, budget):
-    # Both raise TooLarge at the same member: the kernel's prefix before
-    # the raise is the oracle's.
+    # Both raise TooLarge, and the kernel's members before the raise are
+    # a prefix of the oracle's.  On a right-angled configuration that is
+    # the same member; with wider nubs the kernel may raise sooner, once
+    # its memo holds more distinct members than the budget.
     c = builtin(name)
     monkeypatch.setattr(core, "MEMBER_BUDGET", budget)
     seen = {}
@@ -151,8 +155,29 @@ def test_enumeration_budget_matches_nub_scan(monkeypatch, name, budget):
         with pytest.raises(TooLarge, match=f"member budget of {budget}$"):
             got.extend(enumerate_(c))
         seen[enumerate_] = got
-    assert len(seen[enumerate_independence_sets]) == budget
-    assert seen[enumerate_independence_sets] == seen[nub_scan_enumeration]
+    kernel, oracle = seen[enumerate_independence_sets], seen[nub_scan_enumeration]
+    assert len(oracle) == budget
+    assert kernel == oracle[: len(kernel)]
+    if is_right_angled(c):
+        assert kernel == oracle
+
+
+def test_enumeration_memo_respects_budget(monkeypatch):
+    # One triple nub topped by vertex 39: the walk is 37 deep before it
+    # meets the nub, while every subset of the branch is a member the
+    # memo would otherwise fill in.
+    monkeypatch.setattr(core, "MEMBER_BUDGET", 4096)
+    c = from_nubs(40, [(37, 38, 39)])
+    yielded = 0
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="member budget of 4096$"):
+            for _ in enumerate_independence_sets(c):
+                yielded += 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert yielded < 4096 and peak < 2**20
 
 
 def test_roundtrip_thirty_vertices(rng):
