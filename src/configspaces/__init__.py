@@ -11,7 +11,7 @@ canonical finite probability space attached to each configuration.
 from .core import (
     Configuration,
     Valuation,
-    RelativeView,
+    Restriction,
     from_nubs,
     from_independence_list,
     enumerate_independence_sets,
@@ -46,7 +46,6 @@ from .probspace import (
     verify_realization,
 )
 from .structure import (
-    Decomposition,
     builtin,
     components,
     disjoint_union,

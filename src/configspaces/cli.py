@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from . import core, probspace, structure
-from .core import Configuration, Valuation
+from .core import Configuration, Restriction, Valuation
 from .mobius import MobiusFamily, RestBound
 from .poly import (
     AlgebraicRoot,
@@ -77,10 +77,12 @@ OPERATION_COMMANDS = {
     # core
     "from_nubs": "builtin",
     "from_independence_list": "check-identities",
-    # relative_configuration tests the anchor and every added vertex.
-    # It serves only the relative command: MobiusFamily takes every
-    # relative polynomial from one packed zeta transform of the
-    # enumerated family and never calls it.
+    # The relative command reports whether its anchor is independent:
+    # relative_configuration raises NotIndependent, from the same one
+    # pass over the nubs that finds the anchor's link.  It serves only
+    # the relative command: MobiusFamily takes every relative
+    # polynomial from one packed zeta transform of the enumerated
+    # family and never calls it.
     "is_independent": "relative",
     "enumerate_independence_sets": "space",
     "relative_configuration": "relative",
@@ -286,11 +288,11 @@ def _cmd_relative(args, config, valuation) -> tuple[dict, int]:
     anchor = config.mask_of_labels(names)
     view = core.relative_configuration(config, anchor)
     # mu^{|x} is the Mobius polynomial of the link: only it is enumerated.
-    poly = MobiusFamily(view.standalone, valuation.restrict(view.index_map)).mu()
+    poly = MobiusFamily(view.config, valuation.restrict(view.index_map)).mu()
     return {
         "set": config.labels_of(anchor),
         "vertices": config.labels_of(view.vertices),
-        "nubs": [config.labels_of(nub) for nub in view.relative_nubs],
+        "nubs": [view.config.labels_of(nub) for nub in view.config.nubs],
         "mu_relative": poly_to_strings(poly),
     }, 0
 
@@ -423,33 +425,27 @@ def _cmd_sample(args, config, valuation) -> tuple[dict, int]:
     }, 0
 
 
-def _component_product(
-    decomposition: structure.Decomposition, valuation: Valuation
-) -> Polynomial:
+def _component_product(parts: tuple[Restriction, ...], valuation: Valuation) -> Polynomial:
     """Product of the Mobius polynomials of the nub-connected components."""
     product = Polynomial([1])
-    for part in decomposition.components:
-        product = product * MobiusFamily(
-            part.config, valuation.restrict(part.index_map)
-        ).mu()
+    for part in parts:
+        product = product * MobiusFamily(part.config, valuation.restrict(part.index_map)).mu()
     return product
 
 
 def _cmd_decompose(args, config, valuation) -> tuple[dict, int]:
-    decomposition = structure.components(config)
-    parts = [
-        {
-            "vertices": config.labels_of(part.vertices),
-            "nubs": [part.config.labels_of(nub) for nub in part.config.nubs],
-        }
-        for part in decomposition.components
-    ]
+    parts = structure.components(config)
     whole = MobiusFamily(config, valuation).mu()
-    product = _component_product(decomposition, valuation)
     return {
-        "components": parts,
-        "irreducible": structure.is_irreducible(config),
-        "product_check": product == whole,
+        "components": [
+            {
+                "vertices": config.labels_of(part.vertices),
+                "nubs": [part.config.labels_of(nub) for nub in part.config.nubs],
+            }
+            for part in parts
+        ],
+        "irreducible": len(parts) <= 1,
+        "product_check": _component_product(parts, valuation) == whole,
     }, 0
 
 

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "Configuration",
     "Valuation",
-    "RelativeView",
+    "Restriction",
     "ConfigurationError",
     "SingletonNub",
     "VertexOutOfRange",
@@ -115,10 +115,6 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"v{i}" for i in range(n))
 
 
-def _nub_sort_key(mask: int) -> tuple[int, int]:
-    return (mask.bit_count(), mask)
-
-
 @dataclass(frozen=True)
 class Configuration:
     """Vertex count, labels, and the antichain of nubs (bitmasks)."""
@@ -182,23 +178,36 @@ class Valuation:
 
 
 @dataclass(frozen=True)
-class RelativeView:
-    """The configuration relative to an independent anchor set.
+class Restriction:
+    """A configuration on a subset of the vertices, as one of its own.
 
-    ``vertices`` collects, in original indices, the vertices parallel to
-    the anchor; ``relative_nubs`` are the minimal sets (again in original
-    indices) whose union with the anchor is dependent.  ``standalone``
-    re-indexes those vertices as 0..k-1, the anchor's link as a
-    configuration of its own, with ``index_map[i]`` giving the original
-    index of standalone vertex i.
+    ``vertices`` is the subset in original indices; ``config`` re-indexes
+    it as 0..k-1 under the original labels, with ``index_map[i]`` the
+    original index of vertex i.  An anchor's link
+    (``relative_configuration``) and each nub-connected component
+    (``structure.components``) are restrictions.
     """
 
-    base: Configuration
-    anchor: int
     vertices: int
-    relative_nubs: tuple[int, ...]
-    standalone: Configuration
+    config: Configuration
     index_map: tuple[int, ...]
+
+    @classmethod
+    def of(cls, config: Configuration, vertices: int, nubs: Iterable[int]) -> "Restriction":
+        """Restrict config to vertices, on which its nubs are ``nubs``.
+
+        ``nubs`` (original indices, inside ``vertices``) must already be
+        an antichain in (size, mask) order: the increasing re-indexing
+        keeps both, so nothing is reduced or re-sorted here.
+        """
+        index_map = tuple(indices_of(vertices))
+        position = {orig: i for i, orig in enumerate(index_map)}
+        compact = Configuration(
+            n=len(index_map),
+            labels=tuple(config.labels[i] for i in index_map),
+            nubs=tuple(mask_from_indices(position[i] for i in indices_of(nub)) for nub in nubs),
+        )
+        return cls(vertices, compact, index_map)
 
 
 def check_vertex_count(n: int) -> None:
@@ -224,16 +233,28 @@ def _antichain_minimal(masks: Iterable[int]) -> tuple[int, ...]:
     """The minimal sets among masks, in (size, mask) order.
 
     A mask is tested only against kept sets of strictly smaller size:
-    distinct sets of equal size never contain one another.
+    distinct sets of equal size never contain one another.  It looks its
+    proper subsets up among the kept sets when it has fewer subsets than
+    there are smaller kept sets, and scans those sets otherwise, so a
+    wide mask never walks its subsets.
     """
-    unique = sorted(set(masks), key=_nub_sort_key)
+    unique = sorted(set(masks))
+    unique.sort(key=int.bit_count)  # stable, so in (size, mask) order
     kept: list[int] = []
-    smaller: tuple[int, ...] = ()
+    smaller: frozenset[int] = frozenset()
     size = -1
     for mask in unique:
         if mask.bit_count() != size:
-            size, smaller = mask.bit_count(), tuple(kept)
-        if all(small & mask != small for small in smaller):
+            size, smaller = mask.bit_count(), frozenset(kept)
+        if 1 << size < len(smaller):
+            # Walk the proper subsets down to the empty set.
+            sub = mask
+            while sub and sub not in smaller:
+                sub = (sub - 1) & mask
+            covered = sub in smaller
+        else:
+            covered = any(small & mask == small for small in smaller)
+        if not covered:
             kept.append(mask)
     return tuple(kept)
 
@@ -401,48 +422,30 @@ def enumerate_independence_sets(config: Configuration) -> Iterator[int]:
     return walk()
 
 
-def relative_configuration(config: Configuration, x: int) -> RelativeView:
-    """The configuration relative to the independence set x.
+def relative_configuration(config: Configuration, x: int) -> Restriction:
+    """The configuration relative to the independence set x: its link.
 
-    Vertices are those parallel to x; a subset is relatively independent
-    iff its union with x is independent in the base.  The relative nubs
-    are the traces nub-minus-x of base nubs that land inside the kept
-    vertex set (other nubs cannot be triggered by any kept subset).
+    One pass over the nubs reads each trace nub - x.  An empty trace is
+    a nub inside x, so x is dependent; a one-vertex trace {a} makes
+    x | a dependent, so a is not parallel to x.  A set of the remaining
+    vertices, those parallel to x, is relatively independent iff its
+    union with x is independent, that is iff it contains no trace; so
+    the link's nubs are the minimal traces inside those vertices.
     """
-    if not config.is_independent(x):
-        raise NotIndependent(f"{config.word(x)} is not an independence set")
-    kept = 0
-    for a in range(config.n):
-        bit = 1 << a
-        if bit & x:
-            continue
-        if config.is_independent(x | bit):
-            kept |= bit
+    if x & ~config.vertex_mask:
+        raise VertexOutOfRange("vertex set uses bits outside 0..n-1")
+    blocked = x
     traces = []
     for nub in config.nubs:
         trace = nub & ~x
-        if trace and trace & ~kept == 0:
+        if not trace:
+            raise NotIndependent(f"{config.word(x)} is not an independence set")
+        if trace & (trace - 1):
             traces.append(trace)
-    relative_nubs = _antichain_minimal(traces)
-    index_map = tuple(indices_of(kept))
-    position = {orig: i for i, orig in enumerate(index_map)}
-    # The increasing re-indexing keeps the antichain and its (size, mask) order.
-    compact_nubs = tuple(
-        mask_from_indices(position[i] for i in indices_of(nub)) for nub in relative_nubs
-    )
-    standalone = Configuration(
-        n=len(index_map),
-        labels=tuple(config.labels[i] for i in index_map),
-        nubs=compact_nubs,
-    )
-    return RelativeView(
-        base=config,
-        anchor=x,
-        vertices=kept,
-        relative_nubs=relative_nubs,
-        standalone=standalone,
-        index_map=index_map,
-    )
+        else:
+            blocked |= trace
+    inside = (trace for trace in traces if not trace & blocked)
+    return Restriction.of(config, config.vertex_mask & ~blocked, _antichain_minimal(inside))
 
 
 def valuation_of(

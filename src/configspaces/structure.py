@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 from . import core
 from .core import (
     Configuration,
+    Restriction,
     Valuation,
     default_labels,
     enumerate_independence_sets,
@@ -36,8 +37,6 @@ from .poly import (
 )
 
 __all__ = [
-    "Component",
-    "Decomposition",
     "RightAngledReport",
     "SymmetricCountReport",
     "NotRightAngled",
@@ -77,20 +76,8 @@ class UnknownDataset(ValueError):
     """No built-in configuration under that name."""
 
 
-@dataclass(frozen=True)
-class Component:
-    vertices: int
-    config: Configuration
-    index_map: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    components: tuple[Component, ...]
-
-
-def components(config: Configuration) -> Decomposition:
-    """Connected components of the nub hypergraph.
+def components(config: Configuration) -> tuple[Restriction, ...]:
+    """Connected components of the nub hypergraph, by least vertex.
 
     Vertices sharing a nub are connected; vertices in no nub form
     singleton components.  Independence in the whole configuration is
@@ -108,30 +95,20 @@ def components(config: Configuration) -> Decomposition:
         verts = indices_of(nub)
         for other in verts[1:]:
             parent[find(verts[0])] = find(other)
-    groups: dict[int, list[int]] = {}
+    # Keyed by root, inserted in order of each component's least vertex.
+    vertices: dict[int, int] = {}
     for i in range(config.n):
-        groups.setdefault(find(i), []).append(i)
-    parts = []
-    for verts in sorted(groups.values(), key=lambda g: g[0]):
-        mask = mask_from_indices(verts)
-        position = {orig: j for j, orig in enumerate(verts)}
-        nubs = tuple(
-            mask_from_indices(position[i] for i in indices_of(nub))
-            for nub in config.nubs
-            if nub & mask == nub
-        )
-        sub = Configuration(
-            n=len(verts),
-            labels=tuple(config.labels[i] for i in verts),
-            nubs=tuple(sorted(nubs, key=lambda m: (m.bit_count(), m))),
-        )
-        parts.append(Component(vertices=mask, config=sub, index_map=tuple(verts)))
-    return Decomposition(components=tuple(parts))
+        root = find(i)
+        vertices[root] = vertices.get(root, 0) | (1 << i)
+    nubs: dict[int, list[int]] = {root: [] for root in vertices}
+    for nub in config.nubs:
+        nubs[find((nub & -nub).bit_length() - 1)].append(nub)
+    return tuple(Restriction.of(config, vertices[root], nubs[root]) for root in vertices)
 
 
 def is_irreducible(config: Configuration) -> bool:
     """True iff the nub hypergraph is connected."""
-    return len(components(config).components) <= 1
+    return len(components(config)) <= 1
 
 
 def from_dependence_graph(

@@ -293,13 +293,13 @@ def test_criterion_10_decomposition():
         left = random_configuration(rng.randint(1, 5), rng)
         right = random_configuration(rng.randint(1, 5), rng)
         union = disjoint_union(left, right)
-        expected_parts = [c.vertices for c in components(left).components] + [
-            c.vertices << left.n for c in components(right).components
+        expected_parts = [c.vertices for c in components(left)] + [
+            c.vertices << left.n for c in components(right)
         ]
-        got_parts = [c.vertices for c in components(union).components]
+        got_parts = [c.vertices for c in components(union)]
         assert sorted(got_parts) == sorted(expected_parts)
         product = P([1])
-        for part in components(union).components:
+        for part in components(union):
             product = product * MobiusFamily(part.config).mu()
         assert product == MobiusFamily(union).mu()
     _report(

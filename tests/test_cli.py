@@ -110,6 +110,29 @@ def test_relative_command(capsys, tmp_path):
     assert payload["vertices"] == ["a", "b", "c"]
 
 
+@pytest.mark.parametrize(
+    "anchor, message",
+    [
+        ("a,b,c", "error: abc is not an independence set"),
+        ("zz", "error: unknown vertex label 'zz'"),
+    ],
+)
+def test_relative_bad_anchor(capsys, anchor, message):
+    code, out, err = run(capsys, "relative", "--name", "star-4-2", "--set", anchor)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_relative_empty_anchor(capsys):
+    code, out, _ = run(capsys, "relative", "--name", "star-4-2", "--set", "")
+    assert code == 0
+    payload = payload_of(out)
+    whole = builtin("star-4-2")
+    assert payload["set"] == []
+    assert payload["vertices"] == list(whole.labels)
+    assert payload["nubs"] == [whole.labels_of(nub) for nub in whole.nubs]
+    assert payload["mu_relative"] == ["1", "-4", "6"]
+
+
 def test_critical_root_command(capsys):
     code, out, _ = run(capsys, "critical-root", "--name", "star-5-3")
     assert code == 0
@@ -343,7 +366,7 @@ def test_one_family_per_configuration(capsys, monkeypatch, tmp_path):
         assert (argv[0], code, len(built)) == (argv[0], 0, 1)
     path = tmp_path / "cfg.txt"
     path.write_text("vertices: a b c d e\nnub: a b\nnub: c d\n")
-    parts = len(components(parse_config(path.read_text())[0]).components)
+    parts = len(components(parse_config(path.read_text())[0]))
     built.clear()
     code, _, _ = run(capsys, "decompose", "--input", str(path))
     assert code == 0

@@ -194,19 +194,28 @@ def test_nubs_roundtrip():
     assert rebuilt.nubs == c.nubs
 
 
+def to_original(view, mask):
+    """A set of a restriction in the vertex indices of its base."""
+    return mask_from_indices(view.index_map[i] for i in core.indices_of(mask))
+
+
+def original_nubs(view):
+    return tuple(to_original(view, nub) for nub in view.config.nubs)
+
+
 def test_relative_configuration_star():
     s43 = star(4, 3)
     view = relative_configuration(s43, 0b1000)
     assert view.vertices == 0b0111
-    assert view.relative_nubs == (0b0111,)
-    assert view.standalone.n == 3
-    assert view.standalone.nubs == (0b111,)
+    assert original_nubs(view) == (0b0111,)
+    assert view.config.n == 3
+    assert view.config.nubs == (0b111,)
     # relative to the empty set is the configuration itself
     identity = relative_configuration(s43, 0)
-    assert identity.standalone == s43
+    assert identity.config == s43
     # S(n,k) relative to a j-set looks like S(n-j, k-j)
     view2 = relative_configuration(star(6, 4), 0b000011)
-    assert view2.standalone.nubs == star(4, 2).nubs
+    assert view2.config.nubs == star(4, 2).nubs
     with pytest.raises(NotIndependent):
         relative_configuration(s43, 0b1111)
 
@@ -215,9 +224,69 @@ def test_relative_keeps_original_indices():
     c = from_nubs(4, [{0, 1}, {1, 2, 3}])
     view = relative_configuration(c, 0b0010)  # anchor vertex 1
     assert view.vertices == 0b1100
-    assert view.relative_nubs == (0b1100,)
+    assert original_nubs(view) == (0b1100,)
     assert view.index_map == (2, 3)
-    assert view.standalone.labels == ("c", "d")
+    assert view.config.labels == ("c", "d")
+
+
+def brute_minimal(masks):
+    """Oracle: the listed sets with no other listed set as a proper subset."""
+    unique = set(masks)
+    minimal = [m for m in unique if not any(o != m and o & m == o for o in unique)]
+    return tuple(sorted(minimal, key=lambda m: (m.bit_count(), m)))
+
+
+def test_antichain_minimal_matches_brute_force(rng):
+    # Branch of core._antichain_minimal: subset lookup when a mask has
+    # fewer subsets than there are smaller minimal sets, else a scan.
+    branches = set()
+    for _ in range(300):
+        n = rng.randint(2, 14)
+        sizes = rng.choice(((1, 2, 3), (2, 3, 4), (2, 2, 3, 5), (3, 4, 6)))
+        masks = [
+            mask_from_indices(rng.sample(range(n), min(rng.choice(sizes), n)))
+            for _ in range(rng.randint(0, 150))
+        ]
+        expected = brute_minimal(masks)
+        assert core._antichain_minimal(masks) == expected
+        for mask in set(masks):
+            below = sum(m.bit_count() < mask.bit_count() for m in expected)
+            branches.add(1 << mask.bit_count() < below)
+    assert branches == {True, False}
+
+
+def test_antichain_minimal_wide_masks():
+    # A 40-vertex set and its 40 subsets of 39 vertices: a subset walk
+    # would take 2**40 steps, so only the scan can return.
+    full = (1 << 40) - 1
+    pairs = [0b11, 0b101, 0b1001]
+    masks = [full, *(full ^ (1 << i) for i in range(40)), *pairs]
+    assert core._antichain_minimal(masks) == (*pairs, full ^ 1)
+    assert core._antichain_minimal(masks) == brute_minimal(masks)
+
+
+def test_relative_configuration_matches_brute_force(rng):
+    # Both directions: every set of the link, mapped back and joined to
+    # x, is independent, and every independent superset of x minus x is
+    # a set of the link.
+    for _ in range(60):
+        n = rng.randint(0, 10)
+        c = random_configuration(n, rng, rng.choice((0.05, 0.1, 0.2)), (2, 3, 4))
+        family = brute_independence_family(c)
+        for x in range(1 << n):
+            if x not in family:
+                with pytest.raises(NotIndependent):
+                    relative_configuration(c, x)
+                continue
+            view = relative_configuration(c, x)
+            link = {to_original(view, z) for z in brute_independence_family(view.config)}
+            assert link == {y & ~x for y in family if y & x == x}
+            nubs = view.config.nubs
+            assert list(nubs) == sorted(nubs, key=lambda m: (m.bit_count(), m))
+            assert brute_minimal(nubs) == nubs
+        for outside in (1 << n, c.vertex_mask | (1 << (n + 3))):
+            with pytest.raises(VertexOutOfRange):
+                relative_configuration(c, outside)
 
 
 def test_valuation():
@@ -279,13 +348,13 @@ def test_relative_composition(rng):
         members = list(enumerate_independence_sets(c))
         x = rng.choice(members)
         view_x = relative_configuration(c, x)
-        link = view_x.standalone
+        link = view_x.config
         assert from_nubs(link.n, link.nubs).nubs == link.nubs  # an antichain, in order
-        inner = list(enumerate_independence_sets(view_x.standalone))
+        inner = list(enumerate_independence_sets(view_x.config))
         z_local = rng.choice(inner)
-        z = mask_from_indices(view_x.index_map[i] for i in range(view_x.standalone.n) if (z_local >> i) & 1)
-        via_two_steps = relative_configuration(view_x.standalone, z_local).standalone
-        direct = relative_configuration(c, x | z).standalone
+        z = to_original(view_x, z_local)
+        via_two_steps = relative_configuration(view_x.config, z_local).config
+        direct = relative_configuration(c, x | z).config
         assert via_two_steps == direct
 
 
@@ -310,4 +379,4 @@ def test_parallel_order_link(rng):
                         for i in range(n)
                         if (z >> i) & 1
                     )
-                    assert view.standalone.is_independent(local)
+                    assert view.config.is_independent(local)

@@ -314,7 +314,7 @@ def test_decomposition_product(rng):
         f = random_valuation(c, rng)
         whole = MobiusFamily(c, f).mu()
         product = P([1])
-        for part in components(c).components:
+        for part in components(c):
             product = product * MobiusFamily(part.config, f.restrict(part.index_map)).mu()
         assert product == whole
 
@@ -346,7 +346,7 @@ def test_link_route_matches_family_relative(rng):
         family = MobiusFamily(c, f)
         for x in family.members():
             view = relative_configuration(c, x)
-            link = MobiusFamily(view.standalone, f.restrict(view.index_map))
+            link = MobiusFamily(view.config, f.restrict(view.index_map))
             assert link.mu() == family.relative(x)
 
 

@@ -42,17 +42,17 @@ P = Polynomial
 
 def test_components_examples():
     path = builtin("fig1-right")
-    assert len(components(path).components) == 1
+    assert len(components(path)) == 1
     two_edges = from_nubs(4, [{0, 1}, {2, 3}])
     decomposition = components(two_edges)
-    assert [c.vertices for c in decomposition.components] == [0b0011, 0b1100]
+    assert [c.vertices for c in decomposition] == [0b0011, 0b1100]
     free = from_nubs(3, [])
-    assert [c.vertices for c in components(free).components] == [1, 2, 4]
+    assert [c.vertices for c in components(free)] == [1, 2, 4]
 
 
 def test_components_restrict_nubs():
     c = from_nubs(5, [{0, 1}, {1, 2}, {3, 4}])
-    parts = components(c).components
+    parts = components(c)
     assert parts[0].config.nubs == (0b011, 0b110)
     assert parts[1].config.nubs == (0b11,)
     assert parts[0].index_map == (0, 1, 2)
@@ -352,7 +352,7 @@ def test_right_angled_heredity(rng):
         c = from_dependence_graph(n, edges)
         for x in enumerate_independence_sets(c):
             view = relative_configuration(c, x)
-            assert is_right_angled(view.standalone)
+            assert is_right_angled(view.config)
 
 
 def test_disjoint_union_structure():
@@ -361,7 +361,7 @@ def test_disjoint_union_structure():
     union = disjoint_union(a, b)
     assert union.n == 5
     assert MobiusFamily(union).mu() == MobiusFamily(a).mu() * MobiusFamily(b).mu()
-    parts = components(union).components
+    parts = components(union)
     assert [p.vertices for p in parts] == [0b00111, 0b11000]
 
 
