@@ -13,11 +13,16 @@ configuration, so it enumerates the link alone.  Every enumeration
 stops past ``core.MEMBER_BUDGET`` independence sets (exit 2), before
 anything built from the family is stored.
 ``verify`` reports ``routes_agree``: whether the dense sign-word route
-(``atoms_from_intersections`` over all 2^n subsets) reproduces the
-canonical atoms.  That route takes independence from the nubs, closed
-upward over all 2^n masks, not from the enumerated family, and runs its
-transform on integer numerators; it is bounded at n <= 20, and ``verify``
-refuses larger configurations (exit 2) before allocating anything.
+reproduces the canonical atoms.  That route takes independence from the
+nubs, closed upward over all 2^n masks, not from the enumerated family,
+and keeps its own Fraction recurrence for the intersection
+probabilities q.  It runs the kernel of ``atoms_from_intersections``
+over the independent masks only: q is 0 on the dependent masks, which
+are closed upward, and a superset Mobius step only moves value from a
+set to its subsets, so those cells stay 0 at every step and walking
+them would change nothing.  The 2^n indicator is bounded at n <= 20,
+and ``verify`` refuses larger configurations (exit 2) before allocating
+anything.
 
 Exit codes: 0 on success, 1 when a verification command found a
 violation (or the requested t is out of range), 2 on usage, parse, or
@@ -30,6 +35,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -49,8 +55,9 @@ from .poly import (
 
 SCHEMA_VERSION = "1"
 
-#: verify's dense cross-check builds tables over all 2^n vertex subsets;
-#: larger configurations are refused before anything is allocated.
+#: verify's dense cross-check builds a one-byte indicator over all 2^n
+#: vertex subsets; larger configurations are refused before anything is
+#: allocated.
 _DENSE_CHECK_MAX_N = 20
 
 
@@ -98,7 +105,8 @@ OPERATION_COMMANDS = {
     "derivative_identity_residual": "check-identities",
     "critical_root": "critical-root",
     "classify": "classify",
-    # probspace
+    # probspace.  verify's routes_agree runs the kernel of
+    # atoms_from_intersections on the masks that contain no nub.
     "atoms_from_intersections": "verify",
     # verify reads every marginal, joint and nub probability from one
     # zeta transform of the atoms; event_probability gives any one word's.
@@ -366,6 +374,30 @@ def _dependence_indicator(config: Configuration) -> bytes:
     return table.to_bytes(size, "little")
 
 
+_INDEPENDENT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _dense_route_atoms(
+    config: Configuration, valuation: Valuation, t: Fraction
+) -> dict[int, Fraction]:
+    """The nonzero atom masses that the intersections q(x) = f(x) t^|x|
+    on the independent masks, and 0 on the dependent ones, force.
+
+    Independence is read from the nubs over all 2^n masks; the
+    independent masks are picked out at C level and q is built on them
+    alone.  Walking only those cells is exact (see the module docstring).
+    """
+    factors = [w * t for w in valuation.weights]
+    independent = _dependence_indicator(config).translate(_INDEPENDENT)
+    keys = list(itertools.compress(range(1 << config.n), independent))
+    q = {0: Fraction(1)}
+    for mask in itertools.islice(keys, 1, None):
+        top = mask.bit_length() - 1
+        q[mask] = q[mask ^ (1 << top)] * factors[top]
+    scale, masses = probspace._intersection_masses(keys, q)
+    return {x: Fraction(value, scale) for x, value in masses.items() if value}
+
+
 def _cmd_verify(args, config, valuation) -> tuple[dict, int]:
     if config.n > _DENSE_CHECK_MAX_N:
         raise core.TooLarge(
@@ -376,26 +408,10 @@ def _cmd_verify(args, config, valuation) -> tuple[dict, int]:
     report = probspace.verify_realization(space)
     # Independent cross-check through the dense sign-word route:
     # prescribing the intersection probabilities must reproduce the
-    # canonical atom masses.  Independence comes from the nubs over all
-    # 2^n masks, not from the enumerated family.
-    t = space.t
-    zero = Fraction(0)
-    factors = [w * t for w in valuation.weights]
-    dependent = _dependence_indicator(config)
-    q = {0: Fraction(1)}
-    for mask in range(1, 1 << config.n):
-        if dependent[mask]:
-            q[mask] = zero
-        else:
-            top = mask.bit_length() - 1
-            q[mask] = q[mask ^ (1 << top)] * factors[top]
-    word_atoms = probspace.atoms_from_intersections(config.n, q)
-    del q
-    # Every mask has a word, so the routes agree iff their nonzero
-    # masses sit on the same sets with the same values.
-    routes_agree = {
-        word.positives: mass for word, mass in word_atoms.items() if mass
-    } == {x: mass for x, mass in space.atoms.items() if mass}
+    # canonical atom masses, the nonzero ones on the same sets.
+    routes_agree = _dense_route_atoms(config, valuation, space.t) == {
+        x: mass for x, mass in space.atoms.items() if mass
+    }
     payload = {
         "t": format_rational(space.t),
         "marginals_ok": report.marginals_ok,
@@ -425,8 +441,17 @@ def _cmd_sample(args, config, valuation) -> tuple[dict, int]:
     }, 0
 
 
-def _component_product(parts: tuple[Restriction, ...], valuation: Valuation) -> Polynomial:
-    """Product of the Mobius polynomials of the nub-connected components."""
+def _component_product(
+    parts: tuple[Restriction, ...], valuation: Valuation, whole: Polynomial
+) -> Polynomial:
+    """Product of the Mobius polynomials of the nub-connected components.
+
+    An irreducible configuration is its one component, so its product is
+    ``whole``, the Mobius polynomial already enumerated; only a split
+    configuration enumerates its parts.
+    """
+    if len(parts) == 1:
+        return whole
     product = Polynomial([1])
     for part in parts:
         product = product * MobiusFamily(part.config, valuation.restrict(part.index_map)).mu()
@@ -445,7 +470,7 @@ def _cmd_decompose(args, config, valuation) -> tuple[dict, int]:
             for part in parts
         ],
         "irreducible": len(parts) <= 1,
-        "product_check": _component_product(parts, valuation) == whole,
+        "product_check": _component_product(parts, valuation, whole) == whole,
     }, 0
 
 
@@ -515,8 +540,8 @@ def _cmd_check_identities(args) -> tuple[dict, int]:
             failures.append(f"trial {trial}: derivative identity residual nonzero")
         if not family.inversion_check():
             failures.append(f"trial {trial}: inversion identity failed")
-        product = _component_product(structure.components(config), valuation)
-        if product != family.mu():
+        mu = family.mu()
+        if _component_product(structure.components(config), valuation, mu) != mu:
             failures.append(f"trial {trial}: decomposition product mismatch")
         rebuilt = core.from_independence_list(config.n, family.members(), config.labels)
         if rebuilt.nubs != config.nubs:

@@ -13,8 +13,14 @@ algorithm, the kernel ``mobius`` builds every relative polynomial
 with) on integer numerators over a common denominator, in
 O(|F| n) steps for a family F on n vertices; downward closure makes
 the transform over the family alone exact, so no relative polynomial
-is built.  The dense ``atoms_from_intersections`` runs the same
-transform over all 2^n subsets.
+is built.  Prescribed intersection probabilities go through one more
+kernel, ``_intersection_masses``: ``atoms_from_intersections`` runs it
+over all 2^n subsets, and the CLI's ``verify`` cross-check over the
+subsets that contain no nub.  The two agree exactly.  The dependent
+subsets are closed upward and carry q = 0, and a superset Mobius step
+only moves value from y to y minus a vertex, so a dependent cell stays
+0 at every step and the transform skips it; the independent subsets
+are closed downward, as the transform needs.
 
 Feasibility is decided pointwise: t is admissible iff every relative
 polynomial is nonnegative at t, which holds exactly on [0, t0] with t0
@@ -26,9 +32,10 @@ isolation is needed to build a space.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .core import Configuration, Valuation
 from .mobius import MobiusFamily, _scaled_products, _superset_transform
@@ -142,6 +149,27 @@ def _downward_closure(keys: Iterable[int]) -> set[int]:
     return closed
 
 
+def _intersection_masses(
+    keys: Sequence[int], q: Mapping[int, Fraction] | Sequence[Fraction]
+) -> tuple[int, dict[int, int]]:
+    """A common denominator D and the integer masses D m(y) over keys.
+
+    m(y) is the alternating sum of q over the supersets of y among the
+    keys, which must be downward closed and come in ascending order.
+    The transform runs on integer numerators over the least common
+    denominator of q and does no Fraction arithmetic.  Raises
+    :class:`InfeasibleIntersections` when any mass comes out negative,
+    listing the offending masks in key order.
+    """
+    scale = math.lcm(*(q[y].denominator for y in keys))
+    masses = {y: q[y].numerator * (scale // q[y].denominator) for y in keys}
+    _superset_transform(masses, keys, keys[-1].bit_length(), -1)
+    negatives = [(y, Fraction(value, scale)) for y, value in masses.items() if value < 0]
+    if negatives:
+        raise InfeasibleIntersections(negatives)
+    return scale, masses
+
+
 def atoms_from_intersections(
     n: int, q: Mapping[int, Fraction]
 ) -> dict[SignedWord, Fraction]:
@@ -154,8 +182,9 @@ def atoms_from_intersections(
     :class:`InfeasibleIntersections` when any mass comes out negative,
     listing the offending words.
 
-    The transform runs on integer numerators over the least common
-    denominator of q and does no Fraction arithmetic.
+    The masses come from ``_intersection_masses`` over all 2^n subsets,
+    the kernel the CLI's ``verify`` runs over the independent subsets
+    alone (see the module docstring for why both give the same masses).
     """
     size = 1 << n
     values = []
@@ -166,22 +195,15 @@ def atoms_from_intersections(
         values.append(value if isinstance(value, Fraction) else Fraction(value))
     if values[0] != 1:
         raise ValueError("the empty intersection must have probability 1")
-    scale = math.lcm(*(value.denominator for value in values))
-    table = [value.numerator * (scale // value.denominator) for value in values]
+    scale, masses = _intersection_masses(range(size), values)
     del values
-    _superset_transform(table, range(size), n, -1)
-    negatives = [
-        (mask, Fraction(value, scale)) for mask, value in enumerate(table) if value < 0
-    ]
-    if negatives:
-        raise InfeasibleIntersections(negatives)
     zero = Fraction(0)
     full = size - 1
     return {
         SignedWord(positives=mask, negatives=full ^ mask): (
             Fraction(value, scale) if value else zero
         )
-        for mask, value in enumerate(table)
+        for mask, value in masses.items()
     }
 
 
@@ -334,7 +356,7 @@ def sample(space: ConfiguredSpace, count: int, seed: int) -> dict[int, int]:
 
     Atom boundaries are the exact cumulative masses scaled to 2**64 and
     floored, so each atom's draw probability is within 2**-64 of its
-    mass; draws are uniform 64-bit words binary-searched against the
+    mass; draws are uniform 64-bit words bisected against the
     boundaries.
     """
     if count < 0:
@@ -348,13 +370,7 @@ def sample(space: ConfiguredSpace, count: int, seed: int) -> dict[int, int]:
     tallies = {mask: 0 for mask, _ in atoms}
     rng = SplitMix64(seed)
     for _ in range(count):
-        word = rng.next_word()
-        lo, hi = 0, len(boundaries) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if word < boundaries[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        tallies[atoms[lo][0]] += 1
+        # The first boundary above the word; the last one is 2**64.
+        index = bisect_right(boundaries, rng.next_word())
+        tallies[atoms[index][0]] += 1
     return tallies

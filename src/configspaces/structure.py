@@ -146,8 +146,10 @@ def star(n: int, k: int) -> Configuration:
         raise core.TooLarge(
             f"star({n}, {k}) has {count} nubs, more than the member budget of {core.MEMBER_BUDGET}"
         )
-    nubs = (mask_from_indices(c) for c in combinations(range(n), k + 1))
-    return from_nubs(n, nubs)
+    # The nubs all have k+1 vertices, so no one contains another, and
+    # sorting their masks puts them in (size, mask) order.
+    nubs = sorted(map(mask_from_indices, combinations(range(n), k + 1)))
+    return Configuration(n=n, labels=default_labels(n), nubs=tuple(nubs))
 
 
 def trace_series(

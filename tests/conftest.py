@@ -17,6 +17,7 @@ from configspaces.poly import (
     simplest_rational_between,
     squarefree_part,
 )
+from configspaces.probspace import SplitMix64
 
 
 def powerset_mobius(config: Configuration, valuation: Valuation | None = None) -> Polynomial:
@@ -134,6 +135,31 @@ def nub_scan_enumeration(config: Configuration):
                 yield from walk(y, a + 1)
 
     return walk(0, 0)
+
+
+def binary_search_sample(space, count: int, seed: int) -> dict[int, int]:
+    """Oracle for ``probspace.sample``: the same boundaries, each draw
+    placed by a hand-written binary search for the first boundary above
+    the word."""
+    atoms = space.sorted_atoms()
+    boundaries = []
+    cumulative = Fraction(0)
+    for _, mass in atoms:
+        cumulative += mass
+        boundaries.append((cumulative.numerator << 64) // cumulative.denominator)
+    tallies = {mask: 0 for mask, _ in atoms}
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        word = rng.next_word()
+        lo, hi = 0, len(boundaries) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if word < boundaries[mid]:
+                hi = mid
+            else:
+                lo = mid + 1
+        tallies[atoms[lo][0]] += 1
+    return tallies
 
 
 @pytest.fixture

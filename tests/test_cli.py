@@ -2,11 +2,12 @@ import argparse
 import json
 import re
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from configspaces import cli
+from configspaces import cli, probspace
 from configspaces.cli import (
     COMMANDS,
     OPERATION_COMMANDS,
@@ -21,6 +22,7 @@ from configspaces.structure import (
     builtin,
     components,
     random_configuration,
+    random_valuation,
     trace_series,
 )
 
@@ -359,6 +361,8 @@ def test_one_family_per_configuration(capsys, monkeypatch, tmp_path):
         ("right-angled", "--name", "path-6"),
         ("series", "--name", "fig1-right"),
         ("symmetric-counts", "--name", "fig1-left"),
+        # An irreducible configuration is its own one component.
+        ("decompose", "--name", "star-9-4"),
     ]
     for argv in commands:
         built.clear()
@@ -402,7 +406,12 @@ def test_verify_dense_check_bound(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("verify built a table past the dense bound")
 
-    for name in ("canonical_space", "verify_realization", "atoms_from_intersections"):
+    for name in (
+        "canonical_space",
+        "verify_realization",
+        "atoms_from_intersections",
+        "_intersection_masses",
+    ):
         monkeypatch.setattr(cli.probspace, name, refuse)
     monkeypatch.setattr(cli, "_dependence_indicator", refuse)
     # One byte per subset would already be 2 MiB.
@@ -416,6 +425,67 @@ def test_verify_dense_check_bound_is_inclusive(capsys, monkeypatch):
     assert code == 0 and payload_of(out)["routes_agree"] is True
     code, out, err = run(capsys, "verify", "--name", "star-6-3", "--t", "1/4")
     assert code == 2 and out == "" and "dense cross-check" in err
+
+
+def test_dense_route_matches_full_table_and_canonical_atoms(rng):
+    # The route over the independent masks against the dense route over
+    # all 2^n masks and against the canonical space.
+    nub_sizes = set()
+    for _ in range(60):
+        config = random_configuration(
+            rng.randint(1, 9), rng, include_probability=rng.choice((0.08, 0.15, 0.25))
+        )
+        valuation = random_valuation(config, rng)
+        nub_sizes.update(nub.bit_count() for nub in config.nubs)
+        root = MobiusFamily(config, valuation).critical_root()[0]
+        ts = [Fraction(0), (root.value if root.is_rational else root.lo) / 2]
+        if root.is_rational:
+            ts.append(root.value)
+        for t in ts:
+            q = {
+                mask: (
+                    valuation.of(mask) * t ** mask.bit_count()
+                    if config.is_independent(mask)
+                    else Fraction(0)
+                )
+                for mask in range(1 << config.n)
+            }
+            dense = probspace.atoms_from_intersections(config.n, q)
+            space = probspace.canonical_space(config, valuation, t)
+            route = cli._dense_route_atoms(config, valuation, t)
+            assert route == {word.positives: mass for word, mass in dense.items() if mass}
+            assert route == {x: mass for x, mass in space.atoms.items() if mass}
+    assert nub_sizes == {2, 3, 4}
+
+
+@pytest.mark.parametrize("share", [Fraction(1, 2), Fraction(1)])
+def test_routes_disagree_when_mass_moves(capsys, monkeypatch, share):
+    canonical_space = probspace.canonical_space
+
+    def moved(config, valuation, t):
+        space = canonical_space(config, valuation, t)
+        donor, receiver = 0b0001, 0b0100
+        amount = space.atoms[donor] * share
+        space.atoms[donor] -= amount
+        space.atoms[receiver] += amount
+        return space
+
+    monkeypatch.setattr(cli.probspace, "canonical_space", moved)
+    code, out, _ = run(capsys, "verify", "--name", "path-7", "--t", "1/8")
+    assert (code, payload_of(out)["routes_agree"]) == (1, False)
+
+
+def test_verify_dense_route_memory(capsys):
+    # The route keeps one byte per subset and nothing else dense: a
+    # Fraction per subset would peak near 60 MiB here.
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "verify", "--name", "complete-18", "--t", "1/40")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, payload_of(out)["routes_agree"]) == (0, True)
+    assert peak < 8 * 2**20
 
 
 def test_pretty_flag(capsys):

@@ -18,7 +18,7 @@ from configspaces.probspace import (
 )
 from configspaces.structure import builtin, random_configuration, random_valuation, star
 
-from conftest import direct_transform
+from conftest import binary_search_sample, direct_transform
 
 H = Fraction(1, 2)
 
@@ -246,6 +246,23 @@ def test_sample_star43_five_sigma():
         else:
             assert tallies[x] == 0
     assert sum(tallies.values()) == 100000
+
+
+def test_sample_bisect_matches_binary_search(rng):
+    spaces = [
+        canonical_space(star(4, 3), None, H),  # seven atoms of mass 0
+        canonical_space(builtin("path-7"), None, Fraction(1, 8)),
+        canonical_space(builtin("fig1-left"), None, Fraction(1, 10)),
+    ]
+    for _ in range(6):
+        c = random_configuration(rng.randint(1, 7), rng)
+        f = random_valuation(c, rng)
+        root = MobiusFamily(c, f).critical_root()[0]
+        spaces.append(canonical_space(c, f, root.value if root.is_rational else root.lo))
+    assert sum(0 in space.atoms.values() for space in spaces) > 1
+    for space in spaces:
+        for seed in (0, 5, 20250810):
+            assert sample(space, 3000, seed) == binary_search_sample(space, 3000, seed)
 
 
 def test_canonical_space_matches_direct_transform(rng):

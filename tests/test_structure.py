@@ -98,6 +98,13 @@ def test_star_polynomials():
         star(3, 4)
 
 
+def test_star_nubs_match_from_nubs():
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            assert star(n, k) == from_nubs(n, combinations(range(n), k + 1))
+    assert star(64, 2) == from_nubs(64, combinations(range(64), 3))
+
+
 def test_star_mu_is_truncated_binomial():
     for n in range(1, 7):
         binom = P([1])
