@@ -50,11 +50,10 @@ from .core import (
 from .poly import (
     AlgebraicRoot,
     Polynomial,
+    _enclosures,
     compare_roots,
-    evaluate_on_interval,
     first_positive_root,
     isolate_first_root,
-    refine_root,
     root_free,
 )
 
@@ -69,8 +68,6 @@ __all__ = [
 
 TYPE_I = "I"
 TYPE_II = "II"
-
-_REST_ENCLOSURE_WIDTH = Fraction(1, 2**64)
 
 
 class TrivialConfiguration(ValueError):
@@ -292,6 +289,11 @@ class MobiusFamily:
         return best, tuple(x for x, poly in zip(members, polys) if poly in attaining)
 
     def classify(self) -> Classification:
+        """Type I when the empty set attains t0, where mu vanishes.  Every
+        relative polynomial is 1 at 0 with no root below t0, so
+        ``attained_at`` decides its sign at t0 exactly: zero on those
+        anchors, positive elsewhere.  An irrational t0's rest is enclosed
+        to width 2**-64."""
         root, attained = self.critical_root()
         is_type_one = 0 in attained
         mu = self.mu()
@@ -299,12 +301,9 @@ class MobiusFamily:
         if root.is_rational:
             rest = mu(root.value)
         else:
-            enclosure = root
-            while True:
-                lo, hi = evaluate_on_interval(mu, enclosure.lo, enclosure.hi)
-                if hi - lo <= _REST_ENCLOSURE_WIDTH:
+            for lo, hi in _enclosures(mu, root):
+                if (hi - lo) * 2**64 <= 1:
                     break
-                enclosure = refine_root(enclosure)
             rest = RestBound("zero" if is_type_one else "positive", lo, hi)
         return Classification(
             critical_root=root,

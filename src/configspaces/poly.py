@@ -15,9 +15,13 @@ Cauchy bound, visits the dyadic points j B / 2^k; they are carried as
 integer numerators over one common denominator, and a ``Fraction`` is
 built only for a reported endpoint.
 
-Nothing in this module touches floating point, so every comparison and
-zero-test is certified.  All values are immutable and all functions are
-pure; concurrent use needs no locks.
+A polynomial also keeps its hash, its squarefree part with that part's
+Sturm chain, and the coarse isolation of its first positive root, each
+computed once; refinement is one loop (``_enclosures``) that halves one
+cell in place.  The caches are write-once: racing writers would store
+identical values, so polynomials are safe to share and concurrent use
+needs no locks.  Nothing in this module touches floating point, so
+every comparison and zero-test is certified.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "Polynomial",
@@ -87,14 +91,16 @@ def _frac(value: CoefficientLike) -> Fraction:
 class Polynomial:
     """Immutable dense polynomial with Fraction coefficients."""
 
-    __slots__ = ("_coeffs", "_primitive")
+    # Write-once caches of primitive(), __hash__, _squarefree_chain and
+    # isolate_first_root (a 1-tuple, as None is a result); None until used.
+    __slots__ = ("_coeffs", "_primitive", "_hash", "_squarefree", "_first_root")
 
     def __init__(self, coefficients: Iterable[CoefficientLike] = ()):
         coeffs = [_frac(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self._coeffs: tuple[Fraction, ...] = tuple(coeffs)
-        self._primitive: tuple[int, ...] | None = None
+        self._primitive = self._hash = self._squarefree = self._first_root = None
 
     def primitive(self) -> tuple[int, ...]:
         """Coprime integer coefficients, the polynomial times a positive
@@ -140,7 +146,9 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        if self._hash is None:
+            self._hash = hash(self._coeffs)
+        return self._hash
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -392,15 +400,18 @@ def _sturm_chain(p: Polynomial) -> list[tuple[int, ...]]:
 
 
 def _squarefree_chain(p: Polynomial) -> tuple[Polynomial, list[tuple[int, ...]]]:
-    """The squarefree part of nonzero p and its Sturm chain."""
-    chain = _sturm_chain(p)
-    if len(chain[-1]) == 1:
-        return p, chain
-    g = chain[-1]
-    quo, rem = poly_divmod(p, Polynomial(Fraction(c, g[-1]) for c in g))
-    if not rem.is_zero:
-        raise AssertionError("gcd does not divide its argument")
-    return quo, _sturm_chain(quo)
+    """The squarefree part of nonzero p and its Sturm chain, kept on p
+    and on the part."""
+    if p._squarefree is None:
+        q, chain = p, _sturm_chain(p)
+        if len(chain[-1]) > 1:
+            g = chain[-1]
+            q, rem = poly_divmod(p, Polynomial(Fraction(c, g[-1]) for c in g))
+            if not rem.is_zero:
+                raise AssertionError("gcd does not divide its argument")
+            chain = _squarefree_chain(q)[1]
+        p._squarefree = (q, chain)
+    return p._squarefree
 
 
 def _variations(values: Iterable[int]) -> int:
@@ -435,10 +446,7 @@ def sturm_count(p: Polynomial, lo: CoefficientLike, hi: CoefficientLike) -> int:
         raise ValueError("need lo < hi")
     if _sign_at(p, a) == 0 or _sign_at(p, b) == 0:
         raise EndpointRoot(f"polynomial vanishes at an endpoint of ({a}, {b})")
-    q, chain = _squarefree_chain(p)
-    if q.degree < 1:
-        return 0
-    return _count_half_open(chain, a, b)
+    return _count_half_open(_squarefree_chain(p)[1], a, b)
 
 
 def descartes_variations(p: Polynomial, hi: Fraction) -> int:
@@ -502,11 +510,18 @@ def isolate_first_root(p: Polynomial) -> AlgebraicRoot | None:
 
     Sturm bisection of (0, B] on the squarefree part stops as soon as
     (lo, hi] holds one root, which is exact if a bisection point hit it.
+    The result is kept on p.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has every point as a root")
     if p.constant_term == 0:
         raise ZeroAtOrigin("polynomial vanishes at the origin")
+    if p._first_root is None:
+        p._first_root = (_isolate_first_root(p),)
+    return p._first_root[0]
+
+
+def _isolate_first_root(p: Polynomial) -> AlgebraicRoot | None:
     q, chain = _squarefree_chain(p)
     if q.degree < 1:
         return None
@@ -549,8 +564,8 @@ class _Bisection:
         self.hi = hi.numerator * (den // hi.denominator)
         self.sign_lo = _int_sign(self.coeffs, self.lo, den)
 
-    def halve(self) -> bool:
-        """One bisection step; True when the midpoint is the root."""
+    def halve(self) -> None:
+        """One bisection step; the cell becomes a point at a root."""
         mid = self.lo + self.hi
         self.lo, self.hi, self.den = 2 * self.lo, 2 * self.hi, 2 * self.den
         sign = _int_sign(self.coeffs, mid, self.den)
@@ -560,7 +575,6 @@ class _Bisection:
             self.lo = mid
         else:
             self.hi = mid
-        return sign == 0
 
     def root(self) -> AlgebraicRoot:
         return AlgebraicRoot(self.witness, Fraction(self.lo, self.den), Fraction(self.hi, self.den))
@@ -571,15 +585,16 @@ def first_positive_root(p: Polynomial) -> AlgebraicRoot | None:
 
     Works on the squarefree part, so multiple roots collapse.  Rational
     roots (denominator below 2**64) are returned exactly; otherwise the
-    isolating interval has width at most 2**-128.
+    isolating interval has width at most 2**-128.  Refines the coarse
+    isolation kept by ``isolate_first_root``.
     """
     root = isolate_first_root(p)
     if root is None or root.is_rational:
         return root
     cell = _Bisection(root)
     while (cell.hi - cell.lo) << _PROBE_BITS > cell.den or cell.lo == 0:
-        if cell.halve():
-            return cell.root()
+        cell.halve()
+    # A midpoint at the root left a point, which the probe returns.
     root = cell.root()
     candidate = simplest_rational_between(root.lo, root.hi)
     if _sign_at(root.witness, candidate) == 0:
@@ -588,9 +603,7 @@ def first_positive_root(p: Polynomial) -> AlgebraicRoot | None:
 
 
 def refine_root(root: AlgebraicRoot) -> AlgebraicRoot:
-    """One bisection step; exact roots are returned unchanged."""
-    if root.is_rational:
-        return root
+    """One bisection step; an exact root stays the same point."""
     cell = _Bisection(root)
     cell.halve()
     return cell.root()
@@ -617,7 +630,10 @@ def compare_roots(a: AlgebraicRoot, b: AlgebraicRoot) -> int:
         else:
             if shared is None:
                 g = poly_gcd(a.witness, b.witness)
-                shared = _sturm_chain(g) if g.degree >= 1 else []
+                # A witness of g's degree is g times a constant: the same
+                # sign variations, from the chain the witness keeps.
+                g = next((w for w in (a.witness, b.witness) if w.degree == g.degree), g)
+                shared = _squarefree_chain(g)[1] if g.degree >= 1 else []
             # Witness endpoints are never roots, so g is nonzero at the
             # ends of the overlap.
             lo = x if x.lo * y.den >= y.lo * x.den else y
@@ -647,29 +663,33 @@ def evaluate_on_interval(
     return acc_lo, acc_hi
 
 
+def _enclosures(p: Polynomial, root: AlgebraicRoot) -> Iterator[tuple[Fraction, Fraction]]:
+    """Bounds on p over the root's isolating interval, then over each
+    halving of it, without end.  One cell is halved in place; once it
+    is a point (a rational root), the bounds are p's exact value."""
+    cell = _Bisection(root)
+    while True:
+        yield evaluate_on_interval(p, Fraction(cell.lo, cell.den), Fraction(cell.hi, cell.den))
+        cell.halve()
+
+
 def sign_at_root(p: Polynomial, root: AlgebraicRoot) -> int:
     """Certified sign of p at the root: -1, 0, or 1.
 
-    Zero is decided exactly through gcd(p, witness); a nonzero sign is
-    certified by refining the interval under interval evaluation.
+    Zero at an irrational root is decided exactly through gcd(p,
+    witness); otherwise the interval is refined under interval
+    evaluation until the bounds share a sign or are one exact value.
     """
-    if p.is_zero:
-        return 0
-    if root.is_rational:
-        return _sign_at(p, root.value)
     g = poly_gcd(p, root.witness)
-    if g.degree >= 1 and _count_half_open(_sturm_chain(g), root.lo, root.hi):
+    if g.degree >= 1 and _count_half_open(_squarefree_chain(g)[1], root.lo, root.hi):
         return 0
-    current = root
-    while True:
-        vlo, vhi = evaluate_on_interval(p, current.lo, current.hi)
-        if vlo > 0:
+    for lo, hi in _enclosures(p, root):
+        if lo > 0:
             return 1
-        if vhi < 0:
+        if hi < 0:
             return -1
-        current = refine_root(current)
-        if current.is_rational:
-            return _sign_at(p, current.value)
+        if lo == hi:
+            return 0
 
 
 def format_rational(x: Fraction) -> str:

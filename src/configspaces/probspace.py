@@ -276,7 +276,8 @@ def verify_realization(space: ConfiguredSpace) -> RealizationReport:
     sets gives every joint probability the three checks need, on integer
     numerators over a common denominator: the marginals are its
     singleton entries, and a nub outside the closure lies in no atom.
-    The rest is compared with mu(t) from the space's Mobius family.
+    The rest is compared with mu(t), summed over the members the
+    space's Mobius family has already enumerated.
     """
     config, valuation, t = space.config, space.valuation, space.t
     atoms = space.atoms
@@ -315,7 +316,8 @@ def verify_realization(space: ConfiguredSpace) -> RealizationReport:
                 f"nub {config.word(nub)} has joint probability {Fraction(got, scale)}"
             )
     rest = space.rest()
-    mu_at_t = space._family.mu()(t)
+    mu_scale, terms = _scaled_products(space._family.members(), valuation, t)
+    mu_at_t = Fraction(sum((-1) ** x.bit_count() * v for x, v in terms.items()), mu_scale)
     if rest != mu_at_t:
         violations.append(f"rest {rest} disagrees with mu(t) = {mu_at_t}")
     return RealizationReport(

@@ -53,7 +53,6 @@ __all__ = [
     "right_angled_properties",
     "symmetric_counts",
     "builtin",
-    "BUILTIN_NAMES",
     "disjoint_union",
     "random_configuration",
     "random_valuation",
@@ -235,9 +234,10 @@ def right_angled_properties(
     (a) the classification is type I; (b) when irreducible, the critical
     root is a simple root of mu, certified through gcd(mu, mu');
     (c) when irreducible, every relative polynomial with nonempty anchor
-    is strictly positive at the critical root, certified by interval
-    evaluation; (d) relative polynomials are monotone under anchor
-    inclusion at sampled rational points in (0, t0].
+    is strictly positive at the critical root, exactly when only the
+    empty set attains it (see ``MobiusFamily.classify``); (d) relative
+    polynomials are monotone under anchor inclusion at sampled rational
+    points in (0, t0].
     """
     if not is_right_angled(config):
         raise NotRightAngled("property report needs all nubs of size 2")
@@ -252,10 +252,7 @@ def right_angled_properties(
         mu = family.mu()
         g = poly_gcd(mu, mu.derivative())
         simple = g.degree < 1 or sign_at_root(g, root) != 0
-        positive = all(
-            sign_at_root(poly, root) > 0
-            for poly in dict.fromkeys(family.relative(x) for x in family.members() if x)
-        )
+        positive = result.attained_at == (0,)
 
     # Monotonicity under anchor inclusion, sampled on covering pairs:
     # a smaller anchor has a smaller relative polynomial on (0, t0].
@@ -325,17 +322,9 @@ def symmetric_counts(config: Configuration) -> SymmetricCountReport:
             if failed_level is None:
                 failed_level = level
             eta.append(None)
-    formula_ok = failed_level is None
-    if formula_ok:
-        factorial = 1
-        product = 1
-        for k in range(top + 1):
-            if k:
-                factorial *= k
-                product *= eta[k - 1]
-            if counts[k] * factorial != product:
-                formula_ok = False
-                break
+    formula_ok = failed_level is None and all(
+        counts[k] * math.factorial(k) == math.prod(eta[:k]) for k in range(top + 1)
+    )
     return SymmetricCountReport(
         counts=tuple(counts),
         eta=tuple(eta),
@@ -371,16 +360,6 @@ def _dodecahedron() -> Configuration:
         if frozenset((a, b)) not in edges
     ]
     return from_nubs(20, nubs, tuple(str(i + 1) for i in range(20)))
-
-
-BUILTIN_NAMES = (
-    "fig1-left",
-    "fig1-right",
-    "dodecahedron",
-    "star-N-K",
-    "path-N",
-    "complete-N",
-)
 
 
 def builtin(name: str) -> Configuration:

@@ -377,6 +377,28 @@ def test_one_family_per_configuration(capsys, monkeypatch, tmp_path):
     assert len(built) == 1 + parts == 4
 
 
+def test_verify_enumerates_the_family_once(capsys, monkeypatch):
+    # verify sums mu(t) over the members its space already enumerated
+    from configspaces import mobius
+
+    walks = []
+    original = mobius.enumerate_independence_sets
+
+    def counting(config):
+        walks.append(config)
+        return original(config)
+
+    monkeypatch.setattr(mobius, "enumerate_independence_sets", counting)
+    for argv in (
+        ("verify", "--name", "star-5-3", "--t", "1/4"),
+        ("verify", "--name", "path-10", "--t", "1/8"),
+        ("verify", "--name", "path-12", "--t", "1/2"),
+    ):
+        walks.clear()
+        code, out, _ = run(capsys, *argv)
+        assert (argv, len(walks)) == (argv, 1), out
+
+
 def test_dense_dependence_indicator(rng):
     for _ in range(40):
         config = random_configuration(rng.randint(0, 9), rng)

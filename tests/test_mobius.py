@@ -269,6 +269,67 @@ def test_classify_type_two_irrational_root():
     assert result.rest_at_t0.hi - result.rest_at_t0.lo <= Fraction(1, 2**64)
 
 
+def test_attaining_set_decides_relative_positivity(rng):
+    # attained_at == (0,) exactly when every relative polynomial with a
+    # nonempty anchor is positive at t0, the rule certified one
+    # polynomial at a time by sign_at_root before
+    from configspaces.poly import sign_at_root
+
+    cases = [(star(n, k), None) for n in range(2, 8) for k in range(1, n)]
+    cases += [(builtin("fig1-left"), None), (builtin("fig1-right"), None)]
+    cases.append((disjoint_union(star(3, 1), star(3, 1)), None))
+    for _ in range(25):
+        c = random_configuration(rng.randint(1, 7), rng, sizes=(2, 3, 4))
+        cases.append((c, None))
+        cases.append((c, random_valuation(c, rng)))
+    outcomes = set()
+    for c, valuation in cases:
+        family = MobiusFamily(c, valuation)
+        result = family.classify()
+        root = result.critical_root
+        old_rule = all(
+            sign_at_root(poly, root) > 0
+            for poly in dict.fromkeys(family.relative(x) for x in family.members() if x)
+        )
+        assert (result.attained_at == (0,)) == old_rule, (c, valuation)
+        outcomes.add((old_rule, result.config_type))
+    assert {True, False} == {rule for rule, _ in outcomes}
+    assert {TYPE_I, TYPE_II} == {kind for _, kind in outcomes}
+
+
+def test_classify_builds_each_sturm_chain_once(monkeypatch, rng):
+    # One classify builds the Sturm chain of each distinct polynomial,
+    # and of its squarefree part, at most once: isolation, root_free,
+    # compare_roots and first_positive_root share them
+    original = poly_module._sturm_chain
+    built: list[Polynomial] = []
+
+    def counting(p):
+        built.append(p)
+        return original(p)
+
+    monkeypatch.setattr(poly_module, "_sturm_chain", counting)
+    # Paths have repeated factors: the link of a middle vertex splits
+    # into two equal paths.  On a disjoint union of equal parts mu is a
+    # square, and compare_roots meets a gcd that is a witness times a
+    # constant.
+    cases = [star(9, 4), star(10, 5), builtin("path-12"), builtin("fig1-left")]
+    cases.append(disjoint_union(builtin("fig1-right"), builtin("fig1-right")))
+    cases += [random_configuration(rng.randint(3, 8), rng) for _ in range(20)]
+    repeated = 0
+    for c in cases:
+        built.clear()
+        family = MobiusFamily(c)
+        family.classify()
+        chains = list(built)
+        distinct = set(family.relative(x) for x in family.members())
+        squarefree = sum(poly_module.squarefree_part(p) == p for p in distinct)
+        repeated += squarefree < len(distinct)
+        assert len(set(map(id, chains))) == len(chains), c
+        assert 0 < len(chains) <= 2 * len(distinct) - squarefree, c
+    assert repeated
+
+
 def test_type_one_iff_mu_vanishes_at_root(rng):
     # the membership of the empty set in attained_at must agree with the
     # certified sign of mu at t0 (gcd-based equality for irrational t0)

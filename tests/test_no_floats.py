@@ -1,10 +1,10 @@
 """No float enters a decision on the serving path.
 
 An AST scan of the parser, the configuration model, root isolation,
-classification and the probability spaces rejects every ``float(...)``
-call and every float literal, except inside ``AlgebraicRoot.approx``,
-which renders a root for display only.  ``structure.py`` is left out:
-its random generator draws with a float probability.
+classification, the probability spaces and the structural analyses
+rejects every ``float(...)`` call and every float literal, except inside
+``AlgebraicRoot.approx``, which renders a root for display only, and
+``random_configuration``, whose draw compares a float probability.
 """
 
 import ast
@@ -12,17 +12,28 @@ from pathlib import Path
 
 import configspaces
 
-SOURCES = ("poly.py", "mobius.py", "core.py", "probspace.py", "cli.py")
+SOURCES = ("poly.py", "mobius.py", "core.py", "probspace.py", "cli.py", "structure.py")
+
+# Qualified names of the only scopes allowed to use floats.
+EXEMPT = {"AlgebraicRoot.approx", "random_configuration"}
 
 
 def _float_uses(tree: ast.AST) -> list[tuple[int, str]]:
-    """(line, kind) of each float call or literal outside AlgebraicRoot.approx."""
+    """(line, kind) of each float call or literal outside the EXEMPT scopes."""
     allowed: set[int] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "AlgebraicRoot":
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == "approx":
-                    allowed.update(id(inner) for inner in ast.walk(item))
+
+    def exempt(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                name = prefix + child.name
+                if name in EXEMPT:
+                    allowed.update(id(inner) for inner in ast.walk(child))
+                    continue
+                exempt(child, name + ".")
+            else:
+                exempt(child, prefix)
+
+    exempt(tree, "")
     found = []
     for node in ast.walk(tree):
         if id(node) in allowed:
@@ -48,3 +59,10 @@ def test_float_guard_sees_calls_and_literals():
     assert _float_uses(ast.parse(display_only)) == []
     elsewhere = "class AlgebraicRoot:\n    def width(self):\n        return float(1)\n"
     assert _float_uses(ast.parse(elsewhere)) == [(3, "float call")]
+    draw = "def random_configuration(n, rng, p=0.25):\n    return rng.random() < p\n"
+    assert _float_uses(ast.parse(draw)) == []
+    # Only the module-level function is exempt, and only its own body.
+    nested = "class Other:\n    def random_configuration(self):\n        return 0.5\n"
+    assert _float_uses(ast.parse(nested)) == [(3, "float literal")]
+    decision = "def symmetric_counts(config):\n    return 0.5 < 1\n"
+    assert _float_uses(ast.parse(decision)) == [(2, "float literal")]

@@ -202,6 +202,14 @@ def test_sign_at_root():
     exact = first_positive_root(P([1, -2]))
     assert sign_at_root(P([1, -2]), exact) == 0
     assert sign_at_root(P([1, -1]), exact) == 1
+    # a point interval evaluates exactly; the zero polynomial and
+    # constants need no branch of their own
+    assert sign_at_root(P([-1, 1]), exact) == -1
+    assert sign_at_root(P([-1, 0, 4]), exact) == 0  # 4t^2 - 1 at 1/2
+    for at in (root, exact):
+        assert sign_at_root(P([]), at) == 0
+        assert sign_at_root(P([3]), at) == 1
+        assert sign_at_root(P([-3]), at) == -1
 
 
 def test_simplest_rational_between():
