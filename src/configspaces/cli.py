@@ -9,9 +9,14 @@ Each handler builds at most one ``MobiusFamily`` per configuration it
 analyses and reads every reported quantity from it; ``space``,
 ``verify`` and ``sample`` get theirs through ``canonical_space``.
 ``relative`` builds its family on the anchor's link, the relative
-configuration, so it enumerates the link alone.  Every enumeration
-stops past ``core.MEMBER_BUDGET`` independence sets (exit 2), before
-anything built from the family is stored.
+configuration.  ``mobius`` and ``relative`` take mu by elimination, so
+they enumerate small leaves only; every other family is enumerated
+whole.  Every enumeration stops past ``core.MEMBER_BUDGET`` independence
+sets, and every elimination past that many memoised polynomials
+(exit 2), before anything built from the family is stored.
+``decompose`` and ``check-identities`` compare the product of the
+components' eliminated mu with an enumerated mu of the whole, so the
+check does not repeat the split it tests.
 ``verify`` reports ``routes_agree``: whether the dense sign-word route
 reproduces the canonical atoms.  That route takes independence from the
 nubs, closed upward over all 2^n masks, not from the enumerated family,
@@ -43,7 +48,7 @@ from typing import Any, Sequence
 
 from . import core, probspace, structure
 from .core import Configuration, Restriction, Valuation
-from .mobius import MobiusFamily, RestBound
+from .mobius import MobiusFamily, RestBound, _enumerated_mu
 from .poly import (
     AlgebraicRoot,
     Polynomial,
@@ -97,7 +102,9 @@ OPERATION_COMMANDS = {
     "canonical_key": "builtin",
     # mobius: the methods of MobiusFamily.  The relative command reports
     # mu of the anchor's link, which equals MobiusFamily.relative of the
-    # anchor; the inversion check sums MobiusFamily.transform.
+    # anchor; the inversion check sums MobiusFamily.transform.  mu
+    # eliminates down to small enumerated leaves until the packed
+    # transform is built, and is relative(0) after.
     "mu": "mobius",
     "relative": "relative",
     "transform": "check-identities",
@@ -295,7 +302,7 @@ def _cmd_relative(args, config, valuation) -> tuple[dict, int]:
     names = [s for s in args.set.split(",") if s]
     anchor = config.mask_of_labels(names)
     view = core.relative_configuration(config, anchor)
-    # mu^{|x} is the Mobius polynomial of the link: only it is enumerated.
+    # mu^{|x} is the Mobius polynomial of the link: only it is eliminated.
     poly = MobiusFamily(view.config, valuation.restrict(view.index_map)).mu()
     return {
         "set": config.labels_of(anchor),
@@ -448,7 +455,9 @@ def _component_product(
 
     An irreducible configuration is its one component, so its product is
     ``whole``, the Mobius polynomial already enumerated; only a split
-    configuration enumerates its parts.
+    configuration computes its parts' polynomials.  ``whole`` must come
+    from an enumeration of the whole: ``MobiusFamily.mu`` itself
+    multiplies components, so comparing with it would check nothing.
     """
     if len(parts) == 1:
         return whole
@@ -460,7 +469,7 @@ def _component_product(
 
 def _cmd_decompose(args, config, valuation) -> tuple[dict, int]:
     parts = structure.components(config)
-    whole = MobiusFamily(config, valuation).mu()
+    whole = _enumerated_mu(config, valuation.weights)
     return {
         "components": [
             {
@@ -540,7 +549,8 @@ def _cmd_check_identities(args) -> tuple[dict, int]:
             failures.append(f"trial {trial}: derivative identity residual nonzero")
         if not family.inversion_check():
             failures.append(f"trial {trial}: inversion identity failed")
-        mu = family.mu()
+        # relative(0) reads the packed transform of the enumerated family.
+        mu = family.relative(0)
         if _component_product(structure.components(config), valuation, mu) != mu:
             failures.append(f"trial {trial}: decomposition product mismatch")
         rebuilt = core.from_independence_list(config.n, family.members(), config.labels)

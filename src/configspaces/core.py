@@ -15,7 +15,10 @@ one mask per member the memo reaches, walked or not (see
 ``enumerate_independence_sets``).  Every object built from the
 independence family costs work in proportion to its size, so
 enumeration stops past ``MEMBER_BUDGET`` members, yielded or memoised,
-rather than at a vertex count.
+rather than at a vertex count.  The restrictions the Mobius polynomial
+is eliminated over, links (``relative_configuration``), deletions and
+nub-connected components (``components``), are built here, so that
+``mobius`` needs nothing from ``structure``.
 Configurations are immutable after construction and all queries are
 read-only, so they are safe to share across threads.
 """
@@ -48,6 +51,7 @@ __all__ = [
     "from_nubs",
     "from_independence_list",
     "is_right_angled",
+    "components",
     "enumerate_independence_sets",
     "relative_configuration",
     "valuation_of",
@@ -185,7 +189,7 @@ class Restriction:
     it as 0..k-1 under the original labels, with ``index_map[i]`` the
     original index of vertex i.  An anchor's link
     (``relative_configuration``) and each nub-connected component
-    (``structure.components``) are restrictions.
+    (``components``) are restrictions.
     """
 
     vertices: int
@@ -325,6 +329,36 @@ def from_independence_list(
 def is_right_angled(config: Configuration) -> bool:
     """True iff every nub has exactly two vertices (vacuous if none)."""
     return all(nub.bit_count() == 2 for nub in config.nubs)
+
+
+def components(config: Configuration) -> tuple[Restriction, ...]:
+    """Connected components of the nub hypergraph, by least vertex.
+
+    Vertices sharing a nub are connected; vertices in no nub form
+    singleton components.  Independence in the whole configuration is
+    equivalent to independence of the restriction to every part.
+    """
+    parent = list(range(config.n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for nub in config.nubs:
+        verts = indices_of(nub)
+        for other in verts[1:]:
+            parent[find(verts[0])] = find(other)
+    # Keyed by root, inserted in order of each component's least vertex.
+    vertices: dict[int, int] = {}
+    for i in range(config.n):
+        root = find(i)
+        vertices[root] = vertices.get(root, 0) | (1 << i)
+    nubs: dict[int, list[int]] = {root: [] for root in vertices}
+    for nub in config.nubs:
+        nubs[find((nub & -nub).bit_length() - 1)].append(nub)
+    return tuple(Restriction.of(config, vertices[root], nubs[root]) for root in vertices)
 
 
 def _over_budget() -> str:

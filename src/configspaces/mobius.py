@@ -28,9 +28,21 @@ N(z) over the independent z containing x with |z| = k.  Digit |x| is
 N(x) alone and f(z) / f(x) = f(z - x), so coefficient d of mu^{|x} is
 (-1)^d digit_{|x|+d} / digit_{|x|}.  No digit exceeds the sum of all
 N(z), which fits in B bits, so no carry crosses digits.  No relative
-configuration is built.  The critical root is searched lazily:
-only polynomials that may have a root at or below the best one found
-are isolated (see ``MobiusFamily.critical_root``).
+configuration is built.
+
+mu alone needs no transform.  Deleting vertex v splits the family into
+the sets that miss v and the sets v | y with y independent in the link
+of v, so mu_C = mu_{C - v} - f(v) t mu^{|v}: the paper's derivative
+formula taken at one vertex, and the deletion-link recursion of Gutman
+and Harary for independence polynomials.  On a disjoint union mu is the
+product over the components.  ``MobiusFamily.mu`` splits and eliminates
+down to small leaves and enumerates only those, so its cost follows the
+distinct restrictions it meets, not the family: ``path-64`` has about
+2.8e13 members and 54 distinct restrictions, two of them leaves.
+
+The critical root is searched lazily: only polynomials that may have a
+root at or below the best one found are isolated (see
+``MobiusFamily.critical_root``).
 """
 
 from __future__ import annotations
@@ -38,14 +50,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, MutableMapping, Union
+from typing import Iterable, MutableMapping, Sequence, Union
 
+from . import core
 from .core import (
     Configuration,
     NonPositiveWeight,
     NotIndependent,
+    Restriction,
+    TooLarge,
     Valuation,
+    components,
     enumerate_independence_sets,
+    relative_configuration,
 )
 from .poly import (
     AlgebraicRoot,
@@ -132,12 +149,91 @@ def _scaled_products(
     return scale, scaled
 
 
+def _enumerated_mu(config: Configuration, weights: Sequence[Fraction]) -> Polynomial:
+    """The Mobius polynomial, summed by size straight from the walk.
+
+    Nothing per member is stored here; on a right-angled configuration
+    the enumeration keeps only its branch, otherwise it keeps up to one
+    extension mask per member, at most ``core.MEMBER_BUDGET`` of them
+    (see ``core.enumerate_independence_sets``).
+    """
+    scale = math.prod(w.denominator for w in weights)
+    sums = [0] * (config.n + 1)
+    # The current branch of the depth-first walk, as (z, D f(z)) pairs:
+    # z minus its top vertex is on it when z is yielded.
+    branch = [(0, scale)]
+    for z in enumerate_independence_sets(config):
+        if z:
+            top = z.bit_length() - 1
+            while branch[-1][0] != z ^ (1 << top):
+                branch.pop()
+            w = weights[top]
+            branch.append((z, branch[-1][1] // w.denominator * w.numerator))
+        sums[z.bit_count()] += branch[-1][1]
+    return Polynomial(Fraction(-total if k % 2 else total, scale) for k, total in enumerate(sums))
+
+
+#: Restrictions with at most this many vertices are enumerated, not split.
+_LEAF_VERTICES = 12
+
+
+def _eliminated_mu(config: Configuration, weights: Sequence[Fraction]) -> Polynomial:
+    """The Mobius polynomial by component split and deletion-link
+    elimination, enumerating only at the leaves.
+
+    The independence sets of C either miss its vertex 0, and are those
+    of C - 0, or are 0 plus an independence set of the link of 0, so
+    mu_C = mu_{C - 0} - f(0) t mu_{link(0)}; and the polynomial of a
+    disjoint union is the product over its nub-connected components.
+    A restriction with at least as many nubs as vertices, or at most
+    ``_LEAF_VERTICES`` of them, is a leaf and summed by
+    ``_enumerated_mu``: there a walk over few members is cheaper than
+    re-indexing many nubs per step.  Otherwise a split restriction
+    multiplies its components, and a connected one eliminates vertex 0.
+
+    Results are memoised for this call on the compacted key (vertex
+    count, nubs, weights), the weights as indices into the distinct
+    weights so that keys hash as integers.  :class:`TooLarge` is raised
+    once the memo holds more than ``core.MEMBER_BUDGET`` polynomials.
+    """
+    values = list(dict.fromkeys(weights))
+    index = {w: i for i, w in enumerate(values)}
+    memo: dict[tuple[int, tuple[int, ...], tuple[int, ...]], Polynomial] = {}
+
+    def mu_of(c: Configuration, classes: tuple[int, ...]) -> Polynomial:
+        key = (c.n, c.nubs, classes)
+        found = memo.get(key)
+        if found is not None:
+            return found
+        if len(c.nubs) >= c.n or c.n <= _LEAF_VERTICES:
+            found = _enumerated_mu(c, [values[k] for k in classes])
+        else:
+            parts = components(c)
+            if len(parts) > 1:
+                found = Polynomial([1])
+                for part in parts:
+                    found = found * mu_of(part.config, tuple(classes[i] for i in part.index_map))
+            else:
+                rest = Restriction.of(c, c.vertex_mask ^ 1, [nub for nub in c.nubs if not nub & 1])
+                link = relative_configuration(c, 1)
+                linked = mu_of(link.config, tuple(classes[i] for i in link.index_map))
+                found = mu_of(rest.config, classes[1:]) - (linked * values[classes[0]]).shifted(1)
+        memo[key] = found
+        if len(memo) > core.MEMBER_BUDGET:
+            raise TooLarge(
+                f"the elimination memo exceeds the member budget of {core.MEMBER_BUDGET}"
+            )
+        return found
+
+    return mu_of(config, tuple(index[w] for w in weights))
+
+
 class MobiusFamily:
     """All relative Mobius polynomials of one weighted configuration.
 
     The independence family and its packed zeta transform (see the
     module docstring) are built on first use and kept; ``mu`` alone
-    needs neither and sums straight from the enumeration.  Anchors whose
+    needs neither and eliminates down to enumerated leaves.  Anchors whose
     transform digits agree share one polynomial object.  Everything
     kept is write-once: racing writers would store identical values, so
     concurrent reads are safe.
@@ -162,33 +258,16 @@ class MobiusFamily:
         return self._members
 
     def mu(self) -> Polynomial:
-        """The Mobius polynomial, summed by size straight from the walk.
+        """The Mobius polynomial.
 
-        Nothing per member is stored here; on a right-angled
-        configuration the enumeration keeps only its branch, otherwise
-        it keeps up to one extension mask per member, at most
-        ``core.MEMBER_BUDGET`` of them (see
-        ``core.enumerate_independence_sets``).
+        Once the packed transform is built this is ``relative(0)``;
+        before, it is eliminated down to small enumerated leaves (see
+        ``_eliminated_mu``), and the whole family is neither enumerated
+        nor stored.
         """
         if self._zeta is not None:
             return self.relative(0)
-        weights = self.valuation.weights
-        scale = math.prod(w.denominator for w in weights)
-        sums = [0] * (self.config.n + 1)
-        # The current branch of the depth-first walk, as (z, D f(z)) pairs:
-        # z minus its top vertex is on it when z is yielded.
-        branch = [(0, scale)]
-        for z in enumerate_independence_sets(self.config):
-            if z:
-                top = z.bit_length() - 1
-                while branch[-1][0] != z ^ (1 << top):
-                    branch.pop()
-                w = weights[top]
-                branch.append((z, branch[-1][1] // w.denominator * w.numerator))
-            sums[z.bit_count()] += branch[-1][1]
-        return Polynomial(
-            Fraction(-total if k % 2 else total, scale) for k, total in enumerate(sums)
-        )
+        return _eliminated_mu(self.config, self.valuation.weights)
 
     def _packed_sums(self) -> dict[int, int]:
         """Digit k of entry x: the sum of D f(z) over members z containing

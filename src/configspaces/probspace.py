@@ -339,7 +339,7 @@ class SplitMix64:
     state' = state + 0x9E3779B97F4A7C15; the output mixes the new state
     with xor-shifts and the multipliers 0xBF58476D1CE4E5B9 and
     0x94D049BB133111EB.  Identical seeds give identical streams on
-    every platform.
+    every platform.  ``sample`` runs the same step inline.
     """
 
     def __init__(self, seed: int):
@@ -370,9 +370,14 @@ def sample(space: ConfiguredSpace, count: int, seed: int) -> dict[int, int]:
         cumulative += mass
         boundaries.append((cumulative.numerator << 64) // cumulative.denominator)
     tallies = {mask: 0 for mask, _ in atoms}
-    rng = SplitMix64(seed)
+    state = seed & _MASK64
     for _ in range(count):
+        # SplitMix64.next_word, inline: one method call per draw was
+        # most of the loop.
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         # The first boundary above the word; the last one is 2**64.
-        index = bisect_right(boundaries, rng.next_word())
+        index = bisect_right(boundaries, z ^ (z >> 31))
         tallies[atoms[index][0]] += 1
     return tallies

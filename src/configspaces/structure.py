@@ -18,8 +18,8 @@ from typing import Iterable, Sequence
 from . import core
 from .core import (
     Configuration,
-    Restriction,
     Valuation,
+    components,
     default_labels,
     enumerate_independence_sets,
     from_nubs,
@@ -73,36 +73,6 @@ class BadParameters(ValueError):
 
 class UnknownDataset(ValueError):
     """No built-in configuration under that name."""
-
-
-def components(config: Configuration) -> tuple[Restriction, ...]:
-    """Connected components of the nub hypergraph, by least vertex.
-
-    Vertices sharing a nub are connected; vertices in no nub form
-    singleton components.  Independence in the whole configuration is
-    equivalent to independence of the restriction to every part.
-    """
-    parent = list(range(config.n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for nub in config.nubs:
-        verts = indices_of(nub)
-        for other in verts[1:]:
-            parent[find(verts[0])] = find(other)
-    # Keyed by root, inserted in order of each component's least vertex.
-    vertices: dict[int, int] = {}
-    for i in range(config.n):
-        root = find(i)
-        vertices[root] = vertices.get(root, 0) | (1 << i)
-    nubs: dict[int, list[int]] = {root: [] for root in vertices}
-    for nub in config.nubs:
-        nubs[find((nub & -nub).bit_length() - 1)].append(nub)
-    return tuple(Restriction.of(config, vertices[root], nubs[root]) for root in vertices)
 
 
 def is_irreducible(config: Configuration) -> bool:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import re
 import tracemalloc
 from fractions import Fraction
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from configspaces import cli, probspace
+from configspaces import cli, mobius, probspace
 from configspaces.cli import (
     COMMANDS,
     OPERATION_COMMANDS,
@@ -18,6 +19,7 @@ from configspaces.cli import (
 )
 from configspaces.core import valuation_of
 from configspaces.mobius import MobiusFamily
+from configspaces.poly import Polynomial, poly_to_strings
 from configspaces.structure import (
     builtin,
     components,
@@ -361,20 +363,23 @@ def test_one_family_per_configuration(capsys, monkeypatch, tmp_path):
         ("right-angled", "--name", "path-6"),
         ("series", "--name", "fig1-right"),
         ("symmetric-counts", "--name", "fig1-left"),
-        # An irreducible configuration is its own one component.
-        ("decompose", "--name", "star-9-4"),
     ]
     for argv in commands:
         built.clear()
         code, _, _ = run(capsys, *argv)
         assert (argv[0], code, len(built)) == (argv[0], 0, 1)
+    # decompose sums the whole by enumeration, with no family, and an
+    # irreducible configuration is its own one component.
+    built.clear()
+    code, _, _ = run(capsys, "decompose", "--name", "star-9-4")
+    assert (code, len(built)) == (0, 0)
     path = tmp_path / "cfg.txt"
     path.write_text("vertices: a b c d e\nnub: a b\nnub: c d\n")
     parts = len(components(parse_config(path.read_text())[0]))
     built.clear()
     code, _, _ = run(capsys, "decompose", "--input", str(path))
     assert code == 0
-    assert len(built) == 1 + parts == 4
+    assert len(built) == parts == 3
 
 
 def test_verify_enumerates_the_family_once(capsys, monkeypatch):
@@ -521,15 +526,62 @@ def test_pretty_flag(capsys):
     "argv",
     [
         ("classify", "--name", "path-20"),  # 17,711 independence sets
-        ("mobius", "--name", "path-20"),  # streaming: nothing stored
+        ("mobius", "--name", "path-20"),  # eliminated: leaves of at most 377
         ("relative", "--name", "path-20", "--set", "1"),  # a link of 6,765
     ],
     ids=lambda argv: argv[0],
 )
 def test_member_budget(capsys, monkeypatch, argv):
+    # The budget bounds enumerations and memo keys: classify enumerates
+    # the whole family, mobius and relative eliminate down to small leaves.
+    if argv[0] == "classify":
+        monkeypatch.setattr(cli.core, "MEMBER_BUDGET", 4096)
+        err = refused_within_a_mebibyte(capsys, *argv)
+        assert "member budget of 4096" in err
+        return
+    _, unpatched, _ = run(capsys, *argv)
     monkeypatch.setattr(cli.core, "MEMBER_BUDGET", 4096)
-    err = refused_within_a_mebibyte(capsys, *argv)
-    assert "member budget of 4096" in err
+    assert run(capsys, *argv) == (0, unpatched, "")
+
+
+def path_mu(n):
+    """mu of path-n as printed: coefficient k is (-1)^k C(n + 1 - k, k)."""
+    return [str((-1) ** k * math.comb(n + 1 - k, k)) for k in range((n + 1) // 2 + 1)]
+
+
+def test_elimination_past_the_budget(capsys, tmp_path):
+    # path-64 has about 2.8e13 independence sets, DEEP_TRIPLE 7 * 2^37.
+    code, out, _ = run(capsys, "mobius", "--name", "path-64")
+    assert (code, payload_of(out)["mu"]) == (0, path_mu(64))
+    code, out, _ = run(capsys, "relative", "--name", "path-64", "--set", "1")
+    payload = payload_of(out)
+    assert (code, payload["mu_relative"]) == (0, path_mu(62))
+    assert payload["vertices"] == [str(i) for i in range(3, 65)]
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_TRIPLE)
+    code, out, _ = run(capsys, "mobius", "--input", str(path))
+    expected = Polynomial((-1) ** k * math.comb(37, k) for k in range(38)) * Polynomial([1, -3, 3])
+    assert (code, payload_of(out)["mu"]) == (0, poly_to_strings(expected))
+    # classify still enumerates the whole family.
+    code, out, err = run(capsys, "classify", "--name", "path-25")
+    assert (code, out) == (2, "")
+    assert err == "error: the independence family exceeds the member budget of 131072\n"
+
+
+def test_product_check_catches_wrong_elimination(capsys, monkeypatch, tmp_path):
+    # path-13 and a disjoint pair: the path component is eliminated, and
+    # the product is compared with an enumeration of the whole.
+    labels = [f"p{i}" for i in range(13)] + ["x", "y"]
+    nubs = [[f"p{i}", f"p{i + 1}"] for i in range(12)] + [["x", "y"]]
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps({"vertices": labels, "nubs": nubs}))
+    code, out, _ = run(capsys, "decompose", "--input", str(path))
+    assert (code, payload_of(out)["product_check"]) == (0, True)
+    original = mobius.relative_configuration
+    # The link of the next vertex in place of the link of vertex 0.
+    monkeypatch.setattr(mobius, "relative_configuration", lambda c, x: original(c, x << 1))
+    code, out, _ = run(capsys, "decompose", "--input", str(path))
+    assert (code, payload_of(out)["product_check"]) == (0, False)
 
 
 # 40 vertices and the one nub {37, 38, 39}: 2^40 - 2^37 members, and a

@@ -1,11 +1,15 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import configspaces.core as core_module
+import configspaces.mobius as mobius_module
 import configspaces.poly as poly_module
 from configspaces.core import (
     NotIndependent,
+    TooLarge,
     Valuation,
     from_nubs,
     relative_configuration,
@@ -17,6 +21,7 @@ from configspaces.mobius import (
     TYPE_I,
     TYPE_II,
     TrivialConfiguration,
+    _enumerated_mu,
 )
 from configspaces.poly import (
     Polynomial,
@@ -56,17 +61,120 @@ def test_mobius_trivial():
 
 
 def test_mu_streams_on_right_angled():
-    # path-20 has 17,711 members; a walk that kept one mask per member,
-    # or a whole level of them, peaks at 0.8 MB or more.
-    family = MobiusFamily(builtin("path-20"))
+    # The leaf kernel, which classify's walk and every leaf run: path-20
+    # has 17,711 members, and a walk that kept one mask per member, or a
+    # whole level of them, peaks at 0.8 MB or more.
+    path = builtin("path-20")
+    weights = Valuation.uniform(path.n).weights
+    tracemalloc.start()
+    try:
+        mu = _enumerated_mu(path, weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert mu(Fraction(0)) == 1 and mu.degree == 10
+
+
+def test_eliminated_mu_memory():
+    # path-64: about 2.8e13 members, 54 memoised polynomials.
+    family = MobiusFamily(builtin("path-64"))
     tracemalloc.start()
     try:
         mu = family.mu()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 100_000
-    assert mu(Fraction(0)) == 1 and mu.degree == 10
+    assert peak < 2**20
+    assert mu.degree == 32 and mu.coefficients[1] == -64
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts the links taken by elimination."""
+    calls = []
+
+    def counting(config, x):
+        calls.append(x)
+        return relative_configuration(config, x)
+
+    monkeypatch.setattr(mobius_module, "relative_configuration", counting)
+    return calls
+
+
+def chain_configuration(n, rng):
+    """A path of n - 1 nubs under shuffled labels, some widened.
+
+    Nub i holds chain positions i and i + 1, and one time in twelve one
+    or two more positions, none next to another of its positions, so no
+    nub contains another.  The whole is connected with fewer nubs than
+    vertices, and its family stays near a path's.
+    """
+    order = rng.sample(range(n), n)
+    nubs = []
+    for i in range(n - 1):
+        nub = [i, i + 1]
+        far = [j for j in range(n) if j < i - 1 or j > i + 2]
+        width = rng.choice((2,) * 10 + (3, 4))
+        while len(nub) < width and far:
+            j = rng.choice(far)
+            nub.append(j)
+            far = [k for k in far if abs(k - j) > 1]
+        nubs.append([order[j] for j in nub])
+    return from_nubs(n, nubs)
+
+
+def test_elimination_matches_leaf_kernel(rng, eliminations):
+    sizes = set()
+    for _ in range(200):
+        c = chain_configuration(rng.randint(13, 20), rng)
+        f = random_valuation(c, rng)
+        assert len(c.nubs) == c.n - 1
+        sizes.update(nub.bit_count() for nub in c.nubs)
+        eliminations.clear()
+        assert MobiusFamily(c, f).mu() == _enumerated_mu(c, f.weights)
+        assert eliminations
+    assert sizes == {2, 3, 4}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        builtin("path-13"),
+        builtin("path-20"),
+        disjoint_union(builtin("path-14"), star(4, 3)),
+        star(14, 13),
+    ],
+    ids=["path-13", "path-20", "union", "star-14-13"],
+)
+def test_elimination_on_built_ins(config, eliminations):
+    uniform = Valuation.uniform(config.n)
+    weighted = Valuation(tuple(Fraction(1 + i % 3, 2 + i % 5) for i in range(config.n)))
+    for f in (uniform, weighted):
+        eliminations.clear()
+        assert MobiusFamily(config, f).mu() == _enumerated_mu(config, f.weights)
+        assert eliminations
+
+
+def test_star_closed_form_by_elimination(eliminations):
+    # star(n, n - 1): mu is (1 - t)^n without its top term.
+    for n in (13, 16, 24):
+        full = [(-1) ** k * math.comb(n, k) for k in range(n)]
+        assert MobiusFamily(star(n, n - 1)).mu() == P(full)
+    assert eliminations
+
+
+def test_elimination_memo_budget(monkeypatch):
+    # 37 free vertices of distinct weights and one triple: 39 distinct
+    # restrictions, none with more than 7 members.
+    config = from_nubs(40, [(37, 38, 39)])
+    f = Valuation(tuple(Fraction(i + 1) for i in range(40)))
+    expected = MobiusFamily(config, f).mu()
+    monkeypatch.setattr(core_module, "MEMBER_BUDGET", 39)
+    assert MobiusFamily(config, f).mu() == expected
+    monkeypatch.setattr(core_module, "MEMBER_BUDGET", 38)
+    with pytest.raises(TooLarge, match="elimination memo exceeds the member budget of 38"):
+        MobiusFamily(config, f).mu()
 
 
 def test_mobius_matches_powerset_oracle(rng):

@@ -1,3 +1,5 @@
+import bisect
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -223,6 +225,25 @@ def test_splitmix_reference_values():
         0x06C45D188009454F,
         0xF88BB8A8724C81EC,
     ]
+
+
+def test_sample_stream_is_next_word(rng):
+    # sample runs the SplitMix64 step inline.  Draw k is the atom whose
+    # tally grows from count k - 1 to count k; it must be the atom that
+    # next_word's k-th word lands in.
+    space = canonical_space(builtin("path-7"), None, Fraction(1, 8))
+    atoms = space.sorted_atoms()
+    cumulative = itertools.accumulate(mass for _, mass in atoms)
+    boundaries = [(c.numerator << 64) // c.denominator for c in cumulative]
+    for seed in (0, 1, 7, -3, 2**63 + 5, rng.getrandbits(64)):
+        generator = SplitMix64(seed)
+        previous = sample(space, 0, seed)
+        for count in range(1, 41):
+            tallies = sample(space, count, seed)
+            drawn = [mask for mask, tally in tallies.items() if tally != previous[mask]]
+            word = generator.next_word()
+            assert drawn == [atoms[bisect.bisect_right(boundaries, word)][0]]
+            previous = tallies
 
 
 def test_sample_zero_count():
