@@ -20,11 +20,13 @@ is eliminated over, links (``relative_configuration``), deletions and
 nub-connected components (``components``), are built here, so that
 ``mobius`` needs nothing from ``structure``.
 Configurations are immutable after construction and all queries are
-read-only, so they are safe to share across threads.
+read-only (the label tables of ``labels_of`` are a write-once cache), so
+they are safe to share across threads.
 """
 
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,6 +121,17 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"v{i}" for i in range(n))
 
 
+@functools.lru_cache(maxsize=64)
+def _byte_table(labels: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    """The labels of each subset of up to eight vertices, by mask: the
+    table doubles once per vertex, the new half adding its label.
+    Shared by every configuration with the same eight labels."""
+    table: list[tuple[str, ...]] = [()]
+    for label in labels:
+        table += [entry + (label,) for entry in table]
+    return tuple(table)
+
+
 @dataclass(frozen=True)
 class Configuration:
     """Vertex count, labels, and the antichain of nubs (bitmasks)."""
@@ -134,8 +147,22 @@ class Configuration:
     def label_of(self, index: int) -> str:
         return self.labels[index]
 
+    @functools.cached_property
+    def _label_tables(self) -> tuple[tuple[tuple[str, ...], ...], ...]:
+        """Per byte of a mask, the labels of each of its values."""
+        return tuple(_byte_table(self.labels[i : i + 8]) for i in range(0, self.n, 8))
+
     def labels_of(self, mask: int) -> list[str]:
-        return [self.labels[i] for i in indices_of(mask)]
+        """The labels of mask's vertices in increasing order, read a byte
+        at a time from tables built on first use."""
+        out: list[str] = []
+        tables = self._label_tables
+        byte = 0
+        while mask:
+            out += tables[byte][mask & 255]
+            mask >>= 8
+            byte += 1
+        return out
 
     def word(self, mask: int) -> str:
         """Word notation for a vertex set (empty set prints as 'e')."""

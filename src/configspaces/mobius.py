@@ -28,7 +28,9 @@ N(z) over the independent z containing x with |z| = k.  Digit |x| is
 N(x) alone and f(z) / f(x) = f(z - x), so coefficient d of mu^{|x} is
 (-1)^d digit_{|x|+d} / digit_{|x|}.  No digit exceeds the sum of all
 N(z), which fits in B bits, so no carry crosses digits.  No relative
-configuration is built.
+configuration is built.  The entry of x shifted down by B |x| is its
+digit key: anchors with equal keys share one polynomial, and keys that
+differ by a factor (the same link, another f(x)) give equal ones.
 
 mu alone needs no transform.  Deleting vertex v splits the family into
 the sets that miss v and the sets v | y with y independent in the link
@@ -245,16 +247,18 @@ class MobiusFamily:
         if any(w <= 0 for w in self.valuation.weights):
             raise NonPositiveWeight("the packed transform needs positive weights")
         self._members: list[int] | None = None
-        self._zeta: dict[int, int] | None = None
+        self._keys: dict[int, int] | None = None
         self._width = 0
         self._polynomials: dict[int, Polynomial] = {}
 
     def members(self) -> list[int]:
-        """The independence family, enumerated once."""
+        """The independence family in (size, mask) order, enumerated
+        once: bucketed by size, each bucket sorted as plain ints."""
         if self._members is None:
-            self._members = sorted(
-                enumerate_independence_sets(self.config), key=lambda m: (m.bit_count(), m)
-            )
+            buckets: list[list[int]] = [[] for _ in range(self.config.n + 1)]
+            for z in enumerate_independence_sets(self.config):
+                buckets[z.bit_count()].append(z)
+            self._members = [z for bucket in buckets for z in sorted(bucket)]
         return self._members
 
     def mu(self) -> Polynomial:
@@ -265,38 +269,48 @@ class MobiusFamily:
         ``_eliminated_mu``), and the whole family is neither enumerated
         nor stored.
         """
-        if self._zeta is not None:
+        if self._keys is not None:
             return self.relative(0)
         return _eliminated_mu(self.config, self.valuation.weights)
 
-    def _packed_sums(self) -> dict[int, int]:
-        """Digit k of entry x: the sum of D f(z) over members z containing
-        x with |z| = k, each digit ``self._width`` bits wide."""
-        if self._zeta is None:
+    def _digit_keys(self) -> dict[int, int]:
+        """Per member x, in (size, mask) order, its digit key: digit d,
+        ``self._width`` bits wide, is the sum of D f(z) over members z
+        containing x with |z| = |x| + d (see ``_decode``)."""
+        if self._keys is None:
             members = self.members()
             _, table = _scaled_products(members, self.valuation, Fraction(1))
             width = sum(table.values()).bit_length()
             for z in members:
                 table[z] <<= width * z.bit_count()
             _superset_transform(table, members, self.config.n, 1)
-            self._width, self._zeta = width, table
-        return self._zeta
+            for z in members:
+                table[z] >>= width * z.bit_count()
+            self._width, self._keys = width, table
+        return self._keys
+
+    def _decode(self, key: int) -> tuple[list[int], int]:
+        """The signed integer coefficients of a digit key and its lead:
+        coefficient d of the relative polynomial is coeffs[d] / lead,
+        and the lead, D f(x) for the anchor x, is positive."""
+        low = (1 << self._width) - 1
+        coeffs: list[int] = []
+        while key:
+            value = key & low
+            coeffs.append(-value if len(coeffs) % 2 else value)
+            key >>= self._width
+        return coeffs, coeffs[0]
 
     def relative(self, x: int) -> Polynomial:
         """mu^{|x}: the Mobius polynomial of the configuration relative to x."""
-        packed = self._packed_sums()
-        if x not in packed and not self.config.is_independent(x):
+        keys = self._digit_keys()
+        if x not in keys and not self.config.is_independent(x):
             raise NotIndependent(f"{self.config.word(x)} is not an independence set")
-        digits = packed[x] >> (self._width * x.bit_count())
-        poly = self._polynomials.get(digits)
+        key = keys[x]
+        poly = self._polynomials.get(key)
         if poly is None:
-            low = (1 << self._width) - 1
-            rest, lead, coeffs = digits, digits & low, []
-            while rest:
-                value = rest & low
-                coeffs.append(Fraction(-value if len(coeffs) % 2 else value, lead))
-                rest >>= self._width
-            poly = self._polynomials[digits] = Polynomial(coeffs)
+            coeffs, lead = self._decode(key)
+            poly = self._polynomials[key] = Polynomial([Fraction(c, lead) for c in coeffs])
         return poly
 
     def transform(self, x: int) -> Polynomial:
@@ -334,8 +348,12 @@ class MobiusFamily:
         linear (drop one vertex from a maximal independence set), so the
         minimum always exists for a non-trivial configuration.
 
-        Distinct polynomials are visited in the (size, mask) order of
-        their first anchor.  One with no root in (0, best.hi], certified
+        Each member's digit key is read once, and ``relative`` is called
+        once per distinct key.  Keys differing by a factor give equal
+        polynomials, so these are deduplicated by value before any root
+        work; ``attained_at`` is read off the keys.  Distinct
+        polynomials are visited in the (size, mask) order of their
+        first anchor.  One with no root in (0, best.hi], certified
         by ``root_free``, cannot reach the minimum (the best root only
         decreases) and is never isolated.  The others are isolated
         coarsely (``isolate_first_root``: until one root is left in the
@@ -348,11 +366,14 @@ class MobiusFamily:
         """
         if self.config.n == 0:
             raise TrivialConfiguration("the empty configuration has no critical root")
-        members = self.members()
-        polys = [self.relative(x) for x in members]
+        keys = self._digit_keys()
+        # Each distinct key, in order of its first anchor, with one of its
+        # anchors (the last: later ones overwrite the value, not the order).
+        anchors = dict(zip(keys.values(), keys))
+        polys = {key: self.relative(x) for key, x in anchors.items()}
         best: AlgebraicRoot | None = None
         attaining: set[Polynomial] = set()
-        for poly in dict.fromkeys(polys):
+        for poly in dict.fromkeys(polys.values()):
             if best is not None and root_free(poly, best.hi):
                 continue
             root = isolate_first_root(poly)
@@ -365,7 +386,8 @@ class MobiusFamily:
                 attaining.add(poly)
         if best is None:
             raise AssertionError("no relative polynomial has a positive root")
-        return best, tuple(x for x, poly in zip(members, polys) if poly in attaining)
+        hits = {key for key, poly in polys.items() if poly in attaining}
+        return best, tuple(x for x, key in keys.items() if key in hits)
 
     def classify(self) -> Classification:
         """Type I when the empty set attains t0, where mu vanishes.  Every

@@ -9,6 +9,7 @@ formula, and the named built-in datasets.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,6 @@ from .core import (
     default_labels,
     enumerate_independence_sets,
     from_nubs,
-    indices_of,
     is_right_angled,
     mask_from_indices,
 )
@@ -206,8 +206,11 @@ def right_angled_properties(
     (c) when irreducible, every relative polynomial with nonempty anchor
     is strictly positive at the critical root, exactly when only the
     empty set attains it (see ``MobiusFamily.classify``); (d) relative
-    polynomials are monotone under anchor inclusion at sampled rational
-    points in (0, t0].
+    polynomials are monotone under anchor inclusion at the four points
+    root.lo * k/4, k = 1..4, in (0, t0]: on each covering pair of
+    anchors the smaller one's polynomial is at most the larger one's,
+    decided in integers once per distinct pair of digit keys
+    (``_monotone_under_inclusion``), with no Fraction evaluation.
     """
     if not is_right_angled(config):
         raise NotRightAngled("property report needs all nubs of size 2")
@@ -224,29 +227,51 @@ def right_angled_properties(
         simple = g.degree < 1 or sign_at_root(g, root) != 0
         positive = result.attained_at == (0,)
 
-    # Monotonicity under anchor inclusion, sampled on covering pairs:
-    # a smaller anchor has a smaller relative polynomial on (0, t0].
-    samples = [root.lo * Fraction(k, 4) for k in (1, 2, 3, 4)]
-    # One evaluation per distinct polynomial, not per covering pair.
-    values = {
-        poly: tuple(poly(t) for t in samples)
-        for poly in {family.relative(x) for x in family.members()}
-    }
-    monotone = True
-    for x in family.members():
-        above = values[family.relative(x)]
-        for i in indices_of(x):
-            below = values[family.relative(x ^ (1 << i))]
-            if any(b > a for b, a in zip(below, above)):
-                monotone = False
     return RightAngledReport(
         type_one=result.config_type == TYPE_I,
         irreducible=irreducible,
         critical_root=root,
         simple_root=simple,
         relative_positive=positive,
-        monotone=monotone,
+        monotone=_monotone_under_inclusion(family, root.lo),
     )
+
+
+def _monotone_under_inclusion(family: MobiusFamily, lo: Fraction) -> bool:
+    """(d) of ``right_angled_properties``: for every member x and vertex
+    v of x, mu^{|x - v} <= mu^{|x} at the points lo * k/4, k = 1..4.
+
+    In integers on the family's digit keys.  With the points a_k / b,
+    b = 4 lo.denominator, b^deg p(a_k / b) is the dot product of a key's
+    integer coefficients with a_k^j b^(deg - j), over the key's positive
+    lead.  Each distinct key is evaluated once, and each distinct
+    (below, above) pair of keys is compared once, by cross-multiplying
+    with the two leads.
+    """
+    keys = family._digit_keys()
+    degree = family.mu().degree
+    b = 4 * lo.denominator
+    rows = []
+    for k in (1, 2, 3, 4):
+        a = k * lo.numerator
+        rows.append([a**j * b ** (degree - j) for j in range(degree + 1)])
+    values = {}
+    for key in set(keys.values()):
+        coeffs, lead = family._decode(key)
+        values[key] = lead, [sum(map(operator.mul, coeffs, row)) for row in rows]
+    pairs = set()
+    for x, above in keys.items():
+        rest = x
+        while rest:
+            low = rest & -rest
+            pairs.add((keys[x ^ low], above))
+            rest ^= low
+    for below, above in pairs:
+        lead_below, at_below = values[below]
+        lead_above, at_above = values[above]
+        if any(v * lead_above > w * lead_below for v, w in zip(at_below, at_above)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -315,6 +315,17 @@ def test_default_labels():
     assert default_labels(30)[26] == "v26"
 
 
+@pytest.mark.parametrize("n", [1, 8, 9, 26, 27, 64])
+def test_labels_of_matches_indices_of(n, rng):
+    c = from_nubs(n, [])
+    masks = [0, c.vertex_mask] + [rng.getrandbits(n) for _ in range(300)]
+    for mask in masks:
+        assert c.labels_of(mask) == [c.labels[i] for i in core.indices_of(mask)]
+    assert c.word(0) == "e"
+    with pytest.raises(IndexError):
+        c.labels_of(1 << (n if n % 8 else n + 8))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=1, max_value=7), st.randoms(use_true_random=False))
 def test_roundtrip_random(n, pyrandom):

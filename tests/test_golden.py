@@ -2,8 +2,8 @@
 
 ``tests/golden/cli.json`` lists argument vectors with the stdout line
 and exit code the command line front end produced for them.  The
-placeholder ``@weighted`` stands for a weighted text-format input that
-this test writes before running the corpus.
+placeholders ``@weighted`` and ``@twins`` stand for weighted text-format
+inputs that this test writes before running the corpus.
 """
 
 import json
@@ -29,17 +29,36 @@ weight: c 2/3
 weight: e 3
 """
 
+# Right-angled, with a and b dependent and dependent on c alone: both have
+# the link {d, e} but different weights, so the transform digits of {a}
+# and {b} (and of {a, d} and {b, d}, ...) are proportional, not equal.
+TWINS_TEXT = """\
+vertices: a b c d e
+nub: a b
+nub: a c
+nub: b c
+nub: c d
+nub: d e
+weight: a 1/2
+weight: b 3
+weight: d 2/3
+"""
+
 
 @pytest.fixture(scope="module")
-def weighted_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("golden") / "weighted.txt"
-    path.write_text(WEIGHTED_TEXT, encoding="utf-8")
-    return str(path)
+def inputs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for name, text in (("weighted", WEIGHTED_TEXT), ("twins", TWINS_TEXT)):
+        path = folder / f"{name}.txt"
+        path.write_text(text, encoding="utf-8")
+        paths[f"@{name}"] = str(path)
+    return paths
 
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
-def test_golden(case, weighted_path, capsys):
-    argv = [weighted_path if arg == "@weighted" else arg for arg in case["argv"]]
+def test_golden(case, inputs, capsys):
+    argv = [inputs.get(arg, arg) for arg in case["argv"]]
     code = main(argv)
     out = capsys.readouterr().out
     assert (code, out) == (case["exit"], case["stdout"])

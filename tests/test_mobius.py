@@ -11,6 +11,7 @@ from configspaces.core import (
     NotIndependent,
     TooLarge,
     Valuation,
+    enumerate_independence_sets,
     from_nubs,
     relative_configuration,
     valuation_of,
@@ -486,6 +487,56 @@ def test_decomposition_product(rng):
         for part in components(c):
             product = product * MobiusFamily(part.config, f.restrict(part.index_map)).mu()
         assert product == whole
+
+
+def test_members_in_size_mask_order(rng):
+    cases = [builtin(name) for name in ("fig1-left", "path-9", "star-7-3", "complete-5")]
+    cases += [random_configuration(rng.randint(1, 9), rng) for _ in range(40)]
+    for c in cases:
+        expected = sorted(enumerate_independence_sets(c), key=lambda m: (m.bit_count(), m))
+        assert MobiusFamily(c).members() == expected
+
+
+# Vertices 0 and 1 are dependent and in no other nub, so both have the
+# link {2, .., 5}: weighted apart, their digit keys are proportional.
+# The link's first root, 2 - sqrt(3), is below the pair's 2/7, so the
+# empty set, {0} and {1} all attain t0.
+TWINS = from_nubs(6, [{0, 1}, {2, 3}, {2, 4}, {3, 4}, {2, 5}, {3, 5}])
+TWINS_WEIGHTS = Valuation((Fraction(1, 2), Fraction(3)) + (Fraction(1),) * 4)
+
+
+def test_critical_root_decodes_each_key_once(monkeypatch):
+    anchors = []
+    original = MobiusFamily.relative
+    monkeypatch.setattr(
+        MobiusFamily, "relative", lambda self, x: anchors.append(x) or original(self, x)
+    )
+    for config, valuation in (
+        (builtin("path-12"), None),
+        (star(9, 4), None),
+        (TWINS, TWINS_WEIGHTS),
+    ):
+        family = MobiusFamily(config, valuation)
+        anchors.clear()
+        family.critical_root()
+        keys = family._digit_keys()
+        assert len(anchors) <= len(set(keys.values())) < len(keys)
+        assert len({keys[x] for x in anchors}) == len(anchors)
+
+
+def test_proportional_keys_are_isolated_once(monkeypatch):
+    isolated = []
+    original = mobius_module.isolate_first_root
+    monkeypatch.setattr(
+        mobius_module, "isolate_first_root", lambda p: isolated.append(p) or original(p)
+    )
+    family = MobiusFamily(TWINS, TWINS_WEIGHTS)
+    root, attained = family.critical_root()
+    keys = family._digit_keys()
+    assert keys[0b01] != keys[0b10] and family.relative(0b01) == family.relative(0b10)
+    assert attained == (0, 0b01, 0b10)
+    assert len(isolated) == len(set(isolated))
+    assert (root, attained) == _eager_critical_root(family)
 
 
 def test_memoization_shares_relative_polynomials():

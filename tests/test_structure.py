@@ -5,8 +5,10 @@ from itertools import combinations
 import pytest
 
 from configspaces import core
+from configspaces import structure as structure_module
 from configspaces.core import (
     TooLarge,
+    Valuation,
     VertexOutOfRange,
     enumerate_independence_sets,
     from_nubs,
@@ -28,6 +30,7 @@ from configspaces.structure import (
     is_irreducible,
     is_right_angled,
     random_configuration,
+    random_valuation,
     right_angled_properties,
     star,
     symmetric_counts,
@@ -195,6 +198,55 @@ def test_right_angled_properties_reducible():
     assert report.monotone
     with pytest.raises(NotRightAngled):
         right_angled_properties(star(4, 3))
+
+
+def _fraction_monotone(family, lo):
+    """Oracle for (d): every covering pair of anchors, in Fractions."""
+    points = [lo * Fraction(k, 4) for k in (1, 2, 3, 4)]
+    for x in family.members():
+        above = family.relative(x)
+        for i in range(family.config.n):
+            if x >> i & 1:
+                below = family.relative(x ^ (1 << i))
+                if any(below(t) > above(t) for t in points):
+                    return False
+    return True
+
+
+def test_integer_monotone_check_matches_fractions(rng):
+    # Points with 128-bit denominators, uniform and weighted digit
+    # patterns, and wide nubs, where monotonicity fails past small t.
+    outcomes = set()
+    for trial in range(60):
+        c = random_configuration(rng.randint(1, 7), rng)
+        f = random_valuation(c, rng) if trial % 2 else None
+        family = MobiusFamily(c, f)
+        for _ in range(3):
+            lo = Fraction(rng.getrandbits(130) + 1, 2**128 + rng.getrandbits(127))
+            got = structure_module._monotone_under_inclusion(family, lo)
+            assert got == _fraction_monotone(family, lo)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_non_monotone_pair_is_reported():
+    # Two free vertices: mu = (1 - t)^2 exceeds mu^{|a} = 1 - t past t = 1,
+    # so every sampled point of lo = 8 breaks the pair (e, a).
+    family = MobiusFamily(from_nubs(2, []))
+    assert not structure_module._monotone_under_inclusion(family, Fraction(8))
+    assert structure_module._monotone_under_inclusion(family, Fraction(1))
+
+
+def test_right_angled_properties_evaluates_no_polynomial(monkeypatch):
+    calls = []
+    original = Polynomial.__call__
+    monkeypatch.setattr(Polynomial, "__call__", lambda p, t: calls.append(t) or original(p, t))
+    twins = from_dependence_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+    weights = Valuation((Fraction(1, 2), Fraction(3), Fraction(1), Fraction(2, 3), Fraction(1)))
+    for config, valuation in ((builtin("path-10"), None), (twins, weights)):
+        report = right_angled_properties(config, valuation)
+        assert report.monotone and not report.critical_root.is_rational
+    assert calls == []
 
 
 def test_symmetric_counts_powerset():
