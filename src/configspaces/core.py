@@ -16,9 +16,12 @@ one mask per member the memo reaches, walked or not (see
 independence family costs work in proportion to its size, so
 enumeration stops past ``MEMBER_BUDGET`` members, yielded or memoised,
 rather than at a vertex count.  The restrictions the Mobius polynomial
-is eliminated over, links (``relative_configuration``), deletions and
-nub-connected components (``components``), are built here, so that
-``mobius`` needs nothing from ``structure``.
+is eliminated over, links, deletions and nub-connected components, are
+built here on bare nub masks, so that ``mobius`` needs nothing from
+``structure``: ``_link`` and ``_split`` find their vertices and nubs,
+and ``_compact`` alone re-indexes them onto 0..k-1.
+``relative_configuration`` and ``components`` add the labels through
+``Restriction.of``.
 Configurations are immutable after construction and all queries are
 read-only (the label tables of ``labels_of`` are a write-once cache), so
 they are safe to share across threads.
@@ -225,20 +228,34 @@ class Restriction:
 
     @classmethod
     def of(cls, config: Configuration, vertices: int, nubs: Iterable[int]) -> "Restriction":
-        """Restrict config to vertices, on which its nubs are ``nubs``.
-
-        ``nubs`` (original indices, inside ``vertices``) must already be
-        an antichain in (size, mask) order: the increasing re-indexing
-        keeps both, so nothing is reduced or re-sorted here.
-        """
+        """Restrict config to vertices, on which its nubs are ``nubs``
+        (original indices, an antichain in (size, mask) order)."""
         index_map = tuple(indices_of(vertices))
-        position = {orig: i for i, orig in enumerate(index_map)}
-        compact = Configuration(
-            n=len(index_map),
-            labels=tuple(config.labels[i] for i in index_map),
-            nubs=tuple(mask_from_indices(position[i] for i in indices_of(nub)) for nub in nubs),
-        )
+        labels = tuple(config.labels[i] for i in index_map)
+        compact = Configuration(len(index_map), labels, _compact(vertices, nubs))
         return cls(vertices, compact, index_map)
+
+
+def _compact(vertices: int, nubs: Iterable[int]) -> tuple[int, ...]:
+    """Re-index nubs inside vertices onto 0..k-1, the i-th lowest vertex
+    becoming vertex i.  The map is increasing, so nubs that are an
+    antichain in (size, mask) order stay one: nothing is reduced or
+    re-sorted here."""
+    position = {v: i for i, v in enumerate(indices_of(vertices))}
+    return tuple(mask_from_indices(position[v] for v in indices_of(nub)) for nub in nubs)
+
+
+def _split(n: int, nubs: Sequence[int]) -> dict[int, list[int]]:
+    """The nub-connected parts of 0..n-1 by least vertex, each with its
+    nubs in original indices and (size, mask) order.  Each nub merges the
+    parts it meets; a vertex in no nub is a part of its own."""
+    parts: list[int] = []
+    for nub in nubs:
+        met = [part for part in parts if part & nub]  # disjoint, so their sum is their union
+        parts = [part for part in parts if not part & nub] + [nub | sum(met)]
+    parts += [1 << v for v in indices_of(((1 << n) - 1) & ~sum(parts))]
+    parts.sort(key=lambda part: part & -part)
+    return {part: [nub for nub in nubs if nub & part] for part in parts}
 
 
 def check_vertex_count(n: int) -> None:
@@ -359,33 +376,15 @@ def is_right_angled(config: Configuration) -> bool:
 
 
 def components(config: Configuration) -> tuple[Restriction, ...]:
-    """Connected components of the nub hypergraph, by least vertex.
+    """Connected components of the nub hypergraph, by least vertex (see
+    ``_split``).
 
     Vertices sharing a nub are connected; vertices in no nub form
     singleton components.  Independence in the whole configuration is
     equivalent to independence of the restriction to every part.
     """
-    parent = list(range(config.n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for nub in config.nubs:
-        verts = indices_of(nub)
-        for other in verts[1:]:
-            parent[find(verts[0])] = find(other)
-    # Keyed by root, inserted in order of each component's least vertex.
-    vertices: dict[int, int] = {}
-    for i in range(config.n):
-        root = find(i)
-        vertices[root] = vertices.get(root, 0) | (1 << i)
-    nubs: dict[int, list[int]] = {root: [] for root in vertices}
-    for nub in config.nubs:
-        nubs[find((nub & -nub).bit_length() - 1)].append(nub)
-    return tuple(Restriction.of(config, vertices[root], nubs[root]) for root in vertices)
+    parts = _split(config.n, config.nubs)
+    return tuple(Restriction.of(config, part, nubs) for part, nubs in parts.items())
 
 
 def _over_budget() -> str:
@@ -483,8 +482,9 @@ def enumerate_independence_sets(config: Configuration) -> Iterator[int]:
     return walk()
 
 
-def relative_configuration(config: Configuration, x: int) -> Restriction:
-    """The configuration relative to the independence set x: its link.
+def _link(n: int, nubs: Iterable[int], x: int) -> tuple[int, tuple[int, ...]] | None:
+    """The link of x in the configuration on 0..n-1 with these nubs: its
+    vertices and nubs, in original indices; None when x is dependent.
 
     One pass over the nubs reads each trace nub - x.  An empty trace is
     a nub inside x, so x is dependent; a one-vertex trace {a} makes
@@ -493,20 +493,28 @@ def relative_configuration(config: Configuration, x: int) -> Restriction:
     union with x is independent, that is iff it contains no trace; so
     the link's nubs are the minimal traces inside those vertices.
     """
-    if x & ~config.vertex_mask:
-        raise VertexOutOfRange("vertex set uses bits outside 0..n-1")
     blocked = x
     traces = []
-    for nub in config.nubs:
+    for nub in nubs:
         trace = nub & ~x
         if not trace:
-            raise NotIndependent(f"{config.word(x)} is not an independence set")
+            return None
         if trace & (trace - 1):
             traces.append(trace)
         else:
             blocked |= trace
     inside = (trace for trace in traces if not trace & blocked)
-    return Restriction.of(config, config.vertex_mask & ~blocked, _antichain_minimal(inside))
+    return ((1 << n) - 1) & ~blocked, _antichain_minimal(inside)
+
+
+def relative_configuration(config: Configuration, x: int) -> Restriction:
+    """The link of the independence set x (see ``_link``), labelled."""
+    if x & ~config.vertex_mask:
+        raise VertexOutOfRange("vertex set uses bits outside 0..n-1")
+    link = _link(config.n, config.nubs, x)
+    if link is None:
+        raise NotIndependent(f"{config.word(x)} is not an independence set")
+    return Restriction.of(config, *link)
 
 
 def valuation_of(

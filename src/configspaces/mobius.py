@@ -38,9 +38,10 @@ of v, so mu_C = mu_{C - v} - f(v) t mu^{|v}: the paper's derivative
 formula taken at one vertex, and the deletion-link recursion of Gutman
 and Harary for independence polynomials.  On a disjoint union mu is the
 product over the components.  ``MobiusFamily.mu`` splits and eliminates
-down to small leaves and enumerates only those, so its cost follows the
-distinct restrictions it meets, not the family: ``path-64`` has about
-2.8e13 members and 54 distinct restrictions, two of them leaves.
+over bare nub masks down to small leaves and enumerates only those, so
+its cost follows the distinct restrictions it meets, not the family:
+``path-64`` has about 2.8e13 members and 54 distinct restrictions, two
+of them leaves.
 
 The critical root is searched lazily: only polynomials that may have a
 root at or below the best one found are isolated (see
@@ -59,12 +60,9 @@ from .core import (
     Configuration,
     NonPositiveWeight,
     NotIndependent,
-    Restriction,
     TooLarge,
     Valuation,
-    components,
     enumerate_independence_sets,
-    relative_configuration,
 )
 from .poly import (
     AlgebraicRoot,
@@ -190,36 +188,45 @@ def _eliminated_mu(config: Configuration, weights: Sequence[Fraction]) -> Polyno
     A restriction with at least as many nubs as vertices, or at most
     ``_LEAF_VERTICES`` of them, is a leaf and summed by
     ``_enumerated_mu``: there a walk over few members is cheaper than
-    re-indexing many nubs per step.  Otherwise a split restriction
-    multiplies its components, and a connected one eliminates vertex 0.
+    re-indexing many nubs per step.  The sets below the smallest nub are
+    all members, so when they number more than ``core.MEMBER_BUDGET``
+    the walk is certain to be refused and the restriction is eliminated
+    instead (``star-30-28``: 2^30 - 31 such sets, 30 nubs).  Otherwise a
+    split restriction multiplies its components, and a connected one
+    eliminates vertex 0.
 
-    Results are memoised for this call on the compacted key (vertex
-    count, nubs, weights), the weights as indices into the distinct
-    weights so that keys hash as integers.  :class:`TooLarge` is raised
+    Restrictions are bare keys (vertex count, nubs, weights), the weights
+    as indices into the distinct weights so that keys hash as integers:
+    C - 0 is ``nub >> 1`` over the nubs that miss 0, the link and the
+    parts come from ``core._link`` and ``core._split`` through
+    ``core._compact``, and only a leaf becomes a ``Configuration``.
+    Results are memoised for this call, and :class:`TooLarge` is raised
     once the memo holds more than ``core.MEMBER_BUDGET`` polynomials.
     """
     values = list(dict.fromkeys(weights))
     index = {w: i for i, w in enumerate(values)}
     memo: dict[tuple[int, tuple[int, ...], tuple[int, ...]], Polynomial] = {}
 
-    def mu_of(c: Configuration, classes: tuple[int, ...]) -> Polynomial:
-        key = (c.n, c.nubs, classes)
+    def mu_of(n: int, nubs: tuple[int, ...], classes: tuple[int, ...]) -> Polynomial:
+        key = (n, nubs, classes)
         found = memo.get(key)
         if found is not None:
             return found
-        if len(c.nubs) >= c.n or c.n <= _LEAF_VERTICES:
-            found = _enumerated_mu(c, [values[k] for k in classes])
+        if n <= _LEAF_VERTICES or len(nubs) >= n and (
+            sum(math.comb(n, j) for j in range(nubs[0].bit_count())) <= core.MEMBER_BUDGET
+        ):
+            leaf = Configuration(n, core.default_labels(n), nubs)
+            found = _enumerated_mu(leaf, [values[k] for k in classes])
         else:
-            parts = components(c)
+            parts = core._split(n, nubs)
             if len(parts) > 1:
                 found = Polynomial([1])
-                for part in parts:
-                    found = found * mu_of(part.config, tuple(classes[i] for i in part.index_map))
+                for part, inside in parts.items():
+                    found = found * restricted(part, inside, classes)
             else:
-                rest = Restriction.of(c, c.vertex_mask ^ 1, [nub for nub in c.nubs if not nub & 1])
-                link = relative_configuration(c, 1)
-                linked = mu_of(link.config, tuple(classes[i] for i in link.index_map))
-                found = mu_of(rest.config, classes[1:]) - (linked * values[classes[0]]).shifted(1)
+                rest = tuple(nub >> 1 for nub in nubs if not nub & 1)
+                linked = restricted(*core._link(n, nubs, 1), classes)
+                found = mu_of(n - 1, rest, classes[1:]) - (linked * values[classes[0]]).shifted(1)
         memo[key] = found
         if len(memo) > core.MEMBER_BUDGET:
             raise TooLarge(
@@ -227,7 +234,11 @@ def _eliminated_mu(config: Configuration, weights: Sequence[Fraction]) -> Polyno
             )
         return found
 
-    return mu_of(config, tuple(index[w] for w in weights))
+    def restricted(vertices: int, nubs: Sequence[int], classes: tuple[int, ...]) -> Polynomial:
+        kept = core.indices_of(vertices)
+        return mu_of(len(kept), core._compact(vertices, nubs), tuple(classes[i] for i in kept))
+
+    return mu_of(config.n, config.nubs, tuple(index[w] for w in weights))
 
 
 class MobiusFamily:

@@ -76,8 +76,8 @@ class UnknownDataset(ValueError):
 
 
 def is_irreducible(config: Configuration) -> bool:
-    """True iff the nub hypergraph is connected."""
-    return len(components(config)) <= 1
+    """True iff the nub hypergraph is connected (no restriction is built)."""
+    return len(core._split(config.n, config.nubs)) <= 1
 
 
 def from_dependence_graph(

@@ -112,6 +112,31 @@ def brute_independence_family(config: Configuration) -> set[int]:
     return {m for m in range(1 << config.n) if config.is_independent(m)}
 
 
+def bfs_components(config: Configuration) -> list[int]:
+    """Oracle: the vertex sets of the nub-connected components, by least
+    vertex, from a breadth-first search that steps between vertices
+    sharing a nub."""
+    neighbours = [0] * config.n
+    for nub in config.nubs:
+        for v in range(config.n):
+            if nub >> v & 1:
+                neighbours[v] |= nub
+    parts, seen = [], 0
+    for start in range(config.n):
+        if seen >> start & 1:
+            continue
+        part, queue = 1 << start, [start]
+        while queue:
+            v = queue.pop(0)
+            for w in range(config.n):
+                if neighbours[v] >> w & 1 and not part >> w & 1:
+                    part |= 1 << w
+                    queue.append(w)
+        parts.append(part)
+        seen |= part
+    return parts
+
+
 def nub_scan_enumeration(config: Configuration):
     """Oracle: the depth-first walk that tests every nub topped by each
     added vertex, in the order and under the member budget of

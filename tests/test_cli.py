@@ -568,6 +568,18 @@ def test_elimination_past_the_budget(capsys, tmp_path):
     assert err == "error: the independence family exceeds the member budget of 131072\n"
 
 
+def test_wide_star_past_the_budget(capsys):
+    # star-30-28: about 2^30 members, 30 nubs of 29 vertices.  mobius
+    # eliminates it to (1 - t)^30 without its top two terms; classify
+    # still enumerates the whole family and is refused.
+    code, out, _ = run(capsys, "mobius", "--name", "star-30-28")
+    expected = [str((-1) ** k * math.comb(30, k)) for k in range(29)]
+    assert (code, payload_of(out)["mu"]) == (0, expected)
+    code, out, err = run(capsys, "classify", "--name", "star-30-28")
+    assert (code, out) == (2, "")
+    assert err == "error: the independence family exceeds the member budget of 131072\n"
+
+
 def test_product_check_catches_wrong_elimination(capsys, monkeypatch, tmp_path):
     # path-13 and a disjoint pair: the path component is eliminated, and
     # the product is compared with an enumeration of the whole.
@@ -577,9 +589,9 @@ def test_product_check_catches_wrong_elimination(capsys, monkeypatch, tmp_path):
     path.write_text(json.dumps({"vertices": labels, "nubs": nubs}))
     code, out, _ = run(capsys, "decompose", "--input", str(path))
     assert (code, payload_of(out)["product_check"]) == (0, True)
-    original = mobius.relative_configuration
+    original = cli.core._link
     # The link of the next vertex in place of the link of vertex 0.
-    monkeypatch.setattr(mobius, "relative_configuration", lambda c, x: original(c, x << 1))
+    monkeypatch.setattr(cli.core, "_link", lambda n, nubs, x: original(n, nubs, x << 1))
     code, out, _ = run(capsys, "decompose", "--input", str(path))
     assert (code, payload_of(out)["product_check"]) == (0, False)
 

@@ -2,8 +2,8 @@
 
 ``tests/golden/cli.json`` lists argument vectors with the stdout line
 and exit code the command line front end produced for them.  The
-placeholders ``@weighted`` and ``@twins`` stand for weighted text-format
-inputs that this test writes before running the corpus.
+placeholders ``@weighted``, ``@twins`` and ``@split`` stand for
+text-format inputs that this test writes before running the corpus.
 """
 
 import json
@@ -44,12 +44,24 @@ weight: b 3
 weight: d 2/3
 """
 
+# A 13-vertex path, a disjoint nub pair x y and a vertex z in no nub,
+# with the labels interleaved: the components, by least vertex, are
+# {x, y}, the path and {z}, and the path is too long to be a leaf.
+SPLIT_TEXT = """\
+vertices: x p0 p1 p2 p3 p4 p5 z p6 p7 p8 p9 p10 p11 p12 y
+nub: x y
+""" + "".join(f"nub: p{i} p{i + 1}\n" for i in range(12))
+
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     folder = tmp_path_factory.mktemp("golden")
     paths = {}
-    for name, text in (("weighted", WEIGHTED_TEXT), ("twins", TWINS_TEXT)):
+    for name, text in (
+        ("weighted", WEIGHTED_TEXT),
+        ("twins", TWINS_TEXT),
+        ("split", SPLIT_TEXT),
+    ):
         path = folder / f"{name}.txt"
         path.write_text(text, encoding="utf-8")
         paths[f"@{name}"] = str(path)

@@ -94,12 +94,13 @@ def test_eliminated_mu_memory():
 def eliminations(monkeypatch):
     """Counts the links taken by elimination."""
     calls = []
+    original = core_module._link
 
-    def counting(config, x):
+    def counting(n, nubs, x):
         calls.append(x)
-        return relative_configuration(config, x)
+        return original(n, nubs, x)
 
-    monkeypatch.setattr(mobius_module, "relative_configuration", counting)
+    monkeypatch.setattr(core_module, "_link", counting)
     return calls
 
 
@@ -163,6 +164,46 @@ def test_star_closed_form_by_elimination(eliminations):
         full = [(-1) ** k * math.comb(n, k) for k in range(n)]
         assert MobiusFamily(star(n, n - 1)).mu() == P(full)
     assert eliminations
+
+
+def test_elimination_builds_no_restriction(monkeypatch):
+    calls = []
+    original = core_module.Restriction.of.__func__
+
+    def counting(cls, config, vertices, nubs):
+        calls.append(vertices)
+        return original(cls, config, vertices, nubs)
+
+    monkeypatch.setattr(core_module.Restriction, "of", classmethod(counting))
+    mu = MobiusFamily(builtin("path-64")).mu()
+    assert mu.degree == 32 and calls == []
+    # The hook sees what the restriction wrappers build.
+    core_module.components(builtin("path-64"))
+    assert calls == [2**64 - 1]
+
+
+def test_leaf_rule(monkeypatch):
+    walks = []
+    original = mobius_module.enumerate_independence_sets
+
+    def counting(config):
+        walks.append(config.n)
+        return original(config)
+
+    monkeypatch.setattr(mobius_module, "enumerate_independence_sets", counting)
+    # At least as many nubs as vertices and a family within the budget:
+    # one walk of the whole, even where the sets below the smallest nub
+    # outnumber the nubs (star-14-5: 3,473 sets, 3,003 nubs).
+    for name in ("complete-30", "dodecahedron", "star-64-2", "star-14-5"):
+        walks.clear()
+        MobiusFamily(builtin(name)).mu()
+        assert walks == [builtin(name).n], name
+    # star(n, n - 2) has 2^n - n - 1 sets below its n nubs, past the
+    # budget from n = 18: star-30-28 eliminates down to star(17, 15).
+    walks.clear()
+    mu = MobiusFamily(star(30, 28)).mu()
+    assert mu == P([(-1) ** k * math.comb(30, k) for k in range(29)])
+    assert max(walks) == 17
 
 
 def test_elimination_memo_budget(monkeypatch):

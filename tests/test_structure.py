@@ -38,7 +38,7 @@ from configspaces.structure import (
     trace_series,
 )
 
-from conftest import brute_independence_family
+from conftest import bfs_components, brute_independence_family
 
 P = Polynomial
 
@@ -69,6 +69,61 @@ def test_is_irreducible():
     assert not is_irreducible(star(3, 3))
     assert is_irreducible(from_nubs(1, []))
     assert not is_irreducible(from_nubs(2, []))
+
+
+def mixed_nub_configuration(rng):
+    """Up to 64 vertices, some in no nub, with 2-, 3- and 4-vertex nubs
+    drawn inside a few random clusters, so that some draws split and
+    some do not."""
+    n = rng.randint(1, 64)
+    vertices = list(range(n))
+    clusters = [rng.sample(vertices, rng.randint(1, n)) for _ in range(rng.randint(1, 4))]
+    nubs = []
+    for cluster in clusters:
+        for _ in range(rng.randint(0, 2 * len(cluster))):
+            size = rng.choice((2, 3, 4))
+            if size <= len(cluster):
+                nubs.append(rng.sample(cluster, size))
+    return from_nubs(n, nubs)
+
+
+def test_components_match_bfs_oracle(rng):
+    splits = 0
+    seen_sizes = set()
+    independent = 0
+    for _ in range(300):
+        c = mixed_nub_configuration(rng)
+        parts = components(c)
+        expected = bfs_components(c)
+        assert [part.vertices for part in parts] == expected
+        assert is_irreducible(c) == (len(expected) <= 1)
+        splits += len(parts) > 1
+        for part in parts:
+            assert part.index_map == tuple(core.indices_of(part.vertices))
+            assert part.config.labels == tuple(c.labels[i] for i in part.index_map)
+            nubs = part.config.nubs
+            assert list(nubs) == sorted(nubs, key=lambda m: (m.bit_count(), m))
+            assert not any(a != b and a & b == a for a in nubs for b in nubs)
+            seen_sizes.update(nub.bit_count() for nub in nubs)
+        # Every nub lies in exactly one part, once re-indexed.
+        assert sum(len(part.config.nubs) for part in parts) == len(c.nubs)
+        for k in range(20):
+            # Densities 1/4 and 1/8, so that both outcomes occur.
+            x = rng.getrandbits(c.n) & rng.getrandbits(c.n)
+            if k % 2:
+                x &= rng.getrandbits(c.n)
+            local = [
+                mask_from_indices(
+                    i for i, orig in enumerate(part.index_map) if x >> orig & 1
+                )
+                for part in parts
+            ]
+            assert c.is_independent(x) == all(
+                part.config.is_independent(y) for part, y in zip(parts, local)
+            )
+            independent += c.is_independent(x)
+    assert 0 < splits < 300 and 0 < independent < 300 * 20
+    assert seen_sizes == {2, 3, 4}
 
 
 def test_is_right_angled():
