@@ -436,10 +436,7 @@ def _cmd_verify(args, config, valuation) -> tuple[dict, int]:
 def _cmd_sample(args, config, valuation) -> tuple[dict, int]:
     space = _space(args, config, valuation)
     tallies = probspace.sample(space, args.count, args.seed)
-    counts = [
-        {"x": config.labels_of(x), "n": tallies[x]}
-        for x, _ in space.sorted_atoms()
-    ]
+    counts = [{"x": config.labels_of(x), "n": n} for x, n in tallies.items()]
     return {
         "t": format_rational(space.t),
         "count": args.count,

@@ -31,10 +31,14 @@ isolation is needed to build a space.
 
 from __future__ import annotations
 
+import functools
 import math
-from bisect import bisect_right
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 from .core import Configuration, Valuation
@@ -331,6 +335,32 @@ def verify_realization(space: ConfiguredSpace) -> RealizationReport:
 
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+# Words per bulk step: ``SplitMix64.words`` computes at most this many as
+# one integer of 128-bit lanes (64 KB), and ``sample`` tallies blocks of
+# this many draws, or of one per atom if that is more.
+_BLOCK = 4096
+# The low half of each 128-bit lane, once a lane integer is cast to
+# native 64-bit words: the first of each pair on a little-endian host,
+# counted from the end on a big-endian one.
+_LOW_HALVES = slice(0, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
+
+
+@functools.cache
+def _lane_constants() -> tuple[int, int, int]:
+    """(ones, low, ramp) over ``_BLOCK`` 128-bit lanes: lane i holds 1,
+    2**64 - 1 and (i + 1) * gamma mod 2**64."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * _BLOCK, "little")
+    ramp = b"".join(
+        ((k * _GAMMA) & _MASK64).to_bytes(16, "little") for k in range(1, _BLOCK + 1)
+    )
+    return ones, ones * _MASK64, int.from_bytes(ramp, "little")
+
+
+def _low_halves(lanes: int, n: int) -> list[int]:
+    """The low 64 bits of each of the first n 128-bit lanes of ``lanes``."""
+    view = memoryview(lanes.to_bytes(16 * n, sys.byteorder)).cast("Q")
+    return view[_LOW_HALVES].tolist()
 
 
 class SplitMix64:
@@ -339,45 +369,98 @@ class SplitMix64:
     state' = state + 0x9E3779B97F4A7C15; the output mixes the new state
     with xor-shifts and the multipliers 0xBF58476D1CE4E5B9 and
     0x94D049BB133111EB.  Identical seeds give identical streams on
-    every platform.  ``sample`` runs the same step inline.
+    every platform.  ``next_word`` is the one-step reference; ``words``
+    and ``sample`` compute a block of steps at once.
     """
 
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
     def next_word(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
+    def words(self, count: int) -> list[int]:
+        """The next ``count`` words, as ``count`` calls of ``next_word``
+        would give them, leaving the same state."""
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        words: list[int] = []
+        for done in range(0, count, _BLOCK):
+            n = min(_BLOCK, count - done)
+            words += _low_halves(self._lanes(n), n)
+        return words
+
+    def _lanes(self, n: int) -> int:
+        """The next n <= ``_BLOCK`` words, word i in the low half of the
+        128-bit lane i of one integer, whose high halves are 0; advances
+        the state by n steps.
+
+        Word k depends only on state + k * gamma mod 2**64, so each step
+        of the mix is one operation on the whole integer, masked to the
+        low half of every lane.  A lane is 128 bits wide so that the
+        product of a 64-bit lane and a 64-bit multiplier never carries
+        into the next lane.
+        """
+        ones, low, ramp = _lane_constants()
+        if n < _BLOCK:
+            # Every step below masks with low, so this keeps n lanes.
+            low &= (1 << (128 * n)) - 1
+        z = (ramp + self.state * ones) & low
+        z = (((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
+        z = (((z ^ (z >> 27)) & low) * 0x94D049BB133111EB) & low
+        self.state = (self.state + n * _GAMMA) & _MASK64
+        return (z ^ (z >> 31)) & low
+
 
 def sample(space: ConfiguredSpace, count: int, seed: int) -> dict[int, int]:
     """Multinomial draw of atoms; identical seeds give identical tallies.
 
-    Atom boundaries are the exact cumulative masses scaled to 2**64 and
+    Returns the tally of every atom, in ``sorted_atoms`` order.  Atom
+    boundaries are the exact cumulative masses scaled to 2**64 and
     floored, so each atom's draw probability is within 2**-64 of its
-    mass; draws are uniform 64-bit words bisected against the
-    boundaries.
+    mass; draw k is the atom whose interval holds the k-th word of
+    ``SplitMix64(seed)``, and the tallies equal those of drawing one
+    word at a time.
+
+    The words come from ``SplitMix64.words``, computed as 128-bit lanes
+    of one integer, a block at a time, so memory stays bounded for any
+    count: ``_BLOCK`` words, or one per atom if there are more atoms.  A block is tallied without a step
+    per word: sorted, the words below boundary i number
+    ``bisect_left(block, b_i)``, and atom i receives those below b_i
+    and not below b_(i-1), exactly the words that
+    ``bisect_right(boundaries, word)`` sends to it.
+
+    Raises ``ValueError`` if a mass is negative or the masses do not
+    sum to 1.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     atoms = space.sorted_atoms()
-    boundaries = []
-    cumulative = Fraction(0)
-    for _, mass in atoms:
-        cumulative += mass
-        boundaries.append((cumulative.numerator << 64) // cumulative.denominator)
-    tallies = {mask: 0 for mask, _ in atoms}
-    state = seed & _MASK64
-    for _ in range(count):
-        # SplitMix64.next_word, inline: one method call per draw was
-        # most of the loop.
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        # The first boundary above the word; the last one is 2**64.
-        index = bisect_right(boundaries, z ^ (z >> 31))
-        tallies[atoms[index][0]] += 1
-    return tallies
+    for x, mass in atoms:
+        if mass < 0:
+            raise ValueError(f"atom {x} has negative mass {mass}")
+    # Cumulative masses as integers over the common denominator.
+    scale = math.lcm(*(mass.denominator for _, mass in atoms))
+    cumulative = list(
+        accumulate(mass.numerator * (scale // mass.denominator) for _, mass in atoms)
+    )
+    if cumulative[-1:] != [scale]:
+        total = Fraction(cumulative[-1] if cumulative else 0, scale)
+        raise ValueError(f"the atom masses sum to {total}, not 1")
+    # The last boundary is 2**64, above every word.
+    boundaries = [(c << 64) // scale for c in cumulative]
+    below = [0] * len(boundaries)  # words below each boundary so far
+    # A block bisects every boundary, so it holds at least as many words
+    # as there are atoms: the work per draw stays logarithmic.
+    size = max(_BLOCK, len(boundaries))
+    generator = SplitMix64(seed)
+    for drawn in range(0, count, size):
+        words = generator.words(min(size, count - drawn))
+        words.sort()
+        block = map(functools.partial(bisect_left, words), boundaries)
+        below = list(map(add, below, block))
+    return {x: tally for (x, _), tally in zip(atoms, map(sub, below, [0] + below))}

@@ -1,5 +1,6 @@
 import bisect
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from configspaces.core import Valuation, from_nubs
 from configspaces.mobius import MobiusFamily
 from configspaces.probspace import (
+    _BLOCK,
     InfeasibleIntersections,
     MissingEntry,
     OutOfRange,
@@ -227,10 +229,22 @@ def test_splitmix_reference_values():
     ]
 
 
+def test_splitmix_words_match_next_word(rng):
+    # The bulk words against successive next_word calls, across block
+    # edges and from a state left by an earlier bulk call.
+    for seed in (0, -3, 2**63 + 5, 2**64 + 9, rng.getrandbits(64)):
+        bulk, reference = SplitMix64(seed), SplitMix64(seed)
+        for count in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+            assert bulk.words(count) == [reference.next_word() for _ in range(count)]
+            assert bulk.state == reference.state
+    with pytest.raises(ValueError):
+        SplitMix64(0).words(-1)
+
+
 def test_sample_stream_is_next_word(rng):
-    # sample runs the SplitMix64 step inline.  Draw k is the atom whose
-    # tally grows from count k - 1 to count k; it must be the atom that
-    # next_word's k-th word lands in.
+    # sample computes its words in bulk, a block of lanes at a time.
+    # Draw k is the atom whose tally grows from count k - 1 to count k;
+    # it must be the atom that next_word's k-th word lands in.
     space = canonical_space(builtin("path-7"), None, Fraction(1, 8))
     atoms = space.sorted_atoms()
     cumulative = itertools.accumulate(mass for _, mass in atoms)
@@ -270,10 +284,13 @@ def test_sample_star43_five_sigma():
 
 
 def test_sample_bisect_matches_binary_search(rng):
+    # The block tallies against one-draw-at-a-time placement, at counts
+    # around the block size, which is the atom count when that is larger.
     spaces = [
         canonical_space(star(4, 3), None, H),  # seven atoms of mass 0
         canonical_space(builtin("path-7"), None, Fraction(1, 8)),
         canonical_space(builtin("fig1-left"), None, Fraction(1, 10)),
+        canonical_space(builtin("path-18"), None, Fraction(1, 8)),  # 6,765 atoms
     ]
     for _ in range(6):
         c = random_configuration(rng.randint(1, 7), rng)
@@ -281,9 +298,38 @@ def test_sample_bisect_matches_binary_search(rng):
         root = MobiusFamily(c, f).critical_root()[0]
         spaces.append(canonical_space(c, f, root.value if root.is_rational else root.lo))
     assert sum(0 in space.atoms.values() for space in spaces) > 1
+    assert len(spaces[3].atoms) > _BLOCK
     for space in spaces:
-        for seed in (0, 5, 20250810):
-            assert sample(space, 3000, seed) == binary_search_sample(space, 3000, seed)
+        size = max(_BLOCK, len(space.atoms))
+        counts = (0, 1, 3000, size - 1, size, size + 1, 3 * size + 7)
+        for seed in (0, 5, -3, 20250810, 2**63 + 5, 2**64 + 9):
+            for count in counts:
+                tallies = sample(space, count, seed)
+                assert tallies == binary_search_sample(space, count, seed)
+                assert list(tallies) == [x for x, _ in space.sorted_atoms()]
+
+
+def test_sample_memory_bounded():
+    space = canonical_space(builtin("path-14"), None, Fraction(1, 8))
+    tracemalloc.start()
+    try:
+        tallies = sample(space, 10**6, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(tallies.values()) == 10**6
+    assert peak < 2_000_000
+
+
+def test_sample_rejects_bad_masses():
+    space = canonical_space(builtin("path-4"), None, Fraction(1, 8))
+    space.atoms[0] -= Fraction(1, 8)
+    with pytest.raises(ValueError, match="sum to 7/8, not 1"):
+        sample(space, 2000, 1)
+    space = canonical_space(builtin("path-4"), None, Fraction(1, 8))
+    space.atoms[0b0010] = Fraction(-13, 32)
+    with pytest.raises(ValueError, match="atom 2 has negative mass -13/32"):
+        sample(space, 2000, 1)
 
 
 def test_canonical_space_matches_direct_transform(rng):
