@@ -20,12 +20,12 @@ check does not repeat the split it tests.
 ``verify`` reports ``routes_agree``: whether the dense sign-word route
 reproduces the canonical atoms.  That route takes independence from the
 nubs, closed upward over all 2^n masks, not from the enumerated family,
-and keeps its own Fraction recurrence for the intersection
-probabilities q.  It runs the kernel of ``atoms_from_intersections``
-over the independent masks only: q is 0 on the dependent masks, which
-are closed upward, and a superset Mobius step only moves value from a
-set to its subsets, so those cells stay 0 at every step and walking
-them would change nothing.  The 2^n indicator is bounded at n <= 20,
+and builds the intersection probabilities q in integers over its own
+denominator.  It runs the kernel of ``atoms_from_intersections`` over
+the independent masks only: q is 0 on the dependent masks, which are
+closed upward, and a superset Mobius step only moves value from a set
+to its subsets, so those cells stay 0 at every step and walking them
+would change nothing.  The 2^n indicator is bounded at n <= 20,
 and ``verify`` refuses larger configurations (exit 2) before allocating
 anything.
 
@@ -42,6 +42,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Any, Sequence
@@ -386,23 +387,27 @@ _INDEPENDENT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 def _dense_route_atoms(
     config: Configuration, valuation: Valuation, t: Fraction
-) -> dict[int, Fraction]:
-    """The nonzero atom masses that the intersections q(x) = f(x) t^|x|
-    on the independent masks, and 0 on the dependent ones, force.
+) -> tuple[int, dict[int, int]]:
+    """A denominator D and, as integers over D, the nonzero atom masses
+    that the intersections q(x) = f(x) t^|x| on the independent masks,
+    and 0 on the dependent ones, force.
 
     Independence is read from the nubs over all 2^n masks; the
     independent masks are picked out at C level and q is built on them
-    alone.  Walking only those cells is exact (see the module docstring).
+    alone, by its own top-vertex recurrence.  Walking only those cells
+    is exact (see the module docstring).
     """
-    factors = [w * t for w in valuation.weights]
+    factors = [(c.numerator, c.denominator) for c in (w * t for w in valuation.weights)]
     independent = _dependence_indicator(config).translate(_INDEPENDENT)
     keys = list(itertools.compress(range(1 << config.n), independent))
-    q = {0: Fraction(1)}
+    scale = math.prod(den for _, den in factors)
+    q = {0: scale}
     for mask in itertools.islice(keys, 1, None):
         top = mask.bit_length() - 1
-        q[mask] = q[mask ^ (1 << top)] * factors[top]
-    scale, masses = probspace._intersection_masses(keys, q)
-    return {x: Fraction(value, scale) for x, value in masses.items() if value}
+        num, den = factors[top]
+        q[mask] = q[mask ^ (1 << top)] * num // den
+    probspace._intersection_masses(keys, q, scale)
+    return scale, {x: value for x, value in q.items() if value}
 
 
 def _cmd_verify(args, config, valuation) -> tuple[dict, int]:
@@ -416,9 +421,14 @@ def _cmd_verify(args, config, valuation) -> tuple[dict, int]:
     # Independent cross-check through the dense sign-word route:
     # prescribing the intersection probabilities must reproduce the
     # canonical atom masses, the nonzero ones on the same sets.
-    routes_agree = _dense_route_atoms(config, valuation, space.t) == {
-        x: mass for x, mass in space.atoms.items() if mass
-    }
+    route_scale, route = _dense_route_atoms(config, valuation, space.t)
+    scale, masses = space.scale, space.masses
+    # Cross-multiplied by the cofactors of the two denominators.
+    common = math.gcd(scale, route_scale)
+    route_factor, space_factor = scale // common, route_scale // common
+    routes_agree = route.keys() == {x for x, mass in masses.items() if mass} and all(
+        mass * route_factor == masses[x] * space_factor for x, mass in route.items()
+    )
     payload = {
         "t": format_rational(space.t),
         "marginals_ok": report.marginals_ok,

@@ -50,6 +50,7 @@ root at or below the best one found are isolated (see
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,6 +68,8 @@ from .core import (
 from .poly import (
     AlgebraicRoot,
     Polynomial,
+    _content_free,
+    _descartes_root_free,
     _enclosures,
     compare_roots,
     first_positive_root,
@@ -133,19 +136,17 @@ def _scaled_products(
 ) -> tuple[int, dict[int, int]]:
     """A common denominator D and the integers D f(x) t^|x| over members.
 
-    Members must be downward closed and come in (size, mask) order: x
-    takes the value of x minus its top vertex a times f(a) t.
+    Members must be downward closed and come in (size, mask) order, so
+    the first is the empty set; x takes the value of x minus its top
+    vertex a times f(a) t.
     """
-    factors = [w * t for w in valuation.weights]
-    scale = math.prod(c.denominator for c in factors)
-    scaled: dict[int, int] = {}
-    for x in members:
-        if not x:
-            scaled[x] = scale
-            continue
+    factors = [(c.denominator, c.numerator) for c in (w * t for w in valuation.weights)]
+    scale = math.prod(den for den, _ in factors)
+    scaled = {0: scale}
+    for x in itertools.islice(members, 1, None):
         top = x.bit_length() - 1
-        c = factors[top]
-        scaled[x] = scaled[x ^ (1 << top)] // c.denominator * c.numerator
+        den, num = factors[top]
+        scaled[x] = scaled[x ^ (1 << top)] // den * num
     return scale, scaled
 
 
@@ -359,14 +360,14 @@ class MobiusFamily:
         linear (drop one vertex from a maximal independence set), so the
         minimum always exists for a non-trivial configuration.
 
-        Each member's digit key is read once, and ``relative`` is called
-        once per distinct key.  Keys differing by a factor give equal
-        polynomials, so these are deduplicated by value before any root
-        work; ``attained_at`` is read off the keys.  Distinct
-        polynomials are visited in the (size, mask) order of their
-        first anchor.  One with no root in (0, best.hi], certified
-        by ``root_free``, cannot reach the minimum (the best root only
-        decreases) and is never isolated.  The others are isolated
+        Each distinct digit key is decoded once, to content-free integer
+        coefficients; with constant term 1, equal tuples are equal
+        polynomials, visited once each in the (size, mask) order of their
+        first anchor, and ``attained_at`` is read off the keys.  One with
+        no root in (0, best.hi], certified by ``root_free`` on the
+        integers, cannot reach the minimum (the best root only decreases)
+        and is never isolated; ``relative`` builds a :class:`Polynomial`
+        only for a Sturm count or an isolation.  The others are isolated
         coarsely (``isolate_first_root``: until one root is left in the
         interval) and compared exactly with the best by
         ``compare_roots``, which halves only until the intervals
@@ -381,23 +382,29 @@ class MobiusFamily:
         # Each distinct key, in order of its first anchor, with one of its
         # anchors (the last: later ones overwrite the value, not the order).
         anchors = dict(zip(keys.values(), keys))
-        polys = {key: self.relative(x) for key, x in anchors.items()}
+        shapes = {key: _content_free(self._decode(key)[0]) for key in anchors}
+        # Each distinct polynomial, in order of its first key, with an anchor.
+        distinct = dict(zip(shapes.values(), anchors.values()))
         best: AlgebraicRoot | None = None
-        attaining: set[Polynomial] = set()
-        for poly in dict.fromkeys(polys.values()):
-            if best is not None and root_free(poly, best.hi):
+        attaining: set[tuple[int, ...]] = set()
+        for shape, x in distinct.items():
+            free = best is not None and _descartes_root_free(shape, best.hi)
+            if free:
+                continue
+            poly = self.relative(x)
+            if free is None and root_free(poly, best.hi):  # decided by a Sturm count
                 continue
             root = isolate_first_root(poly)
             if root is None:
                 continue
             order = -1 if best is None else compare_roots(root, best)
             if order < 0:
-                best, attaining = first_positive_root(poly), {poly}
+                best, attaining = first_positive_root(poly), {shape}
             elif order == 0:
-                attaining.add(poly)
+                attaining.add(shape)
         if best is None:
             raise AssertionError("no relative polynomial has a positive root")
-        hits = {key for key, poly in polys.items() if poly in attaining}
+        hits = {key for key, shape in shapes.items() if shape in attaining}
         return best, tuple(x for x, key in keys.items() if key in hits)
 
     def classify(self) -> Classification:

@@ -458,7 +458,11 @@ def descartes_variations(p: Polynomial, hi: Fraction) -> int:
     there is none (the test of Collins-Akritas bisection).  Needs
     hi > 0.  The primitive coefficients are shifted by one in integers.
     """
-    coeffs = p.primitive()
+    return _descartes(p.primitive(), hi)
+
+
+def _descartes(coeffs: Sequence[int], hi: Fraction) -> int:
+    """``descartes_variations`` for the integer coefficients of p."""
     d = len(coeffs) - 1
     a, b = hi.numerator, hi.denominator
     # Coefficient k of p times hi^k * b^d multiplies y^(d-k), so shifted
@@ -478,9 +482,17 @@ def root_free(p: Polynomial, hi: Fraction) -> bool:
     is inconclusive (complex roots near the interval), a Sturm count on
     the squarefree part decides.
     """
-    if _sign_at(p, hi) == 0:
+    free = _descartes_root_free(p.primitive(), hi)
+    return sturm_count(p, 0, hi) == 0 if free is None else free
+
+
+def _descartes_root_free(coeffs: Sequence[int], hi: Fraction) -> bool | None:
+    """``root_free`` for the polynomial with integer coefficients
+    ``coeffs`` where its sign at hi or Descartes' rule decides, and
+    None where only a Sturm count can."""
+    if _int_sign(coeffs, hi.numerator, hi.denominator) == 0:
         return False
-    return descartes_variations(p, hi) == 0 or sturm_count(p, 0, hi) == 0
+    return True if _descartes(coeffs, hi) == 0 else None
 
 
 def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:

@@ -2,7 +2,10 @@
 
 Given a rational event probability t in the feasible range, the
 canonical space has one atom per independence set x with exact mass
-m(x) = f(x) t^|x| mu^{|x}(t); the masses sum to one.  Sign-word atoms
+m(x) = f(x) t^|x| mu^{|x}(t); the masses sum to one.  A space keeps
+them as the transform leaves them, integers over one denominator;
+``verify_realization`` and ``sample`` work on those, and a reduced
+``Fraction`` is built only for a reported value.  Sign-word atoms
 (which vertices occur, which are negated) are derived on demand.
 
 One subset transform does the work.  The masses are the superset
@@ -39,7 +42,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, sub
-from typing import Iterable, Mapping, Sequence, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, MutableMapping, Sequence, Union
 
 from .core import Configuration, Valuation
 from .mobius import MobiusFamily, _scaled_products, _superset_transform
@@ -64,10 +68,10 @@ class OutOfRange(ValueError):
     """t lies outside the feasible range; carries a witness set."""
 
     def __init__(self, t: Fraction, witness: int, value: Fraction):
-        super().__init__(
-            f"t = {t} is outside the probabilistic range: the relative "
-            f"polynomial of set mask {witness} evaluates to {value} < 0"
-        )
+        reason = f"the relative polynomial of set mask {witness} evaluates to {value} < 0"
+        if t < 0:
+            reason = "it is negative"
+        super().__init__(f"t = {t} is outside the probabilistic range: {reason}")
         self.t = t
         self.witness = witness
         self.value = value
@@ -104,23 +108,34 @@ class SignedWord:
 
 @dataclass(frozen=True, eq=False)
 class ConfiguredSpace:
-    """Finite probability space with atoms indexed by independence sets."""
+    """Finite probability space with atoms indexed by independence sets:
+    atom x has mass ``masses[x] / scale``, the members in (size, mask)
+    order, and ``atoms``, ``mass``, ``rest`` and ``sorted_atoms`` are
+    read-only views of those masses as reduced fractions."""
 
     config: Configuration
     valuation: Valuation
     t: Fraction
-    atoms: dict[int, Fraction]
+    scale: int
+    masses: dict[int, int]
     _family: MobiusFamily = field(repr=False)
 
+    @functools.cached_property
+    def atoms(self) -> Mapping[int, Fraction]:
+        """Each atom's mass as a reduced fraction; computed once."""
+        scale = self.scale
+        return MappingProxyType({x: Fraction(m, scale) for x, m in self.masses.items()})
+
     def mass(self, x: int) -> Fraction:
-        return self.atoms[x]
+        return Fraction(self.masses[x], self.scale)
 
     def rest(self) -> Fraction:
         """Mass left uncovered by the vertex events; equals the atom at the empty set."""
-        return self.atoms[0]
+        return self.mass(0)
 
     def sorted_atoms(self) -> list[tuple[int, Fraction]]:
-        return sorted(self.atoms.items(), key=lambda kv: (kv[0].bit_count(), kv[0]))
+        """The atoms in (size, mask) order."""
+        return list(self.atoms.items())
 
 
 @dataclass
@@ -137,41 +152,30 @@ class RealizationReport:
         return self.marginals_ok and self.independence_ok and self.exclusivity_ok
 
 
-def _downward_closure(keys: Iterable[int]) -> set[int]:
-    """Every subset of every key."""
+def _downward_closure(keys: Iterable[int], n: int) -> list[int]:
+    """Every subset of every key, in (size, mask) order: vertex i leaves
+    each set in turn, so a subset loses the vertices it lacks in order."""
     closed = set(keys)
-    pending = list(closed)
-    while pending:
-        x = pending.pop()
-        rest = x
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if x ^ bit not in closed:
-                closed.add(x ^ bit)
-                pending.append(x ^ bit)
-    return closed
+    for i in range(n):
+        closed |= {x & ~(1 << i) for x in closed}
+    return sorted(closed, key=lambda m: (m.bit_count(), m))
 
 
 def _intersection_masses(
-    keys: Sequence[int], q: Mapping[int, Fraction] | Sequence[Fraction]
-) -> tuple[int, dict[int, int]]:
-    """A common denominator D and the integer masses D m(y) over keys.
+    keys: Sequence[int], table: MutableMapping[int, int] | list[int], scale: int
+) -> None:
+    """In place: table[y], the integer D q(y) over the common
+    denominator D = ``scale``, becomes the integer mass D m(y).
 
     m(y) is the alternating sum of q over the supersets of y among the
     keys, which must be downward closed and come in ascending order.
-    The transform runs on integer numerators over the least common
-    denominator of q and does no Fraction arithmetic.  Raises
-    :class:`InfeasibleIntersections` when any mass comes out negative,
-    listing the offending masks in key order.
+    Raises :class:`InfeasibleIntersections` when any mass comes out
+    negative, listing the offending masks in key order.
     """
-    scale = math.lcm(*(q[y].denominator for y in keys))
-    masses = {y: q[y].numerator * (scale // q[y].denominator) for y in keys}
-    _superset_transform(masses, keys, keys[-1].bit_length(), -1)
-    negatives = [(y, Fraction(value, scale)) for y, value in masses.items() if value < 0]
+    _superset_transform(table, keys, keys[-1].bit_length(), -1)
+    negatives = [(y, Fraction(table[y], scale)) for y in keys if table[y] < 0]
     if negatives:
         raise InfeasibleIntersections(negatives)
-    return scale, masses
 
 
 def atoms_from_intersections(
@@ -191,23 +195,23 @@ def atoms_from_intersections(
     alone (see the module docstring for why both give the same masses).
     """
     size = 1 << n
-    values = []
     for mask in range(size):
         if mask not in q:
             raise MissingEntry(f"no intersection probability for mask {mask}")
-        value = q[mask]
-        values.append(value if isinstance(value, Fraction) else Fraction(value))
+    values = [Fraction(q[mask]) for mask in range(size)]
     if values[0] != 1:
         raise ValueError("the empty intersection must have probability 1")
-    scale, masses = _intersection_masses(range(size), values)
+    scale = math.lcm(*(value.denominator for value in values))
+    masses = [value.numerator * (scale // value.denominator) for value in values]
     del values
+    _intersection_masses(range(size), masses, scale)
     zero = Fraction(0)
     full = size - 1
     return {
         SignedWord(positives=mask, negatives=full ^ mask): (
             Fraction(value, scale) if value else zero
         )
-        for mask, value in masses.items()
+        for mask, value in enumerate(masses)
     }
 
 
@@ -216,19 +220,12 @@ def event_probability(
     word: SignedWord,
 ) -> Fraction:
     """Probability of a sign word: total mass of full words extending it."""
-    total = Fraction(0)
     if isinstance(source, ConfiguredSpace):
-        for x, mass in source.atoms.items():
-            if x & word.positives == word.positives and x & word.negatives == 0:
-                total += mass
-        return total
-    for atom, mass in source.items():
-        if (
-            atom.positives & word.positives == word.positives
-            and atom.positives & word.negatives == 0
-        ):
-            total += mass
-    return total
+        atoms = source.atoms.items()
+    else:
+        atoms = ((atom.positives, mass) for atom, mass in source.items())
+    on, off = word.positives, word.negatives
+    return sum((mass for x, mass in atoms if x & on == on and not x & off), Fraction(0))
 
 
 def canonical_space(
@@ -245,7 +242,9 @@ def canonical_space(
     above the critical root.  The witness is the first independence set
     in (size, mask) order with a negative mass, and the reported value
     is m(x) / q(x), which is its relative polynomial at t.  At t = 0
-    no mass is negative.
+    no mass is negative.  A negative t is out of range, with the empty
+    set and t as the error's witness and value, although every relative
+    polynomial is positive there.
     """
     t = Fraction(t)
     if t < 0:
@@ -261,10 +260,7 @@ def canonical_space(
     total = sum(masses.values())
     if total != scale:
         raise AssertionError(f"atom masses sum to {Fraction(total, scale)}, not 1")
-    atoms = {x: Fraction(masses[x], scale) for x in members}
-    return ConfiguredSpace(
-        config=config, valuation=family.valuation, t=t, atoms=atoms, _family=family
-    )
+    return ConfiguredSpace(config, family.valuation, t, scale, masses, family)
 
 
 def verify_realization(space: ConfiguredSpace) -> RealizationReport:
@@ -276,58 +272,49 @@ def verify_realization(space: ConfiguredSpace) -> RealizationReport:
     joint probability zero; upward closure makes nub checking
     sufficient.  Violations are reported, never raised.
 
-    One zeta transform of the atoms over the downward closure of their
-    sets gives every joint probability the three checks need, on integer
-    numerators over a common denominator: the marginals are its
-    singleton entries, and a nub outside the closure lies in no atom.
-    The rest is compared with mu(t), summed over the members the
-    space's Mobius family has already enumerated.
+    One zeta transform of the space's integer masses over the downward
+    closure of their sets gives every joint probability the checks need,
+    and a nub outside the closure lies in no atom.  The products
+    f(x) t^|x| over the same closure are the marginal and independence
+    targets, and their alternating sum over the family is mu(t).
     """
-    config, valuation, t = space.config, space.valuation, space.t
-    atoms = space.atoms
-    scale = math.lcm(*(mass.denominator for mass in atoms.values()))
-    closure = sorted(_downward_closure(atoms), key=lambda m: (m.bit_count(), m))
+    config, scale, masses = space.config, space.scale, space.masses
+    members = closure = space._family.members()
+    if masses.keys() != set(members):  # masses off the family: close them
+        closure = _downward_closure([*masses, *members], config.n)
     joint = dict.fromkeys(closure, 0)
-    for x, mass in atoms.items():
-        joint[x] = mass.numerator * (scale // mass.denominator)
-    _superset_transform(joint, closure, max(closure).bit_length(), 1)
-    violations: list[str] = []
-    marginals_ok = True
-    for a in range(config.n):
-        got = joint.get(1 << a, 0)
-        want = t * valuation.weights[a]
-        if got * want.denominator != want.numerator * scale:
-            marginals_ok = False
-            violations.append(
-                f"marginal of {config.label_of(a)}: {Fraction(got, scale)} != {want}"
-            )
-    independence_ok = True
-    product_scale, products = _scaled_products(closure, valuation, t)
-    for x in atoms:
-        if joint[x] * product_scale != products[x] * scale:
-            independence_ok = False
-            got = Fraction(joint[x], scale)
-            want = Fraction(products[x], product_scale)
-            violations.append(
-                f"joint probability of {config.word(x)}: {got} != {want}"
-            )
-    exclusivity_ok = True
-    for nub in config.nubs:
-        got = joint.get(nub, 0)
-        if got != 0:
-            exclusivity_ok = False
-            violations.append(
-                f"nub {config.word(nub)} has joint probability {Fraction(got, scale)}"
-            )
+    joint.update(masses)
+    _superset_transform(joint, closure, config.n, 1)
+    product_scale, products = _scaled_products(closure, space.valuation, space.t)
+    # joint / scale against products / product_scale, cross-multiplied by
+    # the cofactors of the two denominators: 1 and 1 on a canonical space.
+    common = math.gcd(scale, product_scale)
+    joint_factor, product_factor = product_scale // common, scale // common
+
+    def off_product(keys: Iterable[int]) -> list[tuple[int, Fraction, Fraction]]:
+        return [
+            (x, Fraction(joint[x], scale), Fraction(products[x], product_scale))
+            for x in keys
+            if joint[x] * joint_factor != products[x] * product_factor
+        ]
+
+    # Every vertex is an independence set, so a singleton's product is t f(a).
+    marginals = off_product(1 << a for a in range(config.n))
+    joints = off_product(masses)
+    nubs = [(nub, Fraction(joint[nub], scale)) for nub in config.nubs if joint.get(nub)]
+    violations = [
+        f"marginal of {config.label_of(x.bit_length() - 1)}: {g} != {w}" for x, g, w in marginals
+    ]
+    violations += [f"joint probability of {config.word(x)}: {g} != {w}" for x, g, w in joints]
+    violations += [f"nub {config.word(nub)} has joint probability {g}" for nub, g in nubs]
     rest = space.rest()
-    mu_scale, terms = _scaled_products(space._family.members(), valuation, t)
-    mu_at_t = Fraction(sum((-1) ** x.bit_count() * v for x, v in terms.items()), mu_scale)
-    if rest != mu_at_t:
-        violations.append(f"rest {rest} disagrees with mu(t) = {mu_at_t}")
+    mu_at_t = sum(-products[x] if x.bit_count() & 1 else products[x] for x in members)
+    if masses[0] * joint_factor != mu_at_t * product_factor:
+        violations.append(f"rest {rest} disagrees with mu(t) = {Fraction(mu_at_t, product_scale)}")
     return RealizationReport(
-        marginals_ok=marginals_ok,
-        independence_ok=independence_ok,
-        exclusivity_ok=exclusivity_ok,
+        marginals_ok=not marginals,
+        independence_ok=not joints,
+        exclusivity_ok=not nubs,
         covering=(rest == 0),
         rest=rest,
         violations=violations,
@@ -428,26 +415,23 @@ def sample(space: ConfiguredSpace, count: int, seed: int) -> dict[int, int]:
 
     The words come from ``SplitMix64.words``, computed as 128-bit lanes
     of one integer, a block at a time, so memory stays bounded for any
-    count: ``_BLOCK`` words, or one per atom if there are more atoms.  A block is tallied without a step
-    per word: sorted, the words below boundary i number
-    ``bisect_left(block, b_i)``, and atom i receives those below b_i
-    and not below b_(i-1), exactly the words that
-    ``bisect_right(boundaries, word)`` sends to it.
+    count: ``_BLOCK`` words, or one per atom if there are more atoms.  A
+    block is tallied without a step per word: sorted, the words below
+    boundary i number ``bisect_left(block, b_i)``, and atom i receives
+    those below b_i and not below b_(i-1), exactly the words that
+    ``bisect_right(boundaries, word)`` sends to it.  The boundaries come
+    from the space's integer masses, so no mass is reduced.
 
     Raises ``ValueError`` if a mass is negative or the masses do not
     sum to 1.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    atoms = space.sorted_atoms()
-    for x, mass in atoms:
+    scale, masses = space.scale, space.masses
+    for x, mass in masses.items():
         if mass < 0:
-            raise ValueError(f"atom {x} has negative mass {mass}")
-    # Cumulative masses as integers over the common denominator.
-    scale = math.lcm(*(mass.denominator for _, mass in atoms))
-    cumulative = list(
-        accumulate(mass.numerator * (scale // mass.denominator) for _, mass in atoms)
-    )
+            raise ValueError(f"atom {x} has negative mass {Fraction(mass, scale)}")
+    cumulative = list(accumulate(masses.values()))
     if cumulative[-1:] != [scale]:
         total = Fraction(cumulative[-1] if cumulative else 0, scale)
         raise ValueError(f"the atom masses sum to {total}, not 1")
@@ -463,4 +447,4 @@ def sample(space: ConfiguredSpace, count: int, seed: int) -> dict[int, int]:
         words.sort()
         block = map(functools.partial(bisect_left, words), boundaries)
         below = list(map(add, below, block))
-    return {x: tally for (x, _), tally in zip(atoms, map(sub, below, [0] + below))}
+    return dict(zip(masses, map(sub, below, [0] + below)))

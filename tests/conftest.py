@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -160,6 +162,18 @@ def nub_scan_enumeration(config: Configuration):
                 yield from walk(y, a + 1)
 
     return walk(0, 0)
+
+
+def shift_masses(space, deltas: dict[int, Fraction]):
+    """A tampered copy of a configured space: deltas[x] is added to the
+    integer mass of atom x (a new x becomes an atom), all masses
+    rescaled to one common denominator and kept in (size, mask) order."""
+    scale = math.lcm(space.scale, *(delta.denominator for delta in deltas.values()))
+    masses = {x: mass * (scale // space.scale) for x, mass in space.masses.items()}
+    for x, delta in deltas.items():
+        masses[x] = masses.get(x, 0) + delta.numerator * (scale // delta.denominator)
+    order = sorted(masses, key=lambda x: (x.bit_count(), x))
+    return dataclasses.replace(space, scale=scale, masses={x: masses[x] for x in order})
 
 
 def binary_search_sample(space, count: int, seed: int) -> dict[int, int]:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -27,6 +28,8 @@ from configspaces.structure import (
     random_valuation,
     trace_series,
 )
+
+from conftest import shift_masses
 
 TEXT_CONFIG = """
 # three vertices, one triple nub
@@ -175,6 +178,27 @@ def test_space_out_of_range(capsys):
     payload = payload_of(out)
     assert payload["error"] == "out-of-range"
     assert payload["witness"] in (["a"], ["b"], ["c"])
+
+
+def test_space_negative_t_payload(capsys):
+    code, out, _ = run(capsys, "space", "--name", "star-3-2", "--t=-1/2")
+    assert code == 1
+    assert out == (
+        '{"command":"space","input_digest":"eaabc0830d2eb3b4","payload":'
+        '{"error":"out-of-range","t":"-1/2","value":"-1/2","witness":[]},'
+        '"schema_version":"1"}\n'
+    )
+
+
+def test_verify_and_sample_commands_read_no_atoms(capsys, monkeypatch):
+    def refuse(space):
+        raise AssertionError("atoms read")
+
+    monkeypatch.setattr(probspace.ConfiguredSpace, "atoms", property(refuse))
+    code, out, _ = run(capsys, "verify", "--name", "path-7", "--t", "1/8")
+    assert (code, payload_of(out)["routes_agree"]) == (0, True)
+    code, out, _ = run(capsys, "sample", "--name", "path-7", "--t", "1/8", "--count", "100")
+    assert code == 0 and sum(entry["n"] for entry in payload_of(out)["counts"]) == 100
 
 
 def test_sample_deterministic(capsys):
@@ -479,7 +503,9 @@ def test_dense_route_matches_full_table_and_canonical_atoms(rng):
             }
             dense = probspace.atoms_from_intersections(config.n, q)
             space = probspace.canonical_space(config, valuation, t)
-            route = cli._dense_route_atoms(config, valuation, t)
+            scale, masses = cli._dense_route_atoms(config, valuation, t)
+            assert all(masses.values())
+            route = {x: Fraction(mass, scale) for x, mass in masses.items()}
             assert route == {word.positives: mass for word, mass in dense.items() if mass}
             assert route == {x: mass for x, mass in space.atoms.items() if mass}
     assert nub_sizes == {2, 3, 4}
@@ -492,14 +518,28 @@ def test_routes_disagree_when_mass_moves(capsys, monkeypatch, share):
     def moved(config, valuation, t):
         space = canonical_space(config, valuation, t)
         donor, receiver = 0b0001, 0b0100
-        amount = space.atoms[donor] * share
-        space.atoms[donor] -= amount
-        space.atoms[receiver] += amount
-        return space
+        amount = space.mass(donor) * share
+        return shift_masses(space, {donor: -amount, receiver: amount})
 
     monkeypatch.setattr(cli.probspace, "canonical_space", moved)
     code, out, _ = run(capsys, "verify", "--name", "path-7", "--t", "1/8")
     assert (code, payload_of(out)["routes_agree"]) == (1, False)
+
+
+def test_routes_agree_over_another_denominator(capsys, monkeypatch):
+    # The same masses over three times the denominator: the comparison
+    # must cross-multiply, not compare numerators.
+    canonical_space = probspace.canonical_space
+
+    def rescaled(config, valuation, t):
+        space = canonical_space(config, valuation, t)
+        masses = {x: 3 * mass for x, mass in space.masses.items()}
+        return dataclasses.replace(space, scale=3 * space.scale, masses=masses)
+
+    monkeypatch.setattr(cli.probspace, "canonical_space", rescaled)
+    code, out, _ = run(capsys, "verify", "--name", "path-7", "--t", "1/8")
+    payload = payload_of(out)
+    assert (code, payload["routes_agree"], payload["violations"]) == (0, True, [])
 
 
 def test_verify_dense_route_memory(capsys):

@@ -10,6 +10,7 @@ from configspaces.mobius import MobiusFamily
 from configspaces.probspace import (
     _BLOCK,
     InfeasibleIntersections,
+    ConfiguredSpace,
     MissingEntry,
     OutOfRange,
     SignedWord,
@@ -22,7 +23,7 @@ from configspaces.probspace import (
 )
 from configspaces.structure import builtin, random_configuration, random_valuation, star
 
-from conftest import binary_search_sample, direct_transform
+from conftest import binary_search_sample, direct_transform, shift_masses
 
 H = Fraction(1, 2)
 
@@ -135,6 +136,44 @@ def test_canonical_space_out_of_range():
         canonical_space(star(3, 2), None, Fraction(-1, 2))
 
 
+def test_negative_t_is_reported_as_negative():
+    # Every relative polynomial is positive at t < 0 (alternating
+    # coefficients, constant term 1), so the error names no polynomial.
+    with pytest.raises(OutOfRange) as excinfo:
+        canonical_space(star(3, 2), None, Fraction(-1, 2))
+    exc = excinfo.value
+    assert str(exc) == "t = -1/2 is outside the probabilistic range: it is negative"
+    assert (exc.t, exc.witness, exc.value) == (Fraction(-1, 2), 0, Fraction(-1, 2))
+
+
+def test_space_views_follow_the_integer_masses():
+    space = canonical_space(builtin("fig1-left"), None, Fraction(1, 10))
+    members = MobiusFamily(builtin("fig1-left")).members()
+    assert list(space.masses) == members
+    assert sum(space.masses.values()) == space.scale
+    assert space.atoms is space.atoms
+    assert space.atoms == {x: Fraction(m, space.scale) for x, m in space.masses.items()}
+    assert space.sorted_atoms() == list(space.atoms.items())
+    assert space.rest() == space.mass(0) == space.atoms[0]
+    with pytest.raises(TypeError):
+        space.atoms[0] = Fraction(0)
+
+
+def test_verify_and_sample_read_only_the_integer_masses(monkeypatch):
+    def refuse(space):
+        raise AssertionError("atoms read")
+
+    spaces = [
+        canonical_space(builtin("path-7"), None, Fraction(1, 8)),
+        canonical_space(star(3, 1), None, Fraction(1, 4)),
+    ]
+    spaces.append(shift_masses(spaces[1], {0b111: Fraction(1, 8), 0: Fraction(-1, 8)}))
+    monkeypatch.setattr(ConfiguredSpace, "atoms", property(refuse))
+    for space in spaces:
+        verify_realization(space)
+        sample(space, 5000, 3)
+
+
 def test_verify_star43_covering():
     report = verify_realization(canonical_space(star(4, 3), None, H))
     assert report.ok and report.covering and report.rest == 0
@@ -150,8 +189,7 @@ def test_verify_star32():
 
 def test_verify_detects_tampering():
     space = canonical_space(star(3, 2), None, H)
-    space.atoms[0b011] += Fraction(1, 8)
-    space.atoms[0] -= Fraction(1, 8)
+    space = shift_masses(space, {0b011: Fraction(1, 8), 0: Fraction(-1, 8)})
     report = verify_realization(space)
     assert not report.ok
     assert report.violations
@@ -323,11 +361,9 @@ def test_sample_memory_bounded():
 
 def test_sample_rejects_bad_masses():
     space = canonical_space(builtin("path-4"), None, Fraction(1, 8))
-    space.atoms[0] -= Fraction(1, 8)
     with pytest.raises(ValueError, match="sum to 7/8, not 1"):
-        sample(space, 2000, 1)
-    space = canonical_space(builtin("path-4"), None, Fraction(1, 8))
-    space.atoms[0b0010] = Fraction(-13, 32)
+        sample(shift_masses(space, {0: Fraction(-1, 8)}), 2000, 1)
+    space = shift_masses(space, {0b0010: Fraction(-13, 32) - space.mass(0b0010)})
     with pytest.raises(ValueError, match="atom 2 has negative mass -13/32"):
         sample(space, 2000, 1)
 
@@ -430,8 +466,7 @@ def test_verify_zeta_matches_atom_sums(rng):
     # Tampered spaces, including mass on a dependent set none of whose
     # two-element subsets is an atom (the zeta runs over the closure).
     space = canonical_space(star(3, 1), None, Fraction(1, 4))
-    space.atoms[0b111] = Fraction(1, 8)
-    space.atoms[0] -= Fraction(1, 8)
+    space = shift_masses(space, {0b111: Fraction(1, 8), 0: Fraction(-1, 8)})
     report = verify_realization(space)
     assert report.violations[-1].startswith("rest ")
     assert report.violations[:-1] == _violations_by_event_probability(space)
@@ -443,9 +478,8 @@ def test_verify_zeta_matches_atom_sums(rng):
         t = (root.value if root.is_rational else root.lo) / 2
         space = canonical_space(c, f, t)
         assert verify_realization(space).violations == []
-        x = rng.choice([x for x in space.atoms if x])
-        space.atoms[x] += Fraction(1, 7)
-        space.atoms[0] -= Fraction(1, 7)
+        x = rng.choice([x for x in space.masses if x])
+        space = shift_masses(space, {x: Fraction(1, 7), 0: Fraction(-1, 7)})
         report = verify_realization(space)
         assert report.violations[-1].startswith("rest ")
         assert report.violations[:-1] == _violations_by_event_probability(space)
