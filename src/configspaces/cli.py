@@ -546,6 +546,8 @@ def _cmd_builtin(args, config, valuation) -> tuple[dict, int]:
 def _cmd_check_identities(args) -> tuple[dict, int]:
     import random as _random
 
+    if args.trials < 0:
+        raise ValueError("trials must be nonnegative")
     rng = _random.Random(args.seed)
     failures: list[str] = []
     for trial in range(args.trials):

@@ -29,8 +29,9 @@ N(x) alone and f(z) / f(x) = f(z - x), so coefficient d of mu^{|x} is
 (-1)^d digit_{|x|+d} / digit_{|x|}.  No digit exceeds the sum of all
 N(z), which fits in B bits, so no carry crosses digits.  No relative
 configuration is built.  The entry of x shifted down by B |x| is its
-digit key: anchors with equal keys share one polynomial, and keys that
-differ by a factor (the same link, another f(x)) give equal ones.
+digit key, decoded once into content-free integers, its shape: keys
+that differ by a factor (the same link, another f(x)) have one shape,
+and anchors with one shape share one polynomial object.
 
 mu alone needs no transform.  Deleting vertex v splits the family into
 the sets that miss v and the sets v | y with y independent in the link
@@ -247,9 +248,11 @@ class MobiusFamily:
 
     The independence family and its packed zeta transform (see the
     module docstring) are built on first use and kept; ``mu`` alone
-    needs neither and eliminates down to enumerated leaves.  Anchors whose
-    transform digits agree share one polynomial object.  Everything
-    kept is write-once: racing writers would store identical values, so
+    needs neither and eliminates down to enumerated leaves.  Each digit
+    key is decoded once, to its shape (``_shape``), and relative
+    polynomials equal in value are one object, built from their shape,
+    with one Sturm chain and one isolation.  Everything kept is
+    write-once: racing writers would store identical values, so
     concurrent reads are safe.
     """
 
@@ -261,7 +264,8 @@ class MobiusFamily:
         self._members: list[int] | None = None
         self._keys: dict[int, int] | None = None
         self._width = 0
-        self._polynomials: dict[int, Polynomial] = {}
+        self._shapes: dict[int, tuple[int, ...]] = {}
+        self._polynomials: dict[tuple[int, ...], Polynomial] = {}
 
     def members(self) -> list[int]:
         """The independence family in (size, mask) order, enumerated
@@ -288,7 +292,7 @@ class MobiusFamily:
     def _digit_keys(self) -> dict[int, int]:
         """Per member x, in (size, mask) order, its digit key: digit d,
         ``self._width`` bits wide, is the sum of D f(z) over members z
-        containing x with |z| = |x| + d (see ``_decode``)."""
+        containing x with |z| = |x| + d (see ``_shape``)."""
         if self._keys is None:
             members = self.members()
             _, table = _scaled_products(members, self.valuation, Fraction(1))
@@ -301,28 +305,30 @@ class MobiusFamily:
             self._width, self._keys = width, table
         return self._keys
 
-    def _decode(self, key: int) -> tuple[list[int], int]:
-        """The signed integer coefficients of a digit key and its lead:
-        coefficient d of the relative polynomial is coeffs[d] / lead,
-        and the lead, D f(x) for the anchor x, is positive."""
-        low = (1 << self._width) - 1
-        coeffs: list[int] = []
-        while key:
-            value = key & low
-            coeffs.append(-value if len(coeffs) % 2 else value)
-            key >>= self._width
-        return coeffs, coeffs[0]
+    def _shape(self, key: int) -> tuple[int, ...]:
+        """The digit key's shape, decoded once per key: content-free
+        signed integers, shape[0] > 0, and coefficient d of the relative
+        polynomial is shape[d] / shape[0].  Anchors whose keys differ by
+        a factor (the same link, another f(x)) get the same shape."""
+        shape = self._shapes.get(key)
+        if shape is None:
+            low, digits, rest = (1 << self._width) - 1, [], key
+            while rest:
+                digits.append(-(rest & low) if len(digits) % 2 else rest & low)
+                rest >>= self._width
+            shape = self._shapes[key] = _content_free(digits)
+        return shape
 
     def relative(self, x: int) -> Polynomial:
         """mu^{|x}: the Mobius polynomial of the configuration relative to x."""
         keys = self._digit_keys()
         if x not in keys and not self.config.is_independent(x):
             raise NotIndependent(f"{self.config.word(x)} is not an independence set")
-        key = keys[x]
-        poly = self._polynomials.get(key)
+        shape = self._shape(keys[x])
+        poly = self._polynomials.get(shape)
         if poly is None:
-            coeffs, lead = self._decode(key)
-            poly = self._polynomials[key] = Polynomial([Fraction(c, lead) for c in coeffs])
+            poly = self._polynomials[shape] = Polynomial([Fraction(c, shape[0]) for c in shape])
+            poly._primitive = shape  # what primitive() would return
         return poly
 
     def transform(self, x: int) -> Polynomial:
@@ -360,14 +366,14 @@ class MobiusFamily:
         linear (drop one vertex from a maximal independence set), so the
         minimum always exists for a non-trivial configuration.
 
-        Each distinct digit key is decoded once, to content-free integer
-        coefficients; with constant term 1, equal tuples are equal
-        polynomials, visited once each in the (size, mask) order of their
-        first anchor, and ``attained_at`` is read off the keys.  One with
-        no root in (0, best.hi], certified by ``root_free`` on the
-        integers, cannot reach the minimum (the best root only decreases)
-        and is never isolated; ``relative`` builds a :class:`Polynomial`
-        only for a Sturm count or an isolation.  The others are isolated
+        Each distinct digit key is decoded once, to its shape (see
+        ``_shape``); equal shapes are equal polynomials, visited once each
+        in the (size, mask) order of their first anchor, and
+        ``attained_at`` is read off the keys.  One with no root in
+        (0, best.hi], certified by ``root_free`` on the integers, cannot
+        reach the minimum (the best root only decreases) and is never
+        isolated; ``relative`` builds a :class:`Polynomial` only for a
+        Sturm count or an isolation.  The others are isolated
         coarsely (``isolate_first_root``: until one root is left in the
         interval) and compared exactly with the best by
         ``compare_roots``, which halves only until the intervals
@@ -382,9 +388,8 @@ class MobiusFamily:
         # Each distinct key, in order of its first anchor, with one of its
         # anchors (the last: later ones overwrite the value, not the order).
         anchors = dict(zip(keys.values(), keys))
-        shapes = {key: _content_free(self._decode(key)[0]) for key in anchors}
         # Each distinct polynomial, in order of its first key, with an anchor.
-        distinct = dict(zip(shapes.values(), anchors.values()))
+        distinct = {self._shape(key): x for key, x in anchors.items()}
         best: AlgebraicRoot | None = None
         attaining: set[tuple[int, ...]] = set()
         for shape, x in distinct.items():
@@ -404,7 +409,7 @@ class MobiusFamily:
                 attaining.add(shape)
         if best is None:
             raise AssertionError("no relative polynomial has a positive root")
-        hits = {key for key, shape in shapes.items() if shape in attaining}
+        hits = {key for key in anchors if self._shapes[key] in attaining}
         return best, tuple(x for x, key in keys.items() if key in hits)
 
     def classify(self) -> Classification:

@@ -170,20 +170,24 @@ def trace_count_cf(
                     after |= nub
             weight = 1 if valuation is None else valuation.of(c)
             cliques.append((c, c.bit_count(), weight, after))
-    # counts[k][allowed]: weighted number of clique sequences of total
-    # size k after which the next clique must fit inside `allowed`.
-    counts: list[dict[int, int | Fraction]] = [{} for _ in range(length + 1)]
+    # counts[k % span][allowed]: weighted number of clique sequences of
+    # total size k after which the next clique must fit inside `allowed`.
+    # Row k is final once the loop reaches it, and adds land at most the
+    # largest clique size ahead, so only span rows are kept.
+    span = 1 + max((e[1] for e in cliques), default=0)
+    counts: list[dict[int, int | Fraction]] = [{} for _ in range(span)]
     counts[0][config.vertex_mask] = 1 if valuation is None else Fraction(1)
     inside: dict[int, list] = {}
     for k in range(length):
-        for allowed, count in counts[k].items():
+        current, counts[k % span] = counts[k % span], {}
+        for allowed, count in current.items():
             if allowed not in inside:
                 inside[allowed] = [e for e in cliques if e[0] & allowed == e[0]]
             for c, size, weight, after in inside[allowed]:
                 if k + size <= length:
-                    row = counts[k + size]
+                    row = counts[(k + size) % span]
                     row[after] = row.get(after, zero) + count * weight
-    return sum(counts[length].values(), zero)
+    return sum(counts[length % span].values(), zero)
 
 
 @dataclass(frozen=True)
@@ -243,10 +247,10 @@ def _monotone_under_inclusion(family: MobiusFamily, lo: Fraction) -> bool:
 
     In integers on the family's digit keys.  With the points a_k / b,
     b = 4 lo.denominator, b^deg p(a_k / b) is the dot product of a key's
-    integer coefficients with a_k^j b^(deg - j), over the key's positive
-    lead.  Each distinct key is evaluated once, and each distinct
-    (below, above) pair of keys is compared once, by cross-multiplying
-    with the two leads.
+    shape (``MobiusFamily._shape``) with a_k^j b^(deg - j), over the
+    shape's positive lead shape[0].  Each distinct key is evaluated once,
+    and each distinct (below, above) pair of keys is compared once, by
+    cross-multiplying with the two leads.
     """
     keys = family._digit_keys()
     degree = family.mu().degree
@@ -257,8 +261,8 @@ def _monotone_under_inclusion(family: MobiusFamily, lo: Fraction) -> bool:
         rows.append([a**j * b ** (degree - j) for j in range(degree + 1)])
     values = {}
     for key in set(keys.values()):
-        coeffs, lead = family._decode(key)
-        values[key] = lead, [sum(map(operator.mul, coeffs, row)) for row in rows]
+        shape = family._shape(key)
+        values[key] = shape[0], [sum(map(operator.mul, shape, row)) for row in rows]
     pairs = set()
     for x, above in keys.items():
         rest = x

@@ -300,6 +300,14 @@ def test_check_identities_deterministic(capsys):
     assert out1 == out2
 
 
+def test_check_identities_rejects_negative_trials(capsys):
+    code, out, err = run(capsys, "check-identities", "--trials", "-1")
+    assert (code, out, err) == (2, "", "error: trials must be nonnegative\n")
+    code, out, _ = run(capsys, "check-identities", "--trials", "0")
+    assert code == 0
+    assert payload_of(out)["trials"] == 0 and payload_of(out)["failures"] == []
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "classify")
     assert code == 2

@@ -580,6 +580,27 @@ def test_proportional_keys_are_isolated_once(monkeypatch):
     assert (root, attained) == _eager_critical_root(family)
 
 
+def test_relative_polynomials_are_shared_by_value():
+    # Proportional keys have one shape, so one polynomial object.
+    family = MobiusFamily(TWINS, TWINS_WEIGHTS)
+    keys = family._digit_keys()
+    assert keys[0b01] != keys[0b10]
+    assert family.relative(0b01) is family.relative(0b10)
+    assert len({id(family.relative(x)) for x in family.members()}) == len(
+        {family.relative(x) for x in family.members()}
+    )
+
+
+def test_relative_presets_its_primitive(rng):
+    for _ in range(40):
+        c = random_configuration(rng.randint(1, 8), rng)
+        family = MobiusFamily(c, random_valuation(c, rng))
+        for x in family.members():
+            p = family.relative(x)
+            assert p._primitive is not None
+            assert p.primitive() == Polynomial(p.coefficients).primitive()
+
+
 def test_memoization_shares_relative_polynomials():
     family = MobiusFamily(star(6, 4))
     # anchors of equal size share one relative polynomial each

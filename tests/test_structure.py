@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from configspaces import core
+from configspaces import mobius as mobius_module
+from configspaces import poly as poly_module
 from configspaces import structure as structure_module
 from configspaces.core import (
     TooLarge,
@@ -190,6 +193,21 @@ def test_trace_count_examples():
         trace_count_cf(star(4, 3), 2)
 
 
+def test_trace_count_memory_does_not_grow_with_length():
+    # Only the rows from k to k + (largest clique size) are kept, so the
+    # memory does not grow with the length.
+    single = builtin("path-1")
+    tracemalloc.start()
+    try:
+        assert trace_count_cf(single, 20000) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    empty = from_dependence_graph(0, [])
+    assert [trace_count_cf(empty, L) for L in range(3)] == [1, 0, 0]
+
+
 def test_trace_two_algorithms_agree(rng):
     graphs = [
         builtin("fig1-right"),
@@ -282,6 +300,28 @@ def test_integer_monotone_check_matches_fractions(rng):
             assert got == _fraction_monotone(family, lo)
             outcomes.add(got)
     assert outcomes == {True, False}
+
+
+def test_each_digit_key_is_decoded_once(monkeypatch):
+    # (d) of right_angled_properties, then relative at every member, all
+    # read one memoised decode per distinct digit key, and no relative
+    # polynomial recomputes the primitive coefficients its shape gave.
+    decoded, families = [], []
+    original = mobius_module._content_free
+    monkeypatch.setattr(
+        mobius_module, "_content_free", lambda digits: decoded.append(1) or original(digits)
+    )
+    monkeypatch.setattr(
+        structure_module,
+        "MobiusFamily",
+        lambda *args: families.append(MobiusFamily(*args)) or families[-1],
+    )
+    right_angled_properties(builtin("path-14"))
+    (family,) = families
+    monkeypatch.setattr(poly_module, "_content_free", None)
+    for x in family.members():
+        family.relative(x).primitive()
+    assert len(decoded) == len(set(family._digit_keys().values())) == 52
 
 
 def test_non_monotone_pair_is_reported():
