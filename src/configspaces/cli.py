@@ -155,9 +155,13 @@ def _assemble(labels, nubs, weights) -> tuple[Configuration, Valuation]:
         masks.append(mask)
     config = core.from_nubs(len(labels), masks, labels)
     values = [Fraction(1)] * len(labels)
+    weighted: set[str] = set()
     for line, name, value in weights:
         if name not in index:
             raise ParseError(f"weight for unknown vertex {name!r}", line)
+        if name in weighted:
+            raise ParseError(f"second weight for vertex {name!r}", line)
+        weighted.add(name)
         try:
             values[index[name]] = parse_rational(str(value))
         except ValueError as exc:
@@ -169,9 +173,19 @@ def _is_label_list(value: Any) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """One JSON object; a repeated key is ambiguous, so it is refused."""
+    data: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in data:
+            raise ParseError(f"repeated key {key!r} in a JSON object")
+        data[key] = value
+    return data
+
+
 def parse_config_json(text: str) -> tuple[Configuration, Valuation]:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), exc.lineno) from exc
     if not isinstance(data, dict) or "vertices" not in data:
@@ -225,7 +239,9 @@ def parse_config_text(text: str) -> tuple[Configuration, Valuation]:
 
 
 def parse_config(text: str) -> tuple[Configuration, Valuation]:
-    """Parse the JSON or the line-oriented text format."""
+    """Parse the JSON or the line-oriented text format; one leading
+    byte order mark (U+FEFF) is ignored."""
+    text = text.removeprefix("\ufeff")
     if text.lstrip().startswith("{"):
         return parse_config_json(text)
     return parse_config_text(text)

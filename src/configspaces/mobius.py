@@ -29,9 +29,11 @@ N(x) alone and f(z) / f(x) = f(z - x), so coefficient d of mu^{|x} is
 (-1)^d digit_{|x|+d} / digit_{|x|}.  No digit exceeds the sum of all
 N(z), which fits in B bits, so no carry crosses digits.  No relative
 configuration is built.  The entry of x shifted down by B |x| is its
-digit key, decoded once into content-free integers, its shape: keys
-that differ by a factor (the same link, another f(x)) have one shape,
-and anchors with one shape share one polynomial object.
+digit key.  Each distinct key is decoded once, while the transform is
+read, into content-free integers, its shape: keys that differ by a
+factor (the same link, another f(x)) have one shape.  The family keeps
+only the shapes and, per member, the index of its shape; anchors with
+one shape share one polynomial object, and no key is kept.
 
 mu alone needs no transform.  Deleting vertex v splits the family into
 the sets that miss v and the sets v | y with y independent in the link
@@ -248,12 +250,12 @@ class MobiusFamily:
 
     The independence family and its packed zeta transform (see the
     module docstring) are built on first use and kept; ``mu`` alone
-    needs neither and eliminates down to enumerated leaves.  Each digit
-    key is decoded once, to its shape (``_shape``), and relative
-    polynomials equal in value are one object, built from their shape,
-    with one Sturm chain and one isolation.  Everything kept is
-    write-once: racing writers would store identical values, so
-    concurrent reads are safe.
+    needs neither and eliminates down to enumerated leaves.  The
+    transform is read once into one table, each member's index into the
+    distinct shapes (``_shape_ids``), and relative polynomials equal in
+    value are one object, built from their shape, with one Sturm chain
+    and one isolation.  Everything kept is write-once: racing writers
+    would store identical values, so concurrent reads are safe.
     """
 
     def __init__(self, config: Configuration, valuation: Valuation | None = None):
@@ -262,10 +264,9 @@ class MobiusFamily:
         if any(w <= 0 for w in self.valuation.weights):
             raise NonPositiveWeight("the packed transform needs positive weights")
         self._members: list[int] | None = None
-        self._keys: dict[int, int] | None = None
-        self._width = 0
-        self._shapes: dict[int, tuple[int, ...]] = {}
-        self._polynomials: dict[tuple[int, ...], Polynomial] = {}
+        self._ids: dict[int, int] | None = None
+        self._shapes: list[tuple[int, ...]] = []
+        self._polynomials: dict[int, Polynomial] = {}
 
     def members(self) -> list[int]:
         """The independence family in (size, mask) order, enumerated
@@ -285,49 +286,51 @@ class MobiusFamily:
         ``_eliminated_mu``), and the whole family is neither enumerated
         nor stored.
         """
-        if self._keys is not None:
+        if self._ids is not None:
             return self.relative(0)
         return _eliminated_mu(self.config, self.valuation.weights)
 
-    def _digit_keys(self) -> dict[int, int]:
-        """Per member x, in (size, mask) order, its digit key: digit d,
-        ``self._width`` bits wide, is the sum of D f(z) over members z
-        containing x with |z| = |x| + d (see ``_shape``)."""
-        if self._keys is None:
+    def _shape_ids(self) -> dict[int, int]:
+        """Per member x, in (size, mask) order, the index in ``_shapes``
+        of the shape of mu^{|x}: content-free signed integers, shape[0] >
+        0, coefficient d being shape[d] / shape[0].  Shapes are listed in
+        order of first anchor.
+
+        The packed transform leaves at x its digit key, digit d the sum
+        of D f(z) over members z containing x with |z| = |x| + d (see the
+        module docstring).  Each distinct key is decoded once, keys that
+        differ by a factor (the same link, another f(x)) get one shape,
+        and no key outlives the build.
+        """
+        if self._ids is None:
             members = self.members()
             _, table = _scaled_products(members, self.valuation, Fraction(1))
             width = sum(table.values()).bit_length()
             for z in members:
                 table[z] <<= width * z.bit_count()
             _superset_transform(table, members, self.config.n, 1)
+            low, decoded, ids = (1 << width) - 1, {}, {}
             for z in members:
-                table[z] >>= width * z.bit_count()
-            self._width, self._keys = width, table
-        return self._keys
-
-    def _shape(self, key: int) -> tuple[int, ...]:
-        """The digit key's shape, decoded once per key: content-free
-        signed integers, shape[0] > 0, and coefficient d of the relative
-        polynomial is shape[d] / shape[0].  Anchors whose keys differ by
-        a factor (the same link, another f(x)) get the same shape."""
-        shape = self._shapes.get(key)
-        if shape is None:
-            low, digits, rest = (1 << self._width) - 1, [], key
-            while rest:
-                digits.append(-(rest & low) if len(digits) % 2 else rest & low)
-                rest >>= self._width
-            shape = self._shapes[key] = _content_free(digits)
-        return shape
+                key = table[z] >> width * z.bit_count()
+                if key not in decoded:
+                    digits, rest = [], key
+                    while rest:
+                        digits.append(-(rest & low) if len(digits) % 2 else rest & low)
+                        rest >>= width
+                    decoded[key] = ids.setdefault(_content_free(digits), len(ids))
+                table[z] = decoded[key]
+            self._shapes, self._ids = list(ids), table
+        return self._ids
 
     def relative(self, x: int) -> Polynomial:
         """mu^{|x}: the Mobius polynomial of the configuration relative to x."""
-        keys = self._digit_keys()
-        if x not in keys and not self.config.is_independent(x):
+        ids = self._shape_ids()
+        if x not in ids and not self.config.is_independent(x):
             raise NotIndependent(f"{self.config.word(x)} is not an independence set")
-        shape = self._shape(keys[x])
-        poly = self._polynomials.get(shape)
+        poly = self._polynomials.get(ids[x])
         if poly is None:
-            poly = self._polynomials[shape] = Polynomial([Fraction(c, shape[0]) for c in shape])
+            shape = self._shapes[ids[x]]
+            poly = self._polynomials[ids[x]] = Polynomial([Fraction(c, shape[0]) for c in shape])
             poly._primitive = shape  # what primitive() would return
         return poly
 
@@ -366,14 +369,13 @@ class MobiusFamily:
         linear (drop one vertex from a maximal independence set), so the
         minimum always exists for a non-trivial configuration.
 
-        Each distinct digit key is decoded once, to its shape (see
-        ``_shape``); equal shapes are equal polynomials, visited once each
-        in the (size, mask) order of their first anchor, and
-        ``attained_at`` is read off the keys.  One with no root in
-        (0, best.hi], certified by ``root_free`` on the integers, cannot
-        reach the minimum (the best root only decreases) and is never
-        isolated; ``relative`` builds a :class:`Polynomial` only for a
-        Sturm count or an isolation.  The others are isolated
+        Equal shapes are equal polynomials (see ``_shape_ids``), so each
+        shape is visited once, at its first anchor in (size, mask) order,
+        and ``attained_at`` is read off the shape indices.  One with no
+        root in (0, best.hi], certified by ``root_free`` on the integers,
+        cannot reach the minimum (the best root only decreases) and is
+        never isolated; ``relative`` builds a :class:`Polynomial` only
+        for a Sturm count or an isolation.  The others are isolated
         coarsely (``isolate_first_root``: until one root is left in the
         interval) and compared exactly with the best by
         ``compare_roots``, which halves only until the intervals
@@ -384,16 +386,15 @@ class MobiusFamily:
         """
         if self.config.n == 0:
             raise TrivialConfiguration("the empty configuration has no critical root")
-        keys = self._digit_keys()
-        # Each distinct key, in order of its first anchor, with one of its
-        # anchors (the last: later ones overwrite the value, not the order).
-        anchors = dict(zip(keys.values(), keys))
-        # Each distinct polynomial, in order of its first key, with an anchor.
-        distinct = {self._shape(key): x for key, x in anchors.items()}
+        ids = self._shape_ids()
         best: AlgebraicRoot | None = None
-        attaining: set[tuple[int, ...]] = set()
-        for shape, x in distinct.items():
-            free = best is not None and _descartes_root_free(shape, best.hi)
+        attaining: set[int] = set()
+        fresh = 0  # shapes are numbered in order of first anchor
+        for x, i in ids.items():
+            if i != fresh:
+                continue
+            fresh += 1
+            free = best is not None and _descartes_root_free(self._shapes[i], best.hi)
             if free:
                 continue
             poly = self.relative(x)
@@ -404,13 +405,12 @@ class MobiusFamily:
                 continue
             order = -1 if best is None else compare_roots(root, best)
             if order < 0:
-                best, attaining = first_positive_root(poly), {shape}
+                best, attaining = first_positive_root(poly), {i}
             elif order == 0:
-                attaining.add(shape)
+                attaining.add(i)
         if best is None:
             raise AssertionError("no relative polynomial has a positive root")
-        hits = {key for key in anchors if self._shapes[key] in attaining}
-        return best, tuple(x for x, key in keys.items() if key in hits)
+        return best, tuple(x for x, i in ids.items() if i in attaining)
 
     def classify(self) -> Classification:
         """Type I when the empty set attains t0, where mu vanishes.  Every

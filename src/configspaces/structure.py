@@ -27,7 +27,7 @@ from .core import (
     is_right_angled,
     mask_from_indices,
 )
-from .mobius import MobiusFamily, TYPE_I
+from .mobius import MobiusFamily
 from .poly import (
     AlgebraicRoot,
     Series,
@@ -205,22 +205,24 @@ def right_angled_properties(
 ) -> RightAngledReport:
     """Certified checks of the right-angled package of properties.
 
-    (a) the classification is type I; (b) when irreducible, the critical
-    root is a simple root of mu, certified through gcd(mu, mu');
-    (c) when irreducible, every relative polynomial with nonempty anchor
-    is strictly positive at the critical root, exactly when only the
-    empty set attains it (see ``MobiusFamily.classify``); (d) relative
-    polynomials are monotone under anchor inclusion at the four points
-    root.lo * k/4, k = 1..4, in (0, t0]: on each covering pair of
-    anchors the smaller one's polynomial is at most the larger one's,
-    decided in integers once per distinct pair of digit keys
-    (``_monotone_under_inclusion``), with no Fraction evaluation.
+    (a) the classification is type I: the empty set attains the critical
+    root; (b) when irreducible, the critical root is a simple root of mu,
+    certified through gcd(mu, mu'); (c) when irreducible, every relative
+    polynomial with nonempty anchor is strictly positive at the critical
+    root, exactly when only the empty set attains it (each is 1 at 0 with
+    no root below t0); (d) relative polynomials are monotone under anchor
+    inclusion at the four points root.lo * k/4, k = 1..4, in (0, t0]: on
+    each covering pair of anchors the smaller one's polynomial is at most
+    the larger one's, decided in integers once per distinct pair of
+    shapes (``_monotone_under_inclusion``), with no Fraction evaluation.
+    (a) and (c) read the attaining anchors of
+    ``MobiusFamily.critical_root``; the rest of mu at t0 is not reported,
+    so it is not computed.
     """
     if not is_right_angled(config):
         raise NotRightAngled("property report needs all nubs of size 2")
     family = MobiusFamily(config, valuation)
-    result = family.classify()
-    root = result.critical_root
+    root, attained = family.critical_root()
     irreducible = is_irreducible(config)
 
     simple: bool | None = None
@@ -229,10 +231,10 @@ def right_angled_properties(
         mu = family.mu()
         g = poly_gcd(mu, mu.derivative())
         simple = g.degree < 1 or sign_at_root(g, root) != 0
-        positive = result.attained_at == (0,)
+        positive = attained == (0,)
 
     return RightAngledReport(
-        type_one=result.config_type == TYPE_I,
+        type_one=0 in attained,
         irreducible=irreducible,
         critical_root=root,
         simple_root=simple,
@@ -245,30 +247,30 @@ def _monotone_under_inclusion(family: MobiusFamily, lo: Fraction) -> bool:
     """(d) of ``right_angled_properties``: for every member x and vertex
     v of x, mu^{|x - v} <= mu^{|x} at the points lo * k/4, k = 1..4.
 
-    In integers on the family's digit keys.  With the points a_k / b,
-    b = 4 lo.denominator, b^deg p(a_k / b) is the dot product of a key's
-    shape (``MobiusFamily._shape``) with a_k^j b^(deg - j), over the
-    shape's positive lead shape[0].  Each distinct key is evaluated once,
-    and each distinct (below, above) pair of keys is compared once, by
-    cross-multiplying with the two leads.
+    In integers on the family's shapes (``MobiusFamily._shape_ids``).
+    With the points a_k / b, b = 4 lo.denominator, b^deg p(a_k / b) is
+    the dot product of a shape with a_k^j b^(deg - j), over the shape's
+    positive lead shape[0].  Each shape is evaluated once, into a list
+    indexed by shape, and each distinct (below, above) pair of shape
+    indices is compared once, by cross-multiplying with the two leads.
     """
-    keys = family._digit_keys()
+    ids = family._shape_ids()
     degree = family.mu().degree
     b = 4 * lo.denominator
     rows = []
     for k in (1, 2, 3, 4):
         a = k * lo.numerator
         rows.append([a**j * b ** (degree - j) for j in range(degree + 1)])
-    values = {}
-    for key in set(keys.values()):
-        shape = family._shape(key)
-        values[key] = shape[0], [sum(map(operator.mul, shape, row)) for row in rows]
+    values = [
+        (shape[0], [sum(map(operator.mul, shape, row)) for row in rows])
+        for shape in family._shapes
+    ]
     pairs = set()
-    for x, above in keys.items():
+    for x, above in ids.items():
         rest = x
         while rest:
             low = rest & -rest
-            pairs.add((keys[x ^ low], above))
+            pairs.add((ids[x ^ low], above))
             rest ^= low
     for below, above in pairs:
         lead_below, at_below = values[below]

@@ -348,6 +348,37 @@ def test_malformed_json_fields_are_input_errors(capsys, tmp_path, document):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vertices: a b\nweight: a 1/2\nweight: a 3\n", "line 3: second weight for vertex 'a'"),
+        ('{"vertices": ["a", "b"], "weights": {"a": "1/2", "a": "3"}}', "repeated key 'a'"),
+        ('{"vertices": ["a"], "vertices": ["a", "b"]}', "repeated key 'vertices'"),
+        ('{"vertices": ["a", "b"], "nubs": [], "nubs": [["a", "b"]]}', "repeated key 'nubs'"),
+    ],
+    ids=["text-weight", "json-weight", "json-vertices", "json-nubs"],
+)
+def test_repeated_entries_are_input_errors(capsys, tmp_path, text, message):
+    # Raw text: json.dumps cannot write a repeated key.
+    path = tmp_path / "cfg"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "mobius", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [JSON_CONFIG, TEXT_CONFIG], ids=["json", "text"])
+def test_leading_byte_order_mark_is_ignored(capsys, tmp_path, text):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    for command in ("mobius", "classify"):
+        expected = run(capsys, command, "--input", str(plain))
+        assert expected[0] == 0
+        assert run(capsys, command, "--input", str(marked)) == expected
+
+
 def test_parser_built_once(capsys, monkeypatch):
     assert run(capsys, "mobius", "--name", "fig1-left")[0] == 0
     built = []

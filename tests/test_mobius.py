@@ -560,9 +560,24 @@ def test_critical_root_decodes_each_key_once(monkeypatch):
         family = MobiusFamily(config, valuation)
         anchors.clear()
         family.critical_root()
-        keys = family._digit_keys()
-        assert len(anchors) <= len(set(keys.values())) < len(keys)
-        assert len({keys[x] for x in anchors}) == len(anchors)
+        ids = family._shape_ids()
+        assert len(anchors) <= len(set(ids.values())) < len(ids)
+        assert len({ids[x] for x in anchors}) == len(anchors)
+
+
+def test_shape_table_keeps_no_digit_key():
+    for config, valuation in (
+        (builtin("path-12"), None),
+        (star(9, 4), None),
+        (TWINS, TWINS_WEIGHTS),
+    ):
+        family = MobiusFamily(config, valuation)
+        family.critical_root()
+        assert not hasattr(family, "_keys")
+        ids = family._shape_ids()
+        assert list(ids) == family.members()
+        assert all(type(i) is int and i in range(len(family._shapes)) for i in ids.values())
+        assert len(set(family._shapes)) == len(family._shapes)
 
 
 def test_proportional_keys_are_isolated_once(monkeypatch):
@@ -573,8 +588,8 @@ def test_proportional_keys_are_isolated_once(monkeypatch):
     )
     family = MobiusFamily(TWINS, TWINS_WEIGHTS)
     root, attained = family.critical_root()
-    keys = family._digit_keys()
-    assert keys[0b01] != keys[0b10] and family.relative(0b01) == family.relative(0b10)
+    assert family.transform(0b01) != family.transform(0b10)
+    assert family.relative(0b01) == family.relative(0b10)
     assert attained == (0, 0b01, 0b10)
     assert len(isolated) == len(set(isolated))
     assert (root, attained) == _eager_critical_root(family)
@@ -583,8 +598,7 @@ def test_proportional_keys_are_isolated_once(monkeypatch):
 def test_relative_polynomials_are_shared_by_value():
     # Proportional keys have one shape, so one polynomial object.
     family = MobiusFamily(TWINS, TWINS_WEIGHTS)
-    keys = family._digit_keys()
-    assert keys[0b01] != keys[0b10]
+    assert family.transform(0b01) != family.transform(0b10)
     assert family.relative(0b01) is family.relative(0b10)
     assert len({id(family.relative(x)) for x in family.members()}) == len(
         {family.relative(x) for x in family.members()}

@@ -321,7 +321,9 @@ def test_each_digit_key_is_decoded_once(monkeypatch):
     monkeypatch.setattr(poly_module, "_content_free", None)
     for x in family.members():
         family.relative(x).primitive()
-    assert len(decoded) == len(set(family._digit_keys().values())) == 52
+    # Digit keys are D f(x) times the coefficients of mu^{|x}.
+    keys = {family.relative(x) * family.valuation.of(x) for x in family.members()}
+    assert len(decoded) == len(keys) == 52
 
 
 def test_non_monotone_pair_is_reported():
@@ -333,15 +335,23 @@ def test_non_monotone_pair_is_reported():
 
 
 def test_right_angled_properties_evaluates_no_polynomial(monkeypatch):
-    calls = []
+    # No Fraction evaluation, and no enclosure of the rest of mu at t0,
+    # which the report never prints: classify would enclose it.
+    calls, intervals, classified = [], [], []
     original = Polynomial.__call__
     monkeypatch.setattr(Polynomial, "__call__", lambda p, t: calls.append(t) or original(p, t))
+    enclose = poly_module.evaluate_on_interval
+    monkeypatch.setattr(
+        poly_module, "evaluate_on_interval", lambda *args: intervals.append(1) or enclose(*args)
+    )
+    classify = MobiusFamily.classify
+    monkeypatch.setattr(MobiusFamily, "classify", lambda self: classified.append(1) or classify(self))
     twins = from_dependence_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
     weights = Valuation((Fraction(1, 2), Fraction(3), Fraction(1), Fraction(2, 3), Fraction(1)))
     for config, valuation in ((builtin("path-10"), None), (twins, weights)):
         report = right_angled_properties(config, valuation)
         assert report.monotone and not report.critical_root.is_rational
-    assert calls == []
+    assert calls == [] and intervals == [] and classified == []
 
 
 def test_symmetric_counts_powerset():
