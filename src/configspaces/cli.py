@@ -298,7 +298,8 @@ def _load(args: argparse.Namespace) -> tuple[Configuration, Valuation]:
     if not args.input:
         raise ParseError("an input configuration is required (--input or --name)")
     if args.input == "-":
-        text = sys.stdin.read()
+        # Decoded as UTF-8, as a file is, whatever the locale says.
+        text = sys.stdin.buffer.read().decode("utf-8")
     else:
         try:
             with open(args.input, "r", encoding="utf-8") as handle:

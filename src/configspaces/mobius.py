@@ -382,7 +382,10 @@ class MobiusFamily:
         separate.  Only a polynomial that beats the best is isolated in
         full, so best.hi stays within 2**-128 of the best root and keeps
         ``root_free`` sharp; the reported root is ``first_positive_root``
-        of the first attaining anchor's polynomial.
+        of the first attaining anchor's polynomial.  That narrowing takes
+        few certified secant steps on the grid of the halving level it
+        stops at (``_Bisection.narrow``), so its cell is the one
+        bisection would return.
         """
         if self.config.n == 0:
             raise TrivialConfiguration("the empty configuration has no critical root")

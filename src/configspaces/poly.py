@@ -10,10 +10,14 @@ collapses to a point interval (``lo == hi``).
 Every sign decision of root isolation is one integer computation.  A
 polynomial keeps its primitive integer coefficients (``primitive``),
 and the sign of q(a/b), b > 0, is the sign of b^d q(a/b), evaluated by
-Horner's rule in integers (``_int_sign``).  Bisection of (0, B], B the
-Cauchy bound, visits the dyadic points j B / 2^k; they are carried as
-integer numerators over one common denominator, and a ``Fraction`` is
-built only for a reported endpoint.
+Horner's rule in integers (``_int_value``).  Bisection of (0, B], B
+the Cauchy bound, visits the dyadic points j B / 2^k; they are carried
+as integer numerators over one common denominator, and a ``Fraction``
+is built only for a reported endpoint.  A first positive root is then
+narrowed to the cell that halving reaches at width 2**-128, found on
+that level's grid by quadratic interval refinement: a secant guesses
+the cell and exact integer signs certify it, so the cell is the one
+bisection returns.
 
 A polynomial also keeps its hash, its squarefree part with that part's
 Sturm chain, and the coarse isolation of its first positive root, each
@@ -371,13 +375,19 @@ def series_inverse(p: Polynomial, order: int) -> Series:
     return Series(tuple(out))
 
 
-def _int_sign(coeffs: Sequence[int], a: int, b: int) -> int:
-    """Sign of b^d q(a/b), so of q(a/b) when b > 0, for q of degree d
-    with integer ``coeffs``, by Horner's rule in integers."""
+def _int_value(coeffs: Sequence[int], a: int, b: int) -> int:
+    """b^d q(a/b) for q of degree d with integer ``coeffs``, by Horner's
+    rule in integers."""
     acc, scale = 0, 1
     for c in reversed(coeffs):
         acc = acc * a + c * scale
         scale *= b
+    return acc
+
+
+def _int_sign(coeffs: Sequence[int], a: int, b: int) -> int:
+    """Sign of b^d q(a/b), so of q(a/b) when b > 0."""
+    acc = _int_value(coeffs, a, b)
     return (acc > 0) - (acc < 0)
 
 
@@ -563,7 +573,8 @@ def _isolate_first_root(p: Polynomial) -> AlgebraicRoot | None:
 
 class _Bisection:
     """The isolating interval (lo/den, hi/den) of a root, a point when
-    the root is rational, halved in integers by the sign kernel."""
+    the root is rational, halved in integers: one step by ``halve``, or
+    down to width 2**-_PROBE_BITS by ``narrow``."""
 
     __slots__ = ("witness", "coeffs", "lo", "hi", "den", "sign_lo")
 
@@ -588,6 +599,52 @@ class _Bisection:
         else:
             self.hi = mid
 
+    def narrow(self) -> None:
+        """Halve until the cell is at most 2**-_PROBE_BITS wide and does
+        not start at 0, in few steps; the cell holds an irrational root.
+
+        m halvings leave the one of 2^m equal parts that holds the root,
+        or the grid point that is the root, met as a midpoint.  So
+        quadratic interval refinement (Abbott, arXiv:1203.1227) searches
+        the grid of the least level m with parts that narrow: a secant
+        proposes one of the current part's 2^e sub-parts, and the signs
+        at its ends accept it (e doubles) or reject it (one halving, and
+        e halves).  The guess only chooses where to look; the cell is
+        certified by exact integer values.
+        """
+        width = self.hi - self.lo
+        m = (((width << _PROBE_BITS) - 1) // self.den).bit_length()
+        base, den, coeffs = self.lo << m, self.den << m, self.coeffs
+        values: dict[int, int] = {}
+
+        def at(k: int) -> int:  # the value at grid point k, times den^d
+            if k not in values:
+                values[k] = _int_value(coeffs, base + k * width, den)
+            return values[k]
+
+        # The root lies in part (j, j + n) of the grid, or is point j if n == 0.
+        j, n, e = 0, 1 << m, 1
+        while n > 1:
+            e = min(e, n.bit_length() - 1)
+            f0, f1 = at(j), at(j + n)
+            u = n >> e
+            a = j + (f0 << e) // (f0 - f1) * u
+            fa, fb = at(a), at(a + u)
+            if not fa or not fb:
+                j, n = (a if not fa else a + u), 0
+            elif (fa > 0) != (fb > 0):
+                j, n, e = a, u, 2 * e
+            else:
+                n, e = n >> 1, max(1, e >> 1)
+                fm = at(j + n)
+                if not fm:
+                    j, n = j + n, 0
+                elif (fm > 0) == (f0 > 0):
+                    j += n
+        self.lo, self.hi, self.den = base + j * width, base + (j + n) * width, den
+        while self.lo == 0:
+            self.halve()
+
     def root(self) -> AlgebraicRoot:
         return AlgebraicRoot(self.witness, Fraction(self.lo, self.den), Fraction(self.hi, self.den))
 
@@ -598,15 +655,15 @@ def first_positive_root(p: Polynomial) -> AlgebraicRoot | None:
     Works on the squarefree part, so multiple roots collapse.  Rational
     roots (denominator below 2**64) are returned exactly; otherwise the
     isolating interval has width at most 2**-128.  Refines the coarse
-    isolation kept by ``isolate_first_root``.
+    isolation kept by ``isolate_first_root`` to the cell that halving
+    reaches, in few steps (``_Bisection.narrow``).
     """
     root = isolate_first_root(p)
     if root is None or root.is_rational:
         return root
     cell = _Bisection(root)
-    while (cell.hi - cell.lo) << _PROBE_BITS > cell.den or cell.lo == 0:
-        cell.halve()
-    # A midpoint at the root left a point, which the probe returns.
+    cell.narrow()
+    # A grid point at the root left a point, which the probe returns.
     root = cell.root()
     candidate = simplest_rational_between(root.lo, root.hi)
     if _sign_at(root.witness, candidate) == 0:

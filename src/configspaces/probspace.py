@@ -111,7 +111,9 @@ class ConfiguredSpace:
     """Finite probability space with atoms indexed by independence sets:
     atom x has mass ``masses[x] / scale``, the members in (size, mask)
     order, and ``atoms``, ``mass``, ``rest`` and ``sorted_atoms`` are
-    read-only views of those masses as reduced fractions."""
+    read-only views of those masses as reduced fractions.  ``_products``
+    holds the denominator and integers D f(x) t^|x| over the family
+    that the masses were built from."""
 
     config: Configuration
     valuation: Valuation
@@ -119,6 +121,7 @@ class ConfiguredSpace:
     scale: int
     masses: dict[int, int]
     _family: MobiusFamily = field(repr=False)
+    _products: tuple[int, dict[int, int]] = field(repr=False)
 
     @functools.cached_property
     def atoms(self) -> Mapping[int, Fraction]:
@@ -260,7 +263,7 @@ def canonical_space(
     total = sum(masses.values())
     if total != scale:
         raise AssertionError(f"atom masses sum to {Fraction(total, scale)}, not 1")
-    return ConfiguredSpace(config, family.valuation, t, scale, masses, family)
+    return ConfiguredSpace(config, family.valuation, t, scale, masses, family, (scale, products))
 
 
 def verify_realization(space: ConfiguredSpace) -> RealizationReport:
@@ -276,16 +279,19 @@ def verify_realization(space: ConfiguredSpace) -> RealizationReport:
     closure of their sets gives every joint probability the checks need,
     and a nub outside the closure lies in no atom.  The products
     f(x) t^|x| over the same closure are the marginal and independence
-    targets, and their alternating sum over the family is mu(t).
+    targets, and their alternating sum over the family is mu(t); when
+    the closure is the family, they are the products the space was
+    built from, and only masses off the family are multiplied out anew.
     """
     config, scale, masses = space.config, space.scale, space.masses
     members = closure = space._family.members()
+    product_scale, products = space._products
     if masses.keys() != set(members):  # masses off the family: close them
         closure = _downward_closure([*masses, *members], config.n)
+        product_scale, products = _scaled_products(closure, space.valuation, space.t)
     joint = dict.fromkeys(closure, 0)
     joint.update(masses)
     _superset_transform(joint, closure, config.n, 1)
-    product_scale, products = _scaled_products(closure, space.valuation, space.t)
     # joint / scale against products / product_scale, cross-multiplied by
     # the cofactors of the two denominators: 1 and 1 on a canonical space.
     common = math.gcd(scale, product_scale)

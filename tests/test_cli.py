@@ -2,7 +2,10 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -379,6 +382,36 @@ def test_leading_byte_order_mark_is_ignored(capsys, tmp_path, text):
         assert run(capsys, command, "--input", str(marked)) == expected
 
 
+def _run_under_latin1(*argv, stdin=b""):
+    """The CLI in a child process whose standard streams are latin-1."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONIOENCODING="latin-1", PYTHONPATH=path)
+    command = [sys.executable, "-m", "configspaces.cli", *argv]
+    return subprocess.run(command, input=stdin, capture_output=True, env=env, timeout=120)
+
+
+def test_stdin_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # A byte order mark and a label outside ASCII: the same bytes give
+    # the same report through stdin as from a file.
+    data = {"vertices": ["\u00e9", "b", "c"], "nubs": [["\u00e9", "b"]], "weights": {"b": "1/3"}}
+    raw = b"\xef\xbb\xbf" + json.dumps(data, ensure_ascii=False).encode("utf-8")
+    path = tmp_path / "marked.json"
+    path.write_bytes(raw)
+    for command in ("mobius", "classify"):
+        piped = _run_under_latin1(command, "--input", "-", stdin=raw)
+        read = _run_under_latin1(command, "--input", str(path))
+        assert (read.returncode, read.stderr) == (0, b"")
+        assert (piped.returncode, piped.stdout, piped.stderr) == (0, read.stdout, b"")
+
+
+def test_stdin_that_is_not_utf8_is_an_input_error():
+    bad = _run_under_latin1("mobius", "--input", "-", stdin=b"vertices: a \xff\n")
+    assert (bad.returncode, bad.stdout) == (2, b"")
+    assert bad.stderr.startswith(b"error: ") and bad.stderr.count(b"\n") == 1
+    assert b"Traceback" not in bad.stderr
+
+
 def test_parser_built_once(capsys, monkeypatch):
     assert run(capsys, "mobius", "--name", "fig1-left")[0] == 0
     built = []
@@ -465,6 +498,27 @@ def test_verify_enumerates_the_family_once(capsys, monkeypatch):
         walks.clear()
         code, out, _ = run(capsys, *argv)
         assert (argv, len(walks)) == (argv, 1), out
+
+
+def test_verify_multiplies_out_the_products_once(capsys, monkeypatch):
+    # verify_realization reuses the products canonical_space built; the
+    # dense route keeps its own recurrence.  Masses off the family are
+    # checked against products over their closure, made anew.
+    calls = []
+    original = probspace._scaled_products
+
+    def counting(members, valuation, t):
+        calls.append(t)
+        return original(members, valuation, t)
+
+    monkeypatch.setattr(probspace, "_scaled_products", counting)
+    code, out, _ = run(capsys, "verify", "--name", "path-13", "--t", "1/8")
+    assert (code, payload_of(out)["routes_agree"], calls) == (0, True, [Fraction(1, 8)])
+    space = probspace.canonical_space(builtin("path-4"), None, Fraction(1, 8))
+    moved = shift_masses(space, {0b11: Fraction(1, 64), 0: Fraction(-1, 64)})
+    calls.clear()
+    assert probspace.verify_realization(space).ok and calls == []
+    assert not probspace.verify_realization(moved).exclusivity_ok and calls == [Fraction(1, 8)]
 
 
 def test_dense_dependence_indicator(rng):

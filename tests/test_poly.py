@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from configspaces import poly
 from configspaces.poly import (
+    AlgebraicRoot,
     EndpointRoot,
     Polynomial,
     ZeroAtOrigin,
@@ -25,6 +27,7 @@ from configspaces.poly import (
     simplest_rational_between,
     squarefree_part,
     sturm_count,
+    _Bisection,
     _sign_at,
 )
 
@@ -354,3 +357,76 @@ def test_integer_sign_matches_fraction_sign(p, x):
     if x > 0 and p.constant_term != 0:
         root = first_positive_root(p * P([-x, 1]))
         assert root == fraction_first_positive_root(p * P([-x, 1]))
+
+
+def _narrowed_by_halving(p):
+    """The loop that ``_Bisection.narrow`` replaces: ``refine_root`` on
+    the coarse isolation until the cell is at most 2**-128 wide and does
+    not start at 0, or is a point.  Also checks ``narrow`` against it,
+    and ``first_positive_root`` against its probe of that cell."""
+    coarse = isolate_first_root(p)
+    halved = coarse
+    while halved.width > Fraction(1, 2**128) or halved.lo == 0:
+        halved = refine_root(halved)
+    cell = _Bisection(coarse)
+    cell.narrow()
+    assert cell.root() == halved
+    root = first_positive_root(p)
+    candidate = simplest_rational_between(halved.lo, halved.hi)
+    if _sign_at(p, candidate) == 0:
+        assert root == AlgebraicRoot(halved.witness, candidate, candidate)
+    else:
+        assert root == halved
+    return coarse, halved
+
+
+def test_narrow_matches_halving_on_random_roots(rng, monkeypatch):
+    evaluations = []
+    value = poly._int_value
+    monkeypatch.setattr(poly, "_int_value", lambda *args: evaluations.append(1) or value(*args))
+    narrowed, spent = 0, 0
+    for _ in range(60):
+        p = _random_root_polynomial(rng)
+        coarse = isolate_first_root(p)
+        if coarse.is_rational:
+            continue
+        cell = _Bisection(coarse)
+        evaluations.clear()
+        cell.narrow()
+        narrowed, spent = narrowed + 1, spent + len(evaluations)
+        _narrowed_by_halving(p)
+    # Halving spends about 129 evaluations per root.
+    assert narrowed >= 30 and spent <= 32 * narrowed
+
+
+def test_narrow_matches_halving_on_hard_cases():
+    # Two roots closer than 2**-130: the coarse cell is already narrow
+    # enough, so there is nothing to refine.
+    coarse, halved = _narrowed_by_halving(P([-2, 0, 1]) * P([-2 - Fraction(1, 2**135), 0, 1]))
+    assert coarse.width <= Fraction(1, 2**128) and halved == coarse and not coarse.is_rational
+    # (t - r)(t - r - 2**-70)(t^3 + 1000) has Cauchy bound 1002, so r =
+    # 1002 j / 2^k, j odd, is a halving point of level k: one past the
+    # coarse isolation (level about 80), with a denominator too large for
+    # the probe; level 138 is the last that halving visits.
+    for k in (90, 110, 138):
+        r = Fraction(1002 * (2 * (2 ** (k - 2) // 3340) + 1), 2**k)
+        p = P([-r, 1]) * P([-r - Fraction(1, 2**70), 1]) * P([1000, 0, 0, 1])
+        coarse, halved = _narrowed_by_halving(p)
+        assert not coarse.is_rational and coarse.lo < r < coarse.hi
+        assert halved.is_rational and halved.value == r and r.denominator >= 2**64
+        assert cauchy_root_bound(p) == 1002
+    # A coarse cell (0, B]: a root past the first part, and a root below
+    # 2**-139, whose part at width 2**-128 still starts at 0, so halving
+    # goes on until it does not.
+    for p in (P([-2, 0, 1]), P([-Fraction(6, 2**282), 0, 1])):
+        coarse, halved = _narrowed_by_halving(p)
+        assert coarse.lo == 0 < halved.lo and not halved.is_rational
+    assert halved.width < Fraction(1, 2**139)
+    # Linear witnesses whose roots have denominators of at least 2**64.
+    for r in (Fraction(2**64 + 13, 3 * 2**64 + 1), Fraction(7, 2**70 + 3)):
+        coarse, halved = _narrowed_by_halving(P([-r, 1]))
+        assert not coarse.is_rational and coarse.lo < r < coarse.hi
+    # A repeated root goes through the squarefree part.
+    p = P([-3, 0, 1]) * P([-3, 0, 1]) * P([-5, 1])
+    coarse, halved = _narrowed_by_halving(p)
+    assert halved.witness.degree == 3 and not halved.is_rational
