@@ -56,7 +56,6 @@ from .poly import (
     format_rational,
     parse_rational,
     poly_to_strings,
-    root_to_json,
 )
 
 SCHEMA_VERSION = "1"
@@ -104,8 +103,8 @@ OPERATION_COMMANDS = {
     # mobius: the methods of MobiusFamily.  The relative command reports
     # mu of the anchor's link, which equals MobiusFamily.relative of the
     # anchor; the inversion check sums MobiusFamily.transform.  mu
-    # eliminates down to small enumerated leaves until the packed
-    # transform is built, and is relative(0) after.
+    # always eliminates down to small enumerated leaves; a handler that
+    # builds the packed transform anyway reads relative(0) instead.
     "mu": "mobius",
     "relative": "relative",
     "transform": "check-identities",
@@ -274,9 +273,12 @@ def _digest(config: Configuration, valuation: Valuation) -> str:
 def _root_json(root: AlgebraicRoot) -> Any:
     if root.is_rational:
         return format_rational(root.value)
-    data = root_to_json(root)
-    data["approx"] = root.approx()
-    return data
+    return {
+        "witness": poly_to_strings(root.witness),
+        "lo": format_rational(root.lo),
+        "hi": format_rational(root.hi),
+        "approx": root.approx(),
+    }
 
 
 def _rest_json(rest: Fraction | RestBound) -> Any:
@@ -342,7 +344,7 @@ def _cmd_classify(args, config, valuation) -> tuple[dict, int]:
     family = MobiusFamily(config, valuation)
     result = family.classify()
     return {
-        "mu": poly_to_strings(family.mu()),
+        "mu": poly_to_strings(family.relative(0)),
         "t0": _root_json(result.critical_root),
         "type": result.config_type,
         "rest": _rest_json(result.rest_at_t0),
@@ -370,7 +372,7 @@ def _cmd_space(args, config, valuation) -> tuple[dict, int]:
     space = _space(args, config, valuation)
     atoms = [
         {"x": config.labels_of(x), "mass": format_rational(mass)}
-        for x, mass in space.sorted_atoms()
+        for x, mass in space.atoms.items()
     ]
     return {
         "t": format_rational(space.t),

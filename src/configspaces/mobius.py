@@ -77,7 +77,7 @@ from .poly import (
     compare_roots,
     first_positive_root,
     isolate_first_root,
-    root_free,
+    sturm_count,
 )
 
 __all__ = [
@@ -279,15 +279,10 @@ class MobiusFamily:
         return self._members
 
     def mu(self) -> Polynomial:
-        """The Mobius polynomial.
-
-        Once the packed transform is built this is ``relative(0)``;
-        before, it is eliminated down to small enumerated leaves (see
-        ``_eliminated_mu``), and the whole family is neither enumerated
-        nor stored.
-        """
-        if self._ids is not None:
-            return self.relative(0)
+        """The Mobius polynomial, eliminated down to small enumerated
+        leaves (see ``_eliminated_mu``) on every call: the family is
+        neither enumerated nor stored.  Where the packed transform is
+        built anyway, ``relative(0)`` is the same polynomial."""
         return _eliminated_mu(self.config, self.valuation.weights)
 
     def _shape_ids(self) -> dict[int, int]:
@@ -343,7 +338,9 @@ class MobiusFamily:
 
         This is the zero polynomial for every configuration; the
         per-vertex weight factor makes the identity hold for arbitrary
-        valuations (the single weighted vertex forces it).
+        valuations (the single weighted vertex forces it).  mu is
+        eliminated, not read from the transform that gives the
+        relatives, so the check is not circular.
         """
         residual = self.mu().derivative()
         for a in range(self.config.n):
@@ -372,17 +369,19 @@ class MobiusFamily:
         Equal shapes are equal polynomials (see ``_shape_ids``), so each
         shape is visited once, at its first anchor in (size, mask) order,
         and ``attained_at`` is read off the shape indices.  One with no
-        root in (0, best.hi], certified by ``root_free`` on the integers,
-        cannot reach the minimum (the best root only decreases) and is
-        never isolated; ``relative`` builds a :class:`Polynomial` only
-        for a Sturm count or an isolation.  The others are isolated
-        coarsely (``isolate_first_root``: until one root is left in the
-        interval) and compared exactly with the best by
-        ``compare_roots``, which halves only until the intervals
-        separate.  Only a polynomial that beats the best is isolated in
-        full, so best.hi stays within 2**-128 of the best root and keeps
-        ``root_free`` sharp; the reported root is ``first_positive_root``
-        of the first attaining anchor's polynomial.  That narrowing takes
+        root in (0, best.hi] cannot reach the minimum (the best root only
+        decreases) and is never isolated: Descartes' rule on the integer
+        shape decides that first (``_descartes_root_free``), and a Sturm
+        count (``sturm_count``) only where the rule leaves it open;
+        ``relative`` builds a :class:`Polynomial` only for a Sturm count
+        or an isolation.  The others are isolated coarsely
+        (``isolate_first_root``: until one root is left in the interval)
+        and compared exactly with the best by ``compare_roots``, which
+        halves only until the intervals separate.  Only a polynomial that
+        beats the best is isolated in full, so best.hi stays within
+        2**-128 of the best root and keeps the root-free test sharp; the
+        reported root is ``first_positive_root`` of the first attaining
+        anchor's polynomial.  That narrowing takes
         few certified secant steps on the grid of the halving level it
         stops at (``_Bisection.narrow``), so its cell is the one
         bisection would return.
@@ -401,7 +400,7 @@ class MobiusFamily:
             if free:
                 continue
             poly = self.relative(x)
-            if free is None and root_free(poly, best.hi):  # decided by a Sturm count
+            if free is None and sturm_count(poly, 0, best.hi) == 0:
                 continue
             root = isolate_first_root(poly)
             if root is None:
@@ -423,7 +422,7 @@ class MobiusFamily:
         to width 2**-64."""
         root, attained = self.critical_root()
         is_type_one = 0 in attained
-        mu = self.mu()
+        mu = self.relative(0)
         rest: Union[Fraction, RestBound]
         if root.is_rational:
             rest = mu(root.value)

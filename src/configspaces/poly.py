@@ -19,8 +19,12 @@ that level's grid by quadratic interval refinement: a secant guesses
 the cell and exact integer signs certify it, so the cell is the one
 bisection returns.
 
-A polynomial also keeps its hash, its squarefree part with that part's
-Sturm chain, and the coarse isolation of its first positive root, each
+Whether (0, hi] holds no root is asked of Descartes' rule on the
+integer coefficients first (``_descartes_root_free``), and of a Sturm
+count (``sturm_count``) only where the rule leaves it open.
+
+A polynomial also keeps its squarefree part with that part's Sturm
+chain, and the coarse isolation of its first positive root, each
 computed once; refinement is one loop (``_enclosures``) that halves one
 cell in place.  The caches are write-once: racing writers would store
 identical values, so polynomials are safe to share and concurrent use
@@ -45,12 +49,9 @@ __all__ = [
     "ZeroAtOrigin",
     "poly_divmod",
     "poly_gcd",
-    "squarefree_part",
     "cauchy_root_bound",
     "series_inverse",
     "sturm_count",
-    "descartes_variations",
-    "root_free",
     "isolate_first_root",
     "first_positive_root",
     "refine_root",
@@ -61,7 +62,6 @@ __all__ = [
     "format_rational",
     "parse_rational",
     "poly_to_strings",
-    "root_to_json",
 ]
 
 CoefficientLike = Union[Fraction, int, str]
@@ -95,16 +95,16 @@ def _frac(value: CoefficientLike) -> Fraction:
 class Polynomial:
     """Immutable dense polynomial with Fraction coefficients."""
 
-    # Write-once caches of primitive(), __hash__, _squarefree_chain and
+    # Write-once caches of primitive(), _squarefree_chain and
     # isolate_first_root (a 1-tuple, as None is a result); None until used.
-    __slots__ = ("_coeffs", "_primitive", "_hash", "_squarefree", "_first_root")
+    __slots__ = ("_coeffs", "_primitive", "_squarefree", "_first_root")
 
     def __init__(self, coefficients: Iterable[CoefficientLike] = ()):
         coeffs = [_frac(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self._coeffs: tuple[Fraction, ...] = tuple(coeffs)
-        self._primitive = self._hash = self._squarefree = self._first_root = None
+        self._primitive = self._squarefree = self._first_root = None
 
     def primitive(self) -> tuple[int, ...]:
         """Coprime integer coefficients, the polynomial times a positive
@@ -150,9 +150,7 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self._coeffs)
-        return self._hash
+        return hash(self._coeffs)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -341,13 +339,6 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return Polynomial(Fraction(c, a[-1]) for c in a)
 
 
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """p divided by gcd(p, p'); same roots, all simple."""
-    if p.is_zero:
-        raise ValueError("zero polynomial has no squarefree part")
-    return _squarefree_chain(p)[0]
-
-
 def cauchy_root_bound(p: Polynomial) -> Fraction:
     """A rational B with every real root of p strictly inside (-B, B)."""
     if p.degree < 1:
@@ -459,20 +450,16 @@ def sturm_count(p: Polynomial, lo: CoefficientLike, hi: CoefficientLike) -> int:
     return _count_half_open(_squarefree_chain(p)[1], a, b)
 
 
-def descartes_variations(p: Polynomial, hi: Fraction) -> int:
-    """Sign variations of (1+s)^d p(hi/(1+s)), with d the degree of p.
+def _descartes(coeffs: Sequence[int], hi: Fraction) -> int:
+    """Sign variations of (1+s)^d p(hi/(1+s)), p of degree d with
+    integer coefficients ``coeffs``.
 
     s -> hi/(1+s) maps (0, inf) onto (0, hi), so by Descartes' rule of
     signs this bounds the number of roots of p in (0, hi), counted with
     multiplicity, and has its parity; zero variations certify that
     there is none (the test of Collins-Akritas bisection).  Needs
-    hi > 0.  The primitive coefficients are shifted by one in integers.
+    hi > 0.  The coefficients are shifted by one in integers.
     """
-    return _descartes(p.primitive(), hi)
-
-
-def _descartes(coeffs: Sequence[int], hi: Fraction) -> int:
-    """``descartes_variations`` for the integer coefficients of p."""
     d = len(coeffs) - 1
     a, b = hi.numerator, hi.denominator
     # Coefficient k of p times hi^k * b^d multiplies y^(d-k), so shifted
@@ -484,22 +471,12 @@ def _descartes(coeffs: Sequence[int], hi: Fraction) -> int:
     return _variations(shifted)
 
 
-def root_free(p: Polynomial, hi: Fraction) -> bool:
-    """Whether p has no root in (0, hi], decided exactly.
-
-    Needs p(0) != 0 and hi > 0.  A root at hi answers False at once.
-    Descartes' rule certifies most root-free intervals cheaply; when it
-    is inconclusive (complex roots near the interval), a Sturm count on
-    the squarefree part decides.
-    """
-    free = _descartes_root_free(p.primitive(), hi)
-    return sturm_count(p, 0, hi) == 0 if free is None else free
-
-
 def _descartes_root_free(coeffs: Sequence[int], hi: Fraction) -> bool | None:
-    """``root_free`` for the polynomial with integer coefficients
-    ``coeffs`` where its sign at hi or Descartes' rule decides, and
-    None where only a Sturm count can."""
+    """Whether the polynomial with integer coefficients ``coeffs``, not
+    0 at 0, has no root in (0, hi], hi > 0: False when it vanishes at
+    hi, True when Descartes' rule certifies (0, hi) root-free, and None
+    when only a Sturm count can decide (complex roots near the
+    interval)."""
     if _int_sign(coeffs, hi.numerator, hi.denominator) == 0:
         return False
     return True if _descartes(coeffs, hi) == 0 else None
@@ -778,11 +755,4 @@ def parse_rational(text: str) -> Fraction:
 def poly_to_strings(p: Polynomial) -> list[str]:
     return [format_rational(c) for c in p.coefficients]
 
-
-def root_to_json(root: AlgebraicRoot) -> dict:
-    return {
-        "witness": poly_to_strings(root.witness),
-        "lo": format_rational(root.lo),
-        "hi": format_rational(root.hi),
-    }
 

@@ -110,17 +110,17 @@ class SignedWord:
 class ConfiguredSpace:
     """Finite probability space with atoms indexed by independence sets:
     atom x has mass ``masses[x] / scale``, the members in (size, mask)
-    order, and ``atoms``, ``mass``, ``rest`` and ``sorted_atoms`` are
-    read-only views of those masses as reduced fractions.  ``_products``
-    holds the denominator and integers D f(x) t^|x| over the family
-    that the masses were built from."""
+    order, and ``atoms``, ``mass`` and ``rest`` are read-only views of
+    those masses as reduced fractions (``atoms.items()`` lists them in
+    member order).  ``_products`` holds the denominator and integers
+    D f(x) t^|x| over the family that the masses were built from, keyed
+    by the members in the same order."""
 
     config: Configuration
     valuation: Valuation
     t: Fraction
     scale: int
     masses: dict[int, int]
-    _family: MobiusFamily = field(repr=False)
     _products: tuple[int, dict[int, int]] = field(repr=False)
 
     @functools.cached_property
@@ -135,10 +135,6 @@ class ConfiguredSpace:
     def rest(self) -> Fraction:
         """Mass left uncovered by the vertex events; equals the atom at the empty set."""
         return self.mass(0)
-
-    def sorted_atoms(self) -> list[tuple[int, Fraction]]:
-        """The atoms in (size, mask) order."""
-        return list(self.atoms.items())
 
 
 @dataclass
@@ -263,7 +259,7 @@ def canonical_space(
     total = sum(masses.values())
     if total != scale:
         raise AssertionError(f"atom masses sum to {Fraction(total, scale)}, not 1")
-    return ConfiguredSpace(config, family.valuation, t, scale, masses, family, (scale, products))
+    return ConfiguredSpace(config, family.valuation, t, scale, masses, (scale, products))
 
 
 def verify_realization(space: ConfiguredSpace) -> RealizationReport:
@@ -284,9 +280,9 @@ def verify_realization(space: ConfiguredSpace) -> RealizationReport:
     built from, and only masses off the family are multiplied out anew.
     """
     config, scale, masses = space.config, space.scale, space.masses
-    members = closure = space._family.members()
     product_scale, products = space._products
-    if masses.keys() != set(members):  # masses off the family: close them
+    members = closure = products.keys()
+    if masses.keys() != members:  # masses off the family: close them
         closure = _downward_closure([*masses, *members], config.n)
         product_scale, products = _scaled_products(closure, space.valuation, space.t)
     joint = dict.fromkeys(closure, 0)
@@ -412,8 +408,8 @@ class SplitMix64:
 def sample(space: ConfiguredSpace, count: int, seed: int) -> dict[int, int]:
     """Multinomial draw of atoms; identical seeds give identical tallies.
 
-    Returns the tally of every atom, in ``sorted_atoms`` order.  Atom
-    boundaries are the exact cumulative masses scaled to 2**64 and
+    Returns the tally of every atom, in the order of ``space.masses``.
+    Atom boundaries are the exact cumulative masses scaled to 2**64 and
     floored, so each atom's draw probability is within 2**-64 of its
     mass; draw k is the atom whose interval holds the k-th word of
     ``SplitMix64(seed)``, and the tallies equal those of drawing one

@@ -228,7 +228,7 @@ def right_angled_properties(
     simple: bool | None = None
     positive: bool | None = None
     if irreducible:
-        mu = family.mu()
+        mu = family.relative(0)
         g = poly_gcd(mu, mu.derivative())
         simple = g.degree < 1 or sign_at_root(g, root) != 0
         positive = attained == (0,)
@@ -255,7 +255,7 @@ def _monotone_under_inclusion(family: MobiusFamily, lo: Fraction) -> bool:
     indices is compared once, by cross-multiplying with the two leads.
     """
     ids = family._shape_ids()
-    degree = family.mu().degree
+    degree = family.relative(0).degree
     b = 4 * lo.denominator
     rows = []
     for k in (1, 2, 3, 4):

@@ -17,7 +17,7 @@ from configspaces.poly import (
     cauchy_root_bound,
     poly_divmod,
     simplest_rational_between,
-    squarefree_part,
+    _squarefree_chain,
 )
 from configspaces.probspace import SplitMix64
 
@@ -64,7 +64,7 @@ def fraction_first_positive_root(p: Polynomial) -> AlgebraicRoot | None:
     exact Fraction evaluation, narrowed to width 2**-128 and probed for
     the simplest rational inside (the isolation before the integer
     sign kernel)."""
-    q = squarefree_part(p)
+    q = _squarefree_chain(p)[0]
     if q.degree < 1:
         return None
     chain = [q, q.derivative()]
@@ -180,7 +180,7 @@ def binary_search_sample(space, count: int, seed: int) -> dict[int, int]:
     """Oracle for ``probspace.sample``: the same boundaries, each draw
     placed by a hand-written binary search for the first boundary above
     the word."""
-    atoms = space.sorted_atoms()
+    atoms = list(space.atoms.items())
     boundaries = []
     cumulative = Fraction(0)
     for _, mass in atoms:

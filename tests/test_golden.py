@@ -2,8 +2,9 @@
 
 ``tests/golden/cli.json`` lists argument vectors with the stdout line
 and exit code the command line front end produced for them.  The
-placeholders ``@weighted``, ``@twins`` and ``@split`` stand for
-text-format inputs that this test writes before running the corpus.
+placeholders ``@weighted``, ``@twins``, ``@split`` and ``@double``
+stand for text-format inputs that this test writes before running the
+corpus.
 """
 
 import json
@@ -52,6 +53,19 @@ vertices: x p0 p1 p2 p3 p4 p5 z p6 p7 p8 p9 p10 p11 p12 y
 nub: x y
 """ + "".join(f"nub: p{i} p{i + 1}\n" for i in range(12))
 
+# The connected graph a-b, a-d, b-e, c-e, d-e, d-f, with
+# mu = (1 - t)^2 (1 - 4t): t0 = 1/4 is a simple root of mu, but
+# gcd(mu, mu') = t - 1 is not constant, so its sign is taken at t0.
+DOUBLE_TEXT = """\
+vertices: a b c d e f
+nub: a b
+nub: a d
+nub: b e
+nub: c e
+nub: d e
+nub: d f
+"""
+
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
@@ -61,6 +75,7 @@ def inputs(tmp_path_factory):
         ("weighted", WEIGHTED_TEXT),
         ("twins", TWINS_TEXT),
         ("split", SPLIT_TEXT),
+        ("double", DOUBLE_TEXT),
     ):
         path = folder / f"{name}.txt"
         path.write_text(text, encoding="utf-8")

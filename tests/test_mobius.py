@@ -27,10 +27,11 @@ from configspaces.mobius import (
 from configspaces.poly import (
     Polynomial,
     compare_roots,
-    descartes_variations,
     first_positive_root,
     refine_root,
-    root_free,
+    sturm_count,
+    _descartes,
+    _descartes_root_free,
 )
 from configspaces.structure import (
     builtin,
@@ -449,8 +450,9 @@ def test_attaining_set_decides_relative_positivity(rng):
 
 def test_classify_builds_each_sturm_chain_once(monkeypatch, rng):
     # One classify builds the Sturm chain of each distinct polynomial,
-    # and of its squarefree part, at most once: isolation, root_free,
-    # compare_roots and first_positive_root share them
+    # and of its squarefree part, at most once: isolation, the Sturm
+    # count of critical_root, compare_roots and first_positive_root
+    # share them
     original = poly_module._sturm_chain
     built: list[Polynomial] = []
 
@@ -473,7 +475,7 @@ def test_classify_builds_each_sturm_chain_once(monkeypatch, rng):
         family.classify()
         chains = list(built)
         distinct = set(family.relative(x) for x in family.members())
-        squarefree = sum(poly_module.squarefree_part(p) == p for p in distinct)
+        squarefree = sum(poly_module._squarefree_chain(p)[0] == p for p in distinct)
         repeated += squarefree < len(distinct)
         assert len(set(map(id, chains))) == len(chains), c
         assert 0 < len(chains) <= 2 * len(distinct) - squarefree, c
@@ -673,9 +675,9 @@ def test_lazy_critical_root_matches_eager_oracle(rng, monkeypatch):
     # stars have relative polynomials with complex roots, where Descartes'
     # rule is inconclusive and the walk falls back to a Sturm count
     sturm_calls = []
-    original = poly_module.sturm_count
+    original = mobius_module.sturm_count
     monkeypatch.setattr(
-        poly_module, "sturm_count", lambda *a: sturm_calls.append(a) or original(*a)
+        mobius_module, "sturm_count", lambda *a: sturm_calls.append(a) or original(*a)
     )
     cases = [(star(n, k), None) for n in range(2, 9) for k in range(1, n + 1)]
     cases += [(builtin(name), None) for name in ("fig1-left", "fig1-right", "path-9")]
@@ -727,6 +729,71 @@ def test_lazy_critical_root_matches_eager_oracle(rng, monkeypatch):
             assert (root, attained) == _eager_critical_root(family)
 
 
+def test_critical_root_asks_descartes_once_per_shape(monkeypatch):
+    # Each shape meets Descartes' rule at most once, and a Sturm count
+    # runs only on a shape the rule left open, on (0, hi] at the same hi
+    original_descartes, original_sturm = poly_module._descartes, mobius_module.sturm_count
+    descartes_calls, sturm_calls = [], []
+
+    def descartes(coeffs, hi):
+        variations = original_descartes(coeffs, hi)
+        descartes_calls.append((tuple(coeffs), hi, variations))
+        return variations
+
+    def sturm(p, lo, hi):
+        sturm_calls.append((p.primitive(), lo, hi))
+        return original_sturm(p, lo, hi)
+
+    monkeypatch.setattr(poly_module, "_descartes", descartes)
+    monkeypatch.setattr(mobius_module, "sturm_count", sturm)
+    cases = [star(n, k) for n in range(2, 9) for k in range(1, n + 1)]
+    cases += [builtin(name) for name in ("fig1-left", "fig1-right", "path-9")]
+    counted = 0
+    for c in cases:
+        descartes_calls.clear()
+        sturm_calls.clear()
+        MobiusFamily(c).critical_root()
+        shapes = [coeffs for coeffs, _, _ in descartes_calls]
+        assert len(shapes) == len(set(shapes)), c
+        left_open = {(coeffs, hi) for coeffs, hi, variations in descartes_calls if variations}
+        assert all(lo == 0 and (coeffs, hi) in left_open for coeffs, lo, hi in sturm_calls), c
+        counted += len(sturm_calls)
+    assert counted
+
+
+def test_mu_always_eliminates(monkeypatch, rng):
+    # mu() has one route: one elimination per call, before and after
+    # classify() builds the transform, and classify reads mu from the
+    # transform.  So the derivative identity compares an eliminated mu
+    # with relatives read from the transform, not the transform with
+    # itself.
+    calls = []
+    original = mobius_module._eliminated_mu
+    monkeypatch.setattr(mobius_module, "_eliminated_mu", lambda *a: calls.append(a) or original(*a))
+    cases = [(builtin("fig1-left"), None), (star(5, 3), None), (builtin("path-9"), None)]
+    for _ in range(5):
+        c = random_configuration(rng.randint(1, 7), rng)
+        cases.append((c, random_valuation(c, rng)))
+    for c, f in cases:
+        family = MobiusFamily(c, f)
+        calls.clear()
+        before = family.mu()
+        assert len(calls) == 1
+        family.classify()
+        assert len(calls) == 1
+        assert family.mu() == before == family.relative(0)
+        assert len(calls) == 2
+        assert family.derivative_identity_residual().is_zero
+        assert len(calls) == 3
+
+
+def _root_free(p, h):
+    """critical_root's test of (0, h]: Descartes' rule on the integer
+    coefficients, then a Sturm count where the rule leaves it open."""
+    free = _descartes_root_free(p.primitive(), h)
+    return sturm_count(p, 0, h) == 0 if free is None else free
+
+
 def test_descartes_never_misses_a_root(rng):
     for _ in range(100):
         r = Fraction(rng.randint(1, 40), rng.randint(1, 40))
@@ -737,14 +804,15 @@ def test_descartes_never_misses_a_root(rng):
         if rng.random() < 0.3:
             p = p * P([-r, 1])  # a double root
         for h in (r, r + Fraction(rng.randint(1, 20), rng.randint(1, 20))):
-            assert not root_free(p, h)
+            assert _descartes_root_free(p.primitive(), h) is not True
+            assert not _root_free(p, h)
             if h != r:
-                assert descartes_variations(p, h) > 0
-        # root_free agrees with isolation on arbitrary intervals
+                assert _descartes(p.primitive(), h) > 0
+        # the test agrees with isolation on arbitrary intervals
         h = Fraction(rng.randint(1, 80), rng.randint(1, 20))
         first = first_positive_root(p)
         while first.lo < h < first.hi:
             first = refine_root(first)
         # interval endpoints are never roots; a point interval is one
         expected = h < first.lo or (h == first.lo and not first.is_rational)
-        assert root_free(p, h) == expected
+        assert _root_free(p, h) == expected

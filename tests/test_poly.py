@@ -25,10 +25,10 @@ from configspaces.poly import (
     series_inverse,
     sign_at_root,
     simplest_rational_between,
-    squarefree_part,
     sturm_count,
     _Bisection,
     _sign_at,
+    _squarefree_chain,
 )
 
 from conftest import fraction_first_positive_root
@@ -149,7 +149,7 @@ def test_first_positive_root_invariants_irrational():
     assert not root.is_rational
     assert root.witness(root.lo) * root.witness(root.hi) < 0
     assert sturm_count(p, Fraction(1, 10**30), root.lo) == 0
-    assert root.width <= Fraction(1, 2**64) * max(1, cauchy_root_bound(squarefree_part(p)))
+    assert root.width <= Fraction(1, 2**64) * max(1, cauchy_root_bound(_squarefree_chain(p)[0]))
 
 
 def test_compare_roots_examples():
@@ -226,7 +226,7 @@ def test_poly_gcd_and_squarefree():
     p = P([1, -2, 1])  # (1-t)^2
     g = poly_gcd(p, p.derivative())
     assert g.degree == 1
-    sf = squarefree_part(p)
+    sf = _squarefree_chain(p)[0]
     assert sf.degree == 1 and sf(1) == 0
 
 
