@@ -18,6 +18,8 @@ from .core import (
     relative_configuration,
     valuation_of,
     canonical_key,
+    components,
+    is_right_angled,
 )
 from .mobius import (
     Classification,
@@ -47,11 +49,9 @@ from .probspace import (
 )
 from .structure import (
     builtin,
-    components,
     disjoint_union,
     from_dependence_graph,
     is_irreducible,
-    is_right_angled,
     right_angled_properties,
     star,
     symmetric_counts,

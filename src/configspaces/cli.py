@@ -3,7 +3,11 @@ emit a deterministic JSON report on stdout.
 
 The argument parser is built once, on the first ``main`` call.  Each
 input format checks only its own syntax and shape; ``_assemble`` turns
-labels, nubs and weights into the configuration for both.
+labels, nubs and weights into the configuration for both.  Each format
+refuses what it does not know: the text format an unknown directive,
+JSON a key other than ``vertices``, ``nubs`` and ``weights``.
+``check-identities`` draws its own configurations and takes no
+``--input`` or ``--name``.
 
 Each handler builds at most one ``MobiusFamily`` per configuration it
 analyses and reads every reported quantity from it; ``space``,
@@ -74,67 +78,6 @@ class ParseError(ValueError):
         self.line = line
 
 
-# Declares, for the coverage test, the one subcommand whose report
-# covers each library operation.
-OPERATION_COMMANDS = {
-    # poly
-    "add": "mobius",
-    "mul": "mobius",
-    "derivative": "check-identities",
-    "evaluate": "classify",
-    "series_inverse": "series",
-    "sturm_count": "critical-root",
-    "first_positive_root": "critical-root",
-    "compare_roots": "critical-root",
-    # core
-    "from_nubs": "builtin",
-    "from_independence_list": "check-identities",
-    # The relative command reports whether its anchor is independent:
-    # relative_configuration raises NotIndependent, from the same one
-    # pass over the nubs that finds the anchor's link.  It serves only
-    # the relative command: MobiusFamily takes every relative
-    # polynomial from one packed zeta transform of the enumerated
-    # family and never calls it.
-    "is_independent": "relative",
-    "enumerate_independence_sets": "space",
-    "relative_configuration": "relative",
-    "valuation_of": "space",
-    "canonical_key": "builtin",
-    # mobius: the methods of MobiusFamily.  The relative command reports
-    # mu of the anchor's link, which equals MobiusFamily.relative of the
-    # anchor; the inversion check sums MobiusFamily.transform.  mu
-    # always eliminates down to small enumerated leaves; a handler that
-    # builds the packed transform anyway reads relative(0) instead.
-    "mu": "mobius",
-    "relative": "relative",
-    "transform": "check-identities",
-    "inversion_check": "check-identities",
-    "derivative_identity_residual": "check-identities",
-    "critical_root": "critical-root",
-    "classify": "classify",
-    # probspace.  verify's routes_agree runs the kernel of
-    # atoms_from_intersections on the masks that contain no nub.
-    "atoms_from_intersections": "verify",
-    # verify reads every marginal, joint and nub probability from one
-    # zeta transform of the atoms; event_probability gives any one word's.
-    "event_probability": "verify",
-    "canonical_space": "space",
-    "verify_realization": "verify",
-    "sample": "sample",
-    # structure
-    "components": "decompose",
-    "is_irreducible": "decompose",
-    "is_right_angled": "right-angled",
-    "from_dependence_graph": "builtin",
-    "star": "builtin",
-    "trace_series": "series",
-    "trace_count_cf": "cf-count",
-    "right_angled_properties": "right-angled",
-    "symmetric_counts": "symmetric-counts",
-    "builtin": "builtin",
-}
-
-
 def _assemble(labels, nubs, weights) -> tuple[Configuration, Valuation]:
     """The configuration and valuation that either input format describes.
 
@@ -187,7 +130,13 @@ def parse_config_json(text: str) -> tuple[Configuration, Valuation]:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), exc.lineno) from exc
-    if not isinstance(data, dict) or "vertices" not in data:
+    if not isinstance(data, dict):
+        raise ParseError("expected an object with a 'vertices' list")
+    # A misspelt key would otherwise be read as an absent one.
+    for key in data:
+        if key not in ("vertices", "nubs", "weights"):
+            raise ParseError(f"unknown key {key!r}")
+    if "vertices" not in data:
         raise ParseError("expected an object with a 'vertices' list")
     if not _is_label_list(data["vertices"]):
         raise ParseError("'vertices' must be a list of strings")
@@ -494,7 +443,7 @@ def _component_product(
 
 
 def _cmd_decompose(args, config, valuation) -> tuple[dict, int]:
-    parts = structure.components(config)
+    parts = core.components(config)
     whole = _enumerated_mu(config, valuation.weights)
     return {
         "components": [
@@ -510,7 +459,7 @@ def _cmd_decompose(args, config, valuation) -> tuple[dict, int]:
 
 
 def _cmd_right_angled(args, config, valuation) -> tuple[dict, int]:
-    if not structure.is_right_angled(config):
+    if not core.is_right_angled(config):
         return {"right_angled": False}, 0
     report = structure.right_angled_properties(config, valuation)
     payload = {
@@ -579,7 +528,7 @@ def _cmd_check_identities(args) -> tuple[dict, int]:
             failures.append(f"trial {trial}: inversion identity failed")
         # relative(0) reads the packed transform of the enumerated family.
         mu = family.relative(0)
-        if _component_product(structure.components(config), valuation, mu) != mu:
+        if _component_product(core.components(config), valuation, mu) != mu:
             failures.append(f"trial {trial}: decomposition product mismatch")
         rebuilt = core.from_independence_list(config.n, family.members(), config.labels)
         if rebuilt.nubs != config.nubs:
@@ -624,8 +573,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         cmd = sub.add_parser(name)
-        cmd.add_argument("--input", help="configuration file (JSON or text), '-' for stdin")
-        cmd.add_argument("--name", help="built-in dataset name")
+        # check-identities draws its own configurations.
+        if name != "check-identities":
+            cmd.add_argument("--input", help="configuration file (JSON or text), '-' for stdin")
+            cmd.add_argument("--name", help="built-in dataset name")
         cmd.add_argument("--pretty", action="store_true", help="human summary on stderr")
         if name == "relative":
             cmd.add_argument("--set", help="comma separated vertex labels")

@@ -20,7 +20,6 @@ from . import core
 from .core import (
     Configuration,
     Valuation,
-    components,
     default_labels,
     enumerate_independence_sets,
     from_nubs,
@@ -43,9 +42,7 @@ __all__ = [
     "SelfLoop",
     "BadParameters",
     "UnknownDataset",
-    "components",
     "is_irreducible",
-    "is_right_angled",
     "from_dependence_graph",
     "star",
     "trace_series",

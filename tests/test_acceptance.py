@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from configspaces.core import from_nubs
+from configspaces.core import components, from_nubs
 from configspaces.mobius import MobiusFamily
 from configspaces.poly import Polynomial, refine_root, series_inverse
 from configspaces.probspace import (
@@ -19,7 +19,6 @@ from configspaces.probspace import (
 )
 from configspaces.structure import (
     builtin,
-    components,
     disjoint_union,
     from_dependence_graph,
     random_configuration,

@@ -15,18 +15,16 @@ import pytest
 from configspaces import cli, mobius, probspace
 from configspaces.cli import (
     COMMANDS,
-    OPERATION_COMMANDS,
     ParseError,
     config_to_json,
     main,
     parse_config,
 )
-from configspaces.core import valuation_of
+from configspaces.core import components, valuation_of
 from configspaces.mobius import MobiusFamily
 from configspaces.poly import Polynomial, poly_to_strings
 from configspaces.structure import (
     builtin,
-    components,
     random_configuration,
     random_valuation,
     trace_series,
@@ -311,6 +309,13 @@ def test_check_identities_rejects_negative_trials(capsys):
     assert payload_of(out)["trials"] == 0 and payload_of(out)["failures"] == []
 
 
+@pytest.mark.parametrize("flag, value", [("--input", "/nonexistent"), ("--name", "star-3-2")])
+def test_check_identities_takes_no_configuration(capsys, flag, value):
+    code, out, err = run(capsys, "check-identities", flag, value, "--n", "4", "--trials", "1")
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag} {value}" in err
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "classify")
     assert code == 2
@@ -369,6 +374,23 @@ def test_repeated_entries_are_input_errors(capsys, tmp_path, text, message):
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "document, key",
+    [
+        ({"vertices": ["a", "b"], "nub": [["a", "b"]]}, "nub"),
+        ({"vertices": ["a", "b"], "nubs": [["a", "b"]], "weight": {"a": "1/2"}}, "weight"),
+        ({"vertices": ["a"], "nubs": [], "canonical_key": "1:"}, "canonical_key"),
+    ],
+    ids=["nub", "weight", "builtin-payload"],
+)
+def test_unknown_json_keys_are_input_errors(capsys, tmp_path, document, key):
+    # Read as absent, "nub" would give t0 = 1 where the nub gives 1/2.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run(capsys, "classify", "--input", str(path))
+    assert (code, out, err) == (2, "", f"error: unknown key {key!r}\n")
 
 
 @pytest.mark.parametrize("text", [JSON_CONFIG, TEXT_CONFIG], ids=["json", "text"])
@@ -807,27 +829,7 @@ def test_readme_flags_match_parser():
     assert documented == options
 
 
-def test_operation_registry_covers_all_commands():
-    assert set(OPERATION_COMMANDS.values()) <= set(COMMANDS)
-    # every command except the report-only ones owns at least one op
-    owning = set(OPERATION_COMMANDS.values())
-    assert owning == set(COMMANDS)
-
-
-def test_operation_registry_is_total():
-    expected = {
-        "add", "mul", "derivative", "evaluate", "series_inverse", "sturm_count",
-        "first_positive_root", "compare_roots",
-        "from_nubs", "from_independence_list", "is_independent",
-        "enumerate_independence_sets",
-        "relative_configuration", "valuation_of", "canonical_key",
-        "mu", "relative", "transform",
-        "inversion_check", "derivative_identity_residual", "critical_root",
-        "classify",
-        "atoms_from_intersections", "event_probability", "canonical_space",
-        "verify_realization", "sample",
-        "components", "is_irreducible", "is_right_angled",
-        "from_dependence_graph", "star", "trace_series", "trace_count_cf",
-        "right_angled_properties", "symmetric_counts", "builtin",
-    }
-    assert set(OPERATION_COMMANDS) == expected
+def test_readme_commands_match_cli():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("\nCommands:") :].split("\n\n", 1)[0]
+    assert re.findall(r"`([a-z-]+)`", paragraph) == list(COMMANDS)

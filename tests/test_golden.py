@@ -5,14 +5,22 @@ and exit code the command line front end produced for them.  The
 placeholders ``@weighted``, ``@twins``, ``@split`` and ``@double``
 stand for text-format inputs that this test writes before running the
 corpus.
+
+The corpus is also the record of what the commands exercise: replayed
+under a profiler, it must enter every public operation of the library
+except the few kept only as test oracles and fixtures.
 """
 
+import importlib
+import inspect
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from configspaces.cli import main
+from configspaces.cli import COMMANDS, main
+from configspaces.mobius import MobiusFamily
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -89,3 +97,53 @@ def test_golden(case, inputs, capsys):
     code = main(argv)
     out = capsys.readouterr().out
     assert (code, out) == (case["exit"], case["stdout"])
+
+
+def test_every_command_has_a_golden_row():
+    assert {case["argv"][0] for case in CASES} == set(COMMANDS)
+
+
+# Public operations that no command runs: the one-step oracle of the
+# bisection, the dense route the verify cross-check reimplements on the
+# independent masks, one event's probability (verify reads every event
+# from one transform) and a fixture for building split inputs.
+LIBRARY_ONLY = {
+    "poly.refine_root",
+    "probspace.atoms_from_intersections",
+    "probspace.event_probability",
+    "structure.disjoint_union",
+}
+
+
+def public_operations() -> dict:
+    """Code object -> name of every function in a module's ``__all__``
+    and of every public ``MobiusFamily`` method."""
+    operations = {}
+    for name in ("core", "mobius", "poly", "probspace", "structure"):
+        module = importlib.import_module(f"configspaces.{name}")
+        for attr in module.__all__:
+            value = getattr(module, attr)
+            if inspect.isfunction(value):
+                operations[value.__code__] = f"{name}.{attr}"
+    for attr, value in vars(MobiusFamily).items():
+        if not attr.startswith("_") and inspect.isfunction(value):
+            operations[value.__code__] = f"MobiusFamily.{attr}"
+    return operations
+
+
+def test_golden_corpus_enters_every_public_operation(inputs, capsys):
+    operations = public_operations()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for case in CASES:
+            main([inputs.get(arg, arg) for arg in case["argv"]])
+    finally:
+        sys.setprofile(None)
+    missed = {name for code, name in operations.items() if code not in entered}
+    assert missed == LIBRARY_ONLY

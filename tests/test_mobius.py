@@ -11,6 +11,7 @@ from configspaces.core import (
     NotIndependent,
     TooLarge,
     Valuation,
+    components,
     enumerate_independence_sets,
     from_nubs,
     relative_configuration,
@@ -35,7 +36,6 @@ from configspaces.poly import (
 )
 from configspaces.structure import (
     builtin,
-    components,
     disjoint_union,
     random_configuration,
     random_valuation,

@@ -13,8 +13,10 @@ from configspaces.core import (
     TooLarge,
     Valuation,
     VertexOutOfRange,
+    components,
     enumerate_independence_sets,
     from_nubs,
+    is_right_angled,
     mask_from_indices,
     relative_configuration,
     valuation_of,
@@ -27,11 +29,9 @@ from configspaces.structure import (
     SelfLoop,
     UnknownDataset,
     builtin,
-    components,
     disjoint_union,
     from_dependence_graph,
     is_irreducible,
-    is_right_angled,
     random_configuration,
     random_valuation,
     right_angled_properties,
