@@ -27,11 +27,11 @@ from .mobius import (
     RestBound,
     TYPE_I,
     TYPE_II,
+    mobius_polynomial,
 )
 from .poly import (
     AlgebraicRoot,
     Polynomial,
-    Series,
     compare_roots,
     first_positive_root,
     series_inverse,

@@ -9,18 +9,18 @@ JSON a key other than ``vertices``, ``nubs`` and ``weights``.
 ``check-identities`` draws its own configurations and takes no
 ``--input`` or ``--name``.
 
-Each handler builds at most one ``MobiusFamily`` per configuration it
+``mobius`` and ``relative`` call ``mobius_polynomial``, which
+eliminates and enumerates small leaves only; ``relative`` calls it on
+the anchor's link, the relative configuration.  A handler that reads the
+enumerated family builds one ``MobiusFamily`` per configuration it
 analyses and reads every reported quantity from it; ``space``,
-``verify`` and ``sample`` get theirs through ``canonical_space``.
-``relative`` builds its family on the anchor's link, the relative
-configuration.  ``mobius`` and ``relative`` take mu by elimination, so
-they enumerate small leaves only; every other family is enumerated
-whole.  Every enumeration stops past ``core.MEMBER_BUDGET`` independence
-sets, and every elimination past that many memoised polynomials
-(exit 2), before anything built from the family is stored.
-``decompose`` and ``check-identities`` compare the product of the
-components' eliminated mu with an enumerated mu of the whole, so the
-check does not repeat the split it tests.
+``verify`` and ``sample`` get theirs through ``canonical_space``.  Every
+enumeration stops past ``core.MEMBER_BUDGET`` independence sets, and
+every elimination past that many memoised polynomials (exit 2), before
+anything built from the family is stored.  ``decompose`` and
+``check-identities`` compare the product of the components' eliminated
+mu with an enumerated mu of the whole, so the check does not repeat the
+split it tests.
 ``verify`` reports ``routes_agree``: whether the dense sign-word route
 reproduces the canonical atoms.  That route takes independence from the
 nubs, closed upward over all 2^n masks, not from the enumerated family,
@@ -53,7 +53,7 @@ from typing import Any, Sequence
 
 from . import core, probspace, structure
 from .core import Configuration, Restriction, Valuation
-from .mobius import MobiusFamily, RestBound, _enumerated_mu
+from .mobius import MobiusFamily, RestBound, _enumerated_mu, mobius_polynomial
 from .poly import (
     AlgebraicRoot,
     Polynomial,
@@ -93,6 +93,8 @@ def _assemble(labels, nubs, weights) -> tuple[Configuration, Valuation]:
         for name in names:
             if name not in index:
                 raise ParseError(f"nub mentions unknown vertex {name!r}", line)
+            if mask >> index[name] & 1:
+                raise ParseError(f"nub mentions vertex {name!r} twice", line)
             mask |= 1 << index[name]
         masks.append(mask)
     config = core.from_nubs(len(labels), masks, labels)
@@ -261,8 +263,7 @@ def _load(args: argparse.Namespace) -> tuple[Configuration, Valuation]:
 
 
 def _cmd_mobius(args, config, valuation) -> tuple[dict, int]:
-    mu = MobiusFamily(config, valuation).mu()
-    return {"mu": poly_to_strings(mu)}, 0
+    return {"mu": poly_to_strings(mobius_polynomial(config, valuation))}, 0
 
 
 def _cmd_relative(args, config, valuation) -> tuple[dict, int]:
@@ -272,7 +273,7 @@ def _cmd_relative(args, config, valuation) -> tuple[dict, int]:
     anchor = config.mask_of_labels(names)
     view = core.relative_configuration(config, anchor)
     # mu^{|x} is the Mobius polynomial of the link: only it is eliminated.
-    poly = MobiusFamily(view.config, valuation.restrict(view.index_map)).mu()
+    poly = mobius_polynomial(view.config, valuation.restrict(view.index_map))
     return {
         "set": config.labels_of(anchor),
         "vertices": config.labels_of(view.vertices),
@@ -430,15 +431,15 @@ def _component_product(
 
     An irreducible configuration is its one component, so its product is
     ``whole``, the Mobius polynomial already enumerated; only a split
-    configuration computes its parts' polynomials.  ``whole`` must come
-    from an enumeration of the whole: ``MobiusFamily.mu`` itself
+    configuration eliminates its parts' polynomials.  ``whole`` must
+    come from an enumeration of the whole: ``mobius_polynomial`` itself
     multiplies components, so comparing with it would check nothing.
     """
     if len(parts) == 1:
         return whole
     product = Polynomial([1])
     for part in parts:
-        product = product * MobiusFamily(part.config, valuation.restrict(part.index_map)).mu()
+        product = product * mobius_polynomial(part.config, valuation.restrict(part.index_map))
     return product
 
 
@@ -484,7 +485,7 @@ def _cmd_series(args, config, valuation) -> tuple[dict, int]:
     series = structure.trace_series(config, valuation, args.order)
     return {
         "order": args.order,
-        "coefficients": [format_rational(c) for c in series.coefficients],
+        "coefficients": [format_rational(c) for c in series],
     }, 0
 
 

@@ -172,11 +172,14 @@ class Configuration:
         return "".join(self.labels_of(mask)) or "e"
 
     def mask_of_labels(self, names: Iterable[str]) -> int:
+        """The vertex set of the labels; each is named once."""
         lookup = {label: i for i, label in enumerate(self.labels)}
         mask = 0
         for name in names:
             if name not in lookup:
                 raise VertexOutOfRange(f"unknown vertex label {name!r}")
+            if mask >> lookup[name] & 1:
+                raise ConfigurationError(f"vertex label {name!r} given twice")
             mask |= 1 << lookup[name]
         return mask
 
@@ -196,6 +199,11 @@ class Valuation:
     """Positive weight per vertex, extended multiplicatively to sets."""
 
     weights: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        for w in self.weights:
+            if w <= 0:
+                raise NonPositiveWeight(f"weight {w} is not positive")
 
     @classmethod
     def uniform(cls, n: int) -> "Valuation":
@@ -517,18 +525,11 @@ def relative_configuration(config: Configuration, x: int) -> Restriction:
     return Restriction.of(config, *link)
 
 
-def valuation_of(
-    config: Configuration, weights: Iterable[Fraction | int | str] | None = None
-) -> Valuation:
-    """Make a valuation; None gives the uniform one."""
-    if weights is None:
-        return Valuation.uniform(config.n)
+def valuation_of(config: Configuration, weights: Iterable[Fraction | int | str]) -> Valuation:
+    """Make a valuation from one weight per vertex."""
     values = tuple(Fraction(w) for w in weights)
     if len(values) != config.n:
         raise ConfigurationError(f"expected {config.n} weights, got {len(values)}")
-    for w in values:
-        if w <= 0:
-            raise NonPositiveWeight(f"weight {w} is not positive")
     return Valuation(values)
 
 

@@ -40,11 +40,11 @@ the sets that miss v and the sets v | y with y independent in the link
 of v, so mu_C = mu_{C - v} - f(v) t mu^{|v}: the paper's derivative
 formula taken at one vertex, and the deletion-link recursion of Gutman
 and Harary for independence polynomials.  On a disjoint union mu is the
-product over the components.  ``MobiusFamily.mu`` splits and eliminates
-over bare nub masks down to small leaves and enumerates only those, so
-its cost follows the distinct restrictions it meets, not the family:
-``path-64`` has about 2.8e13 members and 54 distinct restrictions, two
-of them leaves.
+product over the components.  ``mobius_polynomial`` splits and
+eliminates over bare nub masks down to small leaves and enumerates only
+those, so its cost follows the distinct restrictions it meets, not the
+family: ``path-64`` has about 2.8e13 members and 54 distinct
+restrictions, two of them leaves.
 
 The critical root is searched lazily: only polynomials that may have a
 root at or below the best one found are isolated (see
@@ -62,7 +62,6 @@ from typing import Iterable, MutableMapping, Sequence, Union
 from . import core
 from .core import (
     Configuration,
-    NonPositiveWeight,
     NotIndependent,
     TooLarge,
     Valuation,
@@ -87,6 +86,7 @@ __all__ = [
     "RestBound",
     "Classification",
     "MobiusFamily",
+    "mobius_polynomial",
 ]
 
 TYPE_I = "I"
@@ -181,9 +181,10 @@ def _enumerated_mu(config: Configuration, weights: Sequence[Fraction]) -> Polyno
 _LEAF_VERTICES = 12
 
 
-def _eliminated_mu(config: Configuration, weights: Sequence[Fraction]) -> Polynomial:
-    """The Mobius polynomial by component split and deletion-link
-    elimination, enumerating only at the leaves.
+def mobius_polynomial(config: Configuration, valuation: Valuation | None = None) -> Polynomial:
+    """The Mobius polynomial, uniform when no valuation is given, by
+    component split and deletion-link elimination, enumerating only at
+    the leaves; the family is neither enumerated nor stored.
 
     The independence sets of C either miss its vertex 0, and are those
     of C - 0, or are 0 plus an independence set of the link of 0, so
@@ -207,6 +208,7 @@ def _eliminated_mu(config: Configuration, weights: Sequence[Fraction]) -> Polyno
     Results are memoised for this call, and :class:`TooLarge` is raised
     once the memo holds more than ``core.MEMBER_BUDGET`` polynomials.
     """
+    weights = (valuation if valuation is not None else Valuation.uniform(config.n)).weights
     values = list(dict.fromkeys(weights))
     index = {w: i for i, w in enumerate(values)}
     memo: dict[tuple[int, tuple[int, ...], tuple[int, ...]], Polynomial] = {}
@@ -249,8 +251,7 @@ class MobiusFamily:
     """All relative Mobius polynomials of one weighted configuration.
 
     The independence family and its packed zeta transform (see the
-    module docstring) are built on first use and kept; ``mu`` alone
-    needs neither and eliminates down to enumerated leaves.  The
+    module docstring) are built on first use and kept.  The
     transform is read once into one table, each member's index into the
     distinct shapes (``_shape_ids``), and relative polynomials equal in
     value are one object, built from their shape, with one Sturm chain
@@ -261,8 +262,6 @@ class MobiusFamily:
     def __init__(self, config: Configuration, valuation: Valuation | None = None):
         self.config = config
         self.valuation = valuation if valuation is not None else Valuation.uniform(config.n)
-        if any(w <= 0 for w in self.valuation.weights):
-            raise NonPositiveWeight("the packed transform needs positive weights")
         self._members: list[int] | None = None
         self._ids: dict[int, int] | None = None
         self._shapes: list[tuple[int, ...]] = []
@@ -277,13 +276,6 @@ class MobiusFamily:
                 buckets[z.bit_count()].append(z)
             self._members = [z for bucket in buckets for z in sorted(bucket)]
         return self._members
-
-    def mu(self) -> Polynomial:
-        """The Mobius polynomial, eliminated down to small enumerated
-        leaves (see ``_eliminated_mu``) on every call: the family is
-        neither enumerated nor stored.  Where the packed transform is
-        built anyway, ``relative(0)`` is the same polynomial."""
-        return _eliminated_mu(self.config, self.valuation.weights)
 
     def _shape_ids(self) -> dict[int, int]:
         """Per member x, in (size, mask) order, the index in ``_shapes``
@@ -339,10 +331,10 @@ class MobiusFamily:
         This is the zero polynomial for every configuration; the
         per-vertex weight factor makes the identity hold for arbitrary
         valuations (the single weighted vertex forces it).  mu is
-        eliminated, not read from the transform that gives the
-        relatives, so the check is not circular.
+        eliminated (``mobius_polynomial``), not read from the transform
+        that gives the relatives, so the check is not circular.
         """
-        residual = self.mu().derivative()
+        residual = mobius_polynomial(self.config, self.valuation).derivative()
         for a in range(self.config.n):
             residual = residual + self.relative(1 << a) * self.valuation.weights[a]
         return residual

@@ -41,7 +41,6 @@ from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "Polynomial",
-    "Series",
     "AlgebraicRoot",
     "PolynomialError",
     "ZeroConstantTerm",
@@ -228,21 +227,6 @@ class Polynomial:
         return f"Polynomial({str(self)!r})"
 
 
-
-@dataclass(frozen=True)
-class Series:
-    """A truncated power series: coefficients up to a stated order."""
-
-    coefficients: tuple[Fraction, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coefficients[k]
-
-
 @dataclass(frozen=True)
 class AlgebraicRoot:
     """One real root, identified by a squarefree witness and an interval.
@@ -348,8 +332,9 @@ def cauchy_root_bound(p: Polynomial) -> Fraction:
     return bound + 1
 
 
-def series_inverse(p: Polynomial, order: int) -> Series:
-    """Truncated multiplicative inverse: (p * result) == 1 mod t**(order+1)."""
+def series_inverse(p: Polynomial, order: int) -> tuple[Fraction, ...]:
+    """Truncated multiplicative inverse, its coefficients of t^0 to
+    t^order: (p * result) == 1 mod t**(order+1)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     c0 = p.constant_term
@@ -363,7 +348,7 @@ def series_inverse(p: Polynomial, order: int) -> Series:
         for j in range(1, min(k, p.degree) + 1):
             acc += coeffs[j] * out[k - j]
         out.append(-acc * inv0)
-    return Series(tuple(out))
+    return tuple(out)
 
 
 def _int_value(coeffs: Sequence[int], a: int, b: int) -> int:

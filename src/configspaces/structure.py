@@ -26,10 +26,9 @@ from .core import (
     is_right_angled,
     mask_from_indices,
 )
-from .mobius import MobiusFamily
+from .mobius import MobiusFamily, mobius_polynomial
 from .poly import (
     AlgebraicRoot,
-    Series,
     poly_gcd,
     series_inverse,
     sign_at_root,
@@ -122,17 +121,17 @@ def trace_series(
     config: Configuration,
     valuation: Valuation | None = None,
     order: int = 8,
-) -> Series:
-    """Generating series of the trace monoid: the inverse of mu.
+) -> tuple[Fraction, ...]:
+    """Generating series of the trace monoid: the inverse of mu, up to
+    t^order.
 
     Only defined for right-angled configurations; the coefficients count
     (weighted) monoid elements by length and are always nonnegative.
     """
     if not is_right_angled(config):
         raise NotRightAngled("the trace series needs all nubs of size 2")
-    mu = MobiusFamily(config, valuation).mu()
-    result = series_inverse(mu, order)
-    assert all(c >= 0 for c in result.coefficients), (
+    result = series_inverse(mobius_polynomial(config, valuation), order)
+    assert all(c >= 0 for c in result), (
         "inverse of a right-angled Mobius polynomial went negative"
     )
     return result

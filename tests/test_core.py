@@ -14,6 +14,7 @@ from configspaces.core import (
     NotIndependent,
     SingletonNub,
     TooLarge,
+    Valuation,
     VertexOutOfRange,
     canonical_key,
     default_labels,
@@ -291,13 +292,17 @@ def test_relative_configuration_matches_brute_force(rng):
 
 def test_valuation():
     c = star(2, 1)
-    uniform = valuation_of(c)
+    uniform = Valuation.uniform(c.n)
     assert uniform.of(0b11) == 1
     weighted = valuation_of(c, [Fraction(1, 2), Fraction(1, 3)])
     assert weighted.of(0b11) == Fraction(1, 6)
     assert weighted.of(0) == 1
     with pytest.raises(NonPositiveWeight):
         valuation_of(c, [Fraction(0), Fraction(1)])
+    # Valuation itself refuses, so no caller can pass a bad weight on.
+    for weights in ((Fraction(-1, 2),), (Fraction(1), Fraction(0))):
+        with pytest.raises(NonPositiveWeight, match="is not positive"):
+            Valuation(weights)
 
 
 def test_canonical_key():

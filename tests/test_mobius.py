@@ -24,6 +24,7 @@ from configspaces.mobius import (
     TYPE_II,
     TrivialConfiguration,
     _enumerated_mu,
+    mobius_polynomial,
 )
 from configspaces.poly import (
     Polynomial,
@@ -48,18 +49,18 @@ P = Polynomial
 
 
 def test_mobius_fig1():
-    assert MobiusFamily(builtin("fig1-left")).mu() == P([1, -5, 7, -1])
-    assert MobiusFamily(builtin("fig1-right")).mu() == P([1, -5, 6, -1])
+    assert mobius_polynomial(builtin("fig1-left")) == P([1, -5, 7, -1])
+    assert mobius_polynomial(builtin("fig1-right")) == P([1, -5, 6, -1])
 
 
 def test_mobius_star_n2():
     for n in range(2, 7):
         expected = P([1, -n, Fraction(n * (n - 1), 2)])
-        assert MobiusFamily(star(n, 2)).mu() == expected
+        assert mobius_polynomial(star(n, 2)) == expected
 
 
 def test_mobius_trivial():
-    assert MobiusFamily(from_nubs(0, [])).mu() == P([1])
+    assert mobius_polynomial(from_nubs(0, [])) == P([1])
 
 
 def test_mu_streams_on_right_angled():
@@ -80,10 +81,10 @@ def test_mu_streams_on_right_angled():
 
 def test_eliminated_mu_memory():
     # path-64: about 2.8e13 members, 54 memoised polynomials.
-    family = MobiusFamily(builtin("path-64"))
+    path = builtin("path-64")
     tracemalloc.start()
     try:
-        mu = family.mu()
+        mu = mobius_polynomial(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -135,7 +136,7 @@ def test_elimination_matches_leaf_kernel(rng, eliminations):
         assert len(c.nubs) == c.n - 1
         sizes.update(nub.bit_count() for nub in c.nubs)
         eliminations.clear()
-        assert MobiusFamily(c, f).mu() == _enumerated_mu(c, f.weights)
+        assert mobius_polynomial(c, f) == _enumerated_mu(c, f.weights)
         assert eliminations
     assert sizes == {2, 3, 4}
 
@@ -155,7 +156,7 @@ def test_elimination_on_built_ins(config, eliminations):
     weighted = Valuation(tuple(Fraction(1 + i % 3, 2 + i % 5) for i in range(config.n)))
     for f in (uniform, weighted):
         eliminations.clear()
-        assert MobiusFamily(config, f).mu() == _enumerated_mu(config, f.weights)
+        assert mobius_polynomial(config, f) == _enumerated_mu(config, f.weights)
         assert eliminations
 
 
@@ -163,7 +164,7 @@ def test_star_closed_form_by_elimination(eliminations):
     # star(n, n - 1): mu is (1 - t)^n without its top term.
     for n in (13, 16, 24):
         full = [(-1) ** k * math.comb(n, k) for k in range(n)]
-        assert MobiusFamily(star(n, n - 1)).mu() == P(full)
+        assert mobius_polynomial(star(n, n - 1)) == P(full)
     assert eliminations
 
 
@@ -176,7 +177,7 @@ def test_elimination_builds_no_restriction(monkeypatch):
         return original(cls, config, vertices, nubs)
 
     monkeypatch.setattr(core_module.Restriction, "of", classmethod(counting))
-    mu = MobiusFamily(builtin("path-64")).mu()
+    mu = mobius_polynomial(builtin("path-64"))
     assert mu.degree == 32 and calls == []
     # The hook sees what the restriction wrappers build.
     core_module.components(builtin("path-64"))
@@ -197,12 +198,12 @@ def test_leaf_rule(monkeypatch):
     # outnumber the nubs (star-14-5: 3,473 sets, 3,003 nubs).
     for name in ("complete-30", "dodecahedron", "star-64-2", "star-14-5"):
         walks.clear()
-        MobiusFamily(builtin(name)).mu()
+        mobius_polynomial(builtin(name))
         assert walks == [builtin(name).n], name
     # star(n, n - 2) has 2^n - n - 1 sets below its n nubs, past the
     # budget from n = 18: star-30-28 eliminates down to star(17, 15).
     walks.clear()
-    mu = MobiusFamily(star(30, 28)).mu()
+    mu = mobius_polynomial(star(30, 28))
     assert mu == P([(-1) ** k * math.comb(30, k) for k in range(29)])
     assert max(walks) == 17
 
@@ -212,19 +213,19 @@ def test_elimination_memo_budget(monkeypatch):
     # restrictions, none with more than 7 members.
     config = from_nubs(40, [(37, 38, 39)])
     f = Valuation(tuple(Fraction(i + 1) for i in range(40)))
-    expected = MobiusFamily(config, f).mu()
+    expected = mobius_polynomial(config, f)
     monkeypatch.setattr(core_module, "MEMBER_BUDGET", 39)
-    assert MobiusFamily(config, f).mu() == expected
+    assert mobius_polynomial(config, f) == expected
     monkeypatch.setattr(core_module, "MEMBER_BUDGET", 38)
     with pytest.raises(TooLarge, match="elimination memo exceeds the member budget of 38"):
-        MobiusFamily(config, f).mu()
+        mobius_polynomial(config, f)
 
 
 def test_mobius_matches_powerset_oracle(rng):
     for _ in range(30):
         c = random_configuration(rng.randint(1, 8), rng)
         f = random_valuation(c, rng)
-        assert MobiusFamily(c, f).mu() == powerset_mobius(c, f)
+        assert mobius_polynomial(c, f) == powerset_mobius(c, f)
 
 
 def test_relative_mobius_star43():
@@ -291,12 +292,12 @@ def test_sum_of_transforms_is_one(rng):
 
 def test_derivative_identity_examples():
     s43 = star(4, 3)
-    assert MobiusFamily(s43).mu().derivative() == P([-4, 12, -12])
+    assert mobius_polynomial(s43).derivative() == P([-4, 12, -12])
     assert MobiusFamily(s43).derivative_identity_residual().is_zero
     assert MobiusFamily(from_nubs(0, [])).derivative_identity_residual().is_zero
     single = from_nubs(1, [])
     weighted = valuation_of(single, [Fraction(5, 3)])
-    assert MobiusFamily(single, weighted).mu() == P([1, Fraction(-5, 3)])
+    assert mobius_polynomial(single, weighted) == P([1, Fraction(-5, 3)])
     assert MobiusFamily(single, weighted).derivative_identity_residual().is_zero
 
 
@@ -317,7 +318,7 @@ def test_critical_root_complete_dependence():
     # all pairs are nubs: mu = 1 - nt, every mu relative to a vertex is 1
     for n in (2, 3, 5):
         c = from_nubs(n, [{i, j} for i in range(n) for j in range(i + 1, n)])
-        assert MobiusFamily(c).mu() == P([1, -n])
+        assert mobius_polynomial(c) == P([1, -n])
         root, attained = MobiusFamily(c).critical_root()
         assert root.value == Fraction(1, n)
         assert attained == (0,)
@@ -398,7 +399,7 @@ def test_star_5_3_discrepancy_details():
     result = MobiusFamily(star(5, 3)).classify()
     assert result.critical_root.value == Fraction(1, 3)
     assert result.rest_at_t0 == Fraction(2, 27)
-    mu = MobiusFamily(star(5, 3)).mu()
+    mu = mobius_polynomial(star(5, 3))
     root = first_positive_root(mu)
     # mu's own first root lies strictly above t0, so no covering exists
     assert compare_roots(result.critical_root, root) == -1
@@ -494,12 +495,12 @@ def test_type_one_iff_mu_vanishes_at_root(rng):
         family = MobiusFamily(c)
         root, attained = family.critical_root()
         assert root.lo > 0
-        assert (0 in attained) == (sign_at_root(family.mu(), root) == 0)
+        assert (0 in attained) == (sign_at_root(mobius_polynomial(c), root) == 0)
 
 
 def test_rest_polynomial():
     s32 = star(3, 2)
-    rest = MobiusFamily(s32).mu()
+    rest = mobius_polynomial(s32)
     assert rest == powerset_mobius(s32)
     assert rest(Fraction(1, 2)) == Fraction(1, 4)
     assert rest(0) == 1
@@ -516,7 +517,7 @@ def test_range_shape_random(rng):
             poly = family.relative(x)
             assert all(poly(t) >= 0 for t in samples)
         # strictly decreasing rest before t0
-        mu = family.mu()
+        mu = mobius_polynomial(c)
         values = [mu(t) for t in samples]
         assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -525,10 +526,10 @@ def test_decomposition_product(rng):
     for _ in range(15):
         c = random_configuration(rng.randint(2, 8), rng)
         f = random_valuation(c, rng)
-        whole = MobiusFamily(c, f).mu()
+        whole = mobius_polynomial(c, f)
         product = P([1])
         for part in components(c):
-            product = product * MobiusFamily(part.config, f.restrict(part.index_map)).mu()
+            product = product * mobius_polynomial(part.config, f.restrict(part.index_map))
         assert product == whole
 
 
@@ -644,8 +645,8 @@ def test_link_route_matches_family_relative(rng):
         family = MobiusFamily(c, f)
         for x in family.members():
             view = relative_configuration(c, x)
-            link = MobiusFamily(view.config, f.restrict(view.index_map))
-            assert link.mu() == family.relative(x)
+            link = mobius_polynomial(view.config, f.restrict(view.index_map))
+            assert link == family.relative(x)
 
 
 def test_relative_of_dependent_set_raises():
@@ -762,14 +763,13 @@ def test_critical_root_asks_descartes_once_per_shape(monkeypatch):
 
 
 def test_mu_always_eliminates(monkeypatch, rng):
-    # mu() has one route: one elimination per call, before and after
-    # classify() builds the transform, and classify reads mu from the
-    # transform.  So the derivative identity compares an eliminated mu
-    # with relatives read from the transform, not the transform with
-    # itself.
+    # classify reads mu from the transform and never eliminates, while
+    # the derivative identity eliminates mu once.  So the identity
+    # compares an eliminated mu with relatives read from the transform,
+    # not the transform with itself.
     calls = []
-    original = mobius_module._eliminated_mu
-    monkeypatch.setattr(mobius_module, "_eliminated_mu", lambda *a: calls.append(a) or original(*a))
+    original = mobius_module.mobius_polynomial
+    monkeypatch.setattr(mobius_module, "mobius_polynomial", lambda *a: calls.append(a) or original(*a))
     cases = [(builtin("fig1-left"), None), (star(5, 3), None), (builtin("path-9"), None)]
     for _ in range(5):
         c = random_configuration(rng.randint(1, 7), rng)
@@ -777,14 +777,11 @@ def test_mu_always_eliminates(monkeypatch, rng):
     for c, f in cases:
         family = MobiusFamily(c, f)
         calls.clear()
-        before = family.mu()
-        assert len(calls) == 1
         family.classify()
-        assert len(calls) == 1
-        assert family.mu() == before == family.relative(0)
-        assert len(calls) == 2
+        assert calls == []
+        assert family.relative(0) == original(c, f)
         assert family.derivative_identity_residual().is_zero
-        assert len(calls) == 3
+        assert calls == [(c, family.valuation)]
 
 
 def _root_free(p, h):

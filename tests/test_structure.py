@@ -21,7 +21,7 @@ from configspaces.core import (
     relative_configuration,
     valuation_of,
 )
-from configspaces.mobius import TYPE_I, TYPE_II, MobiusFamily
+from configspaces.mobius import TYPE_I, TYPE_II, MobiusFamily, mobius_polynomial
 from configspaces.poly import Polynomial
 from configspaces.structure import (
     BadParameters,
@@ -148,9 +148,9 @@ def test_from_dependence_graph():
 
 
 def test_star_polynomials():
-    assert MobiusFamily(star(3, 2)).mu() == P([1, -3, 3])
-    assert MobiusFamily(star(4, 3)).mu() == P([1, -4, 6, -4])
-    assert MobiusFamily(star(4, 4)).mu() == P([1, -4, 6, -4, 1])
+    assert mobius_polynomial(star(3, 2)) == P([1, -3, 3])
+    assert mobius_polynomial(star(4, 3)) == P([1, -4, 6, -4])
+    assert mobius_polynomial(star(4, 4)) == P([1, -4, 6, -4, 1])
     assert star(4, 4).nubs == ()
     assert star(0, 0).n == 0
     with pytest.raises(BadParameters):
@@ -173,14 +173,14 @@ def test_star_mu_is_truncated_binomial():
             binom = binom * P([1, -1])
         for k in range(1, n + 1):
             truncated = P(binom.coefficients[: k + 1])
-            assert MobiusFamily(star(n, k)).mu() == truncated
+            assert mobius_polynomial(star(n, k)) == truncated
 
 
 def test_trace_series_examples():
     k2 = from_dependence_graph(2, [(0, 1)])
-    assert trace_series(k2, order=5).coefficients == (1, 2, 4, 8, 16, 32)
+    assert trace_series(k2, order=5) == (1, 2, 4, 8, 16, 32)
     free2 = from_nubs(2, [])
-    assert trace_series(free2, order=5).coefficients == (1, 2, 3, 4, 5, 6)
+    assert trace_series(free2, order=5) == (1, 2, 3, 4, 5, 6)
     with pytest.raises(NotRightAngled):
         trace_series(star(4, 3))
 
@@ -222,7 +222,7 @@ def test_trace_two_algorithms_agree(rng):
     for graph in graphs:
         series = trace_series(graph, order=8)
         counts = [trace_count_cf(graph, L) for L in range(9)]
-        assert list(series.coefficients) == counts
+        assert list(series) == counts
 
 
 def test_trace_weighted_agreement(rng):
@@ -230,14 +230,14 @@ def test_trace_weighted_agreement(rng):
     f = valuation_of(k3, [Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)])
     series = trace_series(k3, f, order=6)
     counts = [trace_count_cf(k3, L, f) for L in range(7)]
-    assert list(series.coefficients) == counts
+    assert list(series) == counts
     for _ in range(12):
         n = rng.randint(1, 7)
         edges = [e for e in combinations(range(n), 2) if rng.random() < 0.4]
         graph = from_dependence_graph(n, edges)
         f = valuation_of(graph, [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(n)])
         series = trace_series(graph, f, order=8)
-        assert list(series.coefficients) == [trace_count_cf(graph, L, f) for L in range(9)]
+        assert list(series) == [trace_count_cf(graph, L, f) for L in range(9)]
 
 
 @pytest.mark.parametrize(
@@ -524,7 +524,7 @@ def test_disjoint_union_structure():
     b = from_dependence_graph(2, [(0, 1)])
     union = disjoint_union(a, b)
     assert union.n == 5
-    assert MobiusFamily(union).mu() == MobiusFamily(a).mu() * MobiusFamily(b).mu()
+    assert mobius_polynomial(union) == mobius_polynomial(a) * mobius_polynomial(b)
     parts = components(union)
     assert [p.vertices for p in parts] == [0b00111, 0b11000]
 
