@@ -269,7 +269,10 @@ def _cmd_mobius(args, config, valuation) -> tuple[dict, int]:
 def _cmd_relative(args, config, valuation) -> tuple[dict, int]:
     if args.set is None:
         raise ParseError("the relative command needs --set")
-    names = [s for s in args.set.split(",") if s]
+    # An empty --set is the empty anchor; an empty entry is a typo.
+    names = args.set.split(",") if args.set else []
+    if "" in names:
+        raise ParseError(f"--set {args.set!r} has an empty entry")
     anchor = config.mask_of_labels(names)
     view = core.relative_configuration(config, anchor)
     # mu^{|x} is the Mobius polynomial of the link: only it is eliminated.

@@ -30,8 +30,6 @@ they are safe to share across threads.
 from __future__ import annotations
 
 import functools
-import string
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -120,7 +118,7 @@ def indices_of(mask: int) -> list[int]:
 
 def default_labels(n: int) -> tuple[str, ...]:
     if n <= 26:
-        return tuple(string.ascii_lowercase[:n])
+        return tuple("abcdefghijklmnopqrstuvwxyz"[:n])
     return tuple(f"v{i}" for i in range(n))
 
 
@@ -135,13 +133,71 @@ def _byte_table(labels: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
     return tuple(table)
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Vertex count, labels, and the antichain of nubs (bitmasks)."""
+class _Record:
+    """Base of the package's immutable records.
 
-    n: int
-    labels: tuple[str, ...]
-    nubs: tuple[int, ...]
+    A record names its fields once, in ``__slots__`` (plus ``"__dict__"``
+    when it has a ``functools.cached_property``).  It is built from its
+    fields by position or keyword, then ``_check`` validates them;
+    assigning to it raises ``AttributeError``; it compares, hashes and
+    prints by its field values, as a tuple in field order, leaving fields
+    named with a leading underscore out of the repr; it pickles and
+    copies by its field values.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs:
+            try:
+                args += tuple(kwargs.pop(name) for name in fields[len(args) :])
+            except KeyError as missing:
+                raise TypeError(f"{type(self).__name__}() lacks field {missing}") from None
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes exactly the fields {fields}")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _check(self) -> None:
+        """Raise if the fields are inconsistent; records may override."""
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields if name[0] != "_")
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt through __init__, as slots refuse pickle's assignments.
+        return type(self), self._values()
+
+
+class Configuration(_Record):
+    """Vertex count ``n``, ``labels`` (a tuple of n strings), and the
+    antichain of ``nubs`` (a tuple of bitmasks)."""
+
+    __slots__ = ("n", "labels", "nubs", "__dict__")
 
     @property
     def vertex_mask(self) -> int:
@@ -194,13 +250,13 @@ class Configuration:
         return f"Configuration({self.n} vertices; nubs: [{nub_words}])"
 
 
-@dataclass(frozen=True)
-class Valuation:
-    """Positive weight per vertex, extended multiplicatively to sets."""
+class Valuation(_Record):
+    """Positive weight per vertex (``weights``, a tuple of Fractions),
+    extended multiplicatively to sets."""
 
-    weights: tuple[Fraction, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for w in self.weights:
             if w <= 0:
                 raise NonPositiveWeight(f"weight {w} is not positive")
@@ -219,8 +275,7 @@ class Valuation:
         return Valuation(tuple(self.weights[i] for i in kept_indices))
 
 
-@dataclass(frozen=True)
-class Restriction:
+class Restriction(_Record):
     """A configuration on a subset of the vertices, as one of its own.
 
     ``vertices`` is the subset in original indices; ``config`` re-indexes
@@ -230,9 +285,7 @@ class Restriction:
     (``components``) are restrictions.
     """
 
-    vertices: int
-    config: Configuration
-    index_map: tuple[int, ...]
+    __slots__ = ("vertices", "config", "index_map")
 
     @classmethod
     def of(cls, config: Configuration, vertices: int, nubs: Iterable[int]) -> "Restriction":

@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, MutableMapping, Sequence, Union
 
@@ -65,6 +64,7 @@ from .core import (
     NotIndependent,
     TooLarge,
     Valuation,
+    _Record,
     enumerate_independence_sets,
 )
 from .poly import (
@@ -97,22 +97,20 @@ class TrivialConfiguration(ValueError):
     """Critical-root machinery needs at least one vertex."""
 
 
-@dataclass(frozen=True)
-class RestBound:
-    """Certified sign of the rest at an irrational critical root, with
-    an exact rational enclosure of its value."""
+class RestBound(_Record):
+    """Certified sign of the rest at an irrational critical root,
+    ``"zero"`` or ``"positive"``, with an exact rational enclosure
+    ``[lo, hi]`` of its value."""
 
-    sign: str  # "zero" or "positive"
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("sign", "lo", "hi")
 
 
-@dataclass(frozen=True)
-class Classification:
-    critical_root: AlgebraicRoot
-    attained_at: tuple[int, ...]
-    config_type: str
-    rest_at_t0: Union[Fraction, RestBound]
+class Classification(_Record):
+    """The critical root, the anchors attaining it, the type (``TYPE_I``
+    or ``TYPE_II``), and the rest at t0: a Fraction, or a ``RestBound``
+    when t0 is irrational."""
+
+    __slots__ = ("critical_root", "attained_at", "config_type", "rest_at_t0")
 
 
 def _superset_transform(

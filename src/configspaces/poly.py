@@ -35,9 +35,10 @@ every comparison and zero-test is certified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
+
+from .core import _Record
 
 __all__ = [
     "Polynomial",
@@ -227,8 +228,7 @@ class Polynomial:
         return f"Polynomial({str(self)!r})"
 
 
-@dataclass(frozen=True)
-class AlgebraicRoot:
+class AlgebraicRoot(_Record):
     """One real root, identified by a squarefree witness and an interval.
 
     The witness has exactly one real root in ``[lo, hi]``.  When
@@ -236,11 +236,9 @@ class AlgebraicRoot:
     changes sign on the interval and neither endpoint is a root.
     """
 
-    witness: Polynomial
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("witness", "lo", "hi")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.lo > self.hi:
             raise ValueError("isolating interval endpoints out of order")
         if self.witness.is_zero:

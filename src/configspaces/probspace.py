@@ -38,14 +38,13 @@ import functools
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, MutableMapping, Sequence, Union
 
-from .core import Configuration, Valuation
+from .core import Configuration, Valuation, _Record
 from .mobius import MobiusFamily, _scaled_products, _superset_transform
 
 __all__ = [
@@ -91,37 +90,32 @@ class InfeasibleIntersections(ValueError):
         self.negatives = negatives
 
 
-@dataclass(frozen=True, slots=True)
-class SignedWord:
-    """A partial assignment: these vertices occur, those are negated.
+class SignedWord(_Record):
+    """A partial assignment: the vertices of ``positives`` occur, those
+    of ``negatives`` are negated.
 
     Slotted: the dense route keys one word per subset of the vertices.
     """
 
-    positives: int
-    negatives: int
+    __slots__ = ("positives", "negatives")
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.positives & self.negatives:
             raise ValueError("a vertex cannot be both positive and negative")
 
 
-@dataclass(frozen=True, eq=False)
-class ConfiguredSpace:
+class ConfiguredSpace(_Record):
     """Finite probability space with atoms indexed by independence sets:
     atom x has mass ``masses[x] / scale``, the members in (size, mask)
     order, and ``atoms``, ``mass`` and ``rest`` are read-only views of
     those masses as reduced fractions (``atoms.items()`` lists them in
     member order).  ``_products`` holds the denominator and integers
     D f(x) t^|x| over the family that the masses were built from, keyed
-    by the members in the same order."""
+    by the members in the same order.  Spaces compare by identity."""
 
-    config: Configuration
-    valuation: Valuation
-    t: Fraction
-    scale: int
-    masses: dict[int, int]
-    _products: tuple[int, dict[int, int]] = field(repr=False)
+    __slots__ = ("config", "valuation", "t", "scale", "masses", "_products", "__dict__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @functools.cached_property
     def atoms(self) -> Mapping[int, Fraction]:
@@ -137,14 +131,14 @@ class ConfiguredSpace:
         return self.mass(0)
 
 
-@dataclass
-class RealizationReport:
-    marginals_ok: bool
-    independence_ok: bool
-    exclusivity_ok: bool
-    covering: bool
-    rest: Fraction
-    violations: list[str]
+class RealizationReport(_Record):
+    """The four checks of ``verify_realization``, the rest mass, and the
+    list of violation messages; unhashable, as it holds a list."""
+
+    __slots__ = (
+        "marginals_ok", "independence_ok", "exclusivity_ok", "covering", "rest", "violations"
+    )
+    __hash__ = None
 
     @property
     def ok(self) -> bool:

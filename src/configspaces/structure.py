@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -20,6 +19,7 @@ from . import core
 from .core import (
     Configuration,
     Valuation,
+    _Record,
     default_labels,
     enumerate_independence_sets,
     from_nubs,
@@ -28,7 +28,6 @@ from .core import (
 )
 from .mobius import MobiusFamily, mobius_polynomial
 from .poly import (
-    AlgebraicRoot,
     poly_gcd,
     series_inverse,
     sign_at_root,
@@ -186,14 +185,14 @@ def trace_count_cf(
     return sum(counts[length % span].values(), zero)
 
 
-@dataclass(frozen=True)
-class RightAngledReport:
-    type_one: bool
-    irreducible: bool
-    critical_root: AlgebraicRoot
-    simple_root: bool | None
-    relative_positive: bool | None
-    monotone: bool
+class RightAngledReport(_Record):
+    """Properties (a)-(d) of ``right_angled_properties``, with the
+    critical root; ``simple_root`` and ``relative_positive`` are None
+    when the configuration is reducible."""
+
+    __slots__ = (
+        "type_one", "irreducible", "critical_root", "simple_root", "relative_positive", "monotone"
+    )
 
 
 def right_angled_properties(
@@ -276,12 +275,11 @@ def _monotone_under_inclusion(family: MobiusFamily, lo: Fraction) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SymmetricCountReport:
-    counts: tuple[int, ...]
-    eta: tuple[int | None, ...]
-    formula_ok: bool
-    failed_level: int | None
+class SymmetricCountReport(_Record):
+    """The level counts, the eta values, whether the counting formula
+    holds, and the first level where it fails (see ``symmetric_counts``)."""
+
+    __slots__ = ("counts", "eta", "formula_ok", "failed_level")
 
 
 def symmetric_counts(config: Configuration) -> SymmetricCountReport:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -19,7 +18,7 @@ from configspaces.poly import (
     simplest_rational_between,
     _squarefree_chain,
 )
-from configspaces.probspace import SplitMix64
+from configspaces.probspace import ConfiguredSpace, SplitMix64
 
 
 def powerset_mobius(config: Configuration, valuation: Valuation | None = None) -> Polynomial:
@@ -173,7 +172,9 @@ def shift_masses(space, deltas: dict[int, Fraction]):
     for x, delta in deltas.items():
         masses[x] = masses.get(x, 0) + delta.numerator * (scale // delta.denominator)
     order = sorted(masses, key=lambda x: (x.bit_count(), x))
-    return dataclasses.replace(space, scale=scale, masses={x: masses[x] for x in order})
+    return ConfiguredSpace(
+        space.config, space.valuation, space.t, scale, {x: masses[x] for x in order}, space._products
+    )
 
 
 def binary_search_sample(space, count: int, seed: int) -> dict[int, int]:

@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import importlib
 import json
 import math
@@ -125,6 +124,9 @@ def test_relative_command(capsys, tmp_path):
         ("a,b,c", "error: abc is not an independence set"),
         ("zz", "error: unknown vertex label 'zz'"),
         ("a,b,a", "error: vertex label 'a' given twice"),
+        ("a,,c", "error: --set 'a,,c' has an empty entry"),
+        (",", "error: --set ',' has an empty entry"),
+        ("a,", "error: --set 'a,' has an empty entry"),
     ],
 )
 def test_relative_bad_anchor(capsys, anchor, message):
@@ -678,7 +680,9 @@ def test_routes_agree_over_another_denominator(capsys, monkeypatch):
     def rescaled(config, valuation, t):
         space = canonical_space(config, valuation, t)
         masses = {x: 3 * mass for x, mass in space.masses.items()}
-        return dataclasses.replace(space, scale=3 * space.scale, masses=masses)
+        return probspace.ConfiguredSpace(
+            space.config, space.valuation, space.t, 3 * space.scale, masses, space._products
+        )
 
     monkeypatch.setattr(cli.probspace, "canonical_space", rescaled)
     code, out, _ = run(capsys, "verify", "--name", "path-7", "--t", "1/8")
