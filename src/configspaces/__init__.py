@@ -49,7 +49,6 @@ from .probspace import (
 )
 from .structure import (
     builtin,
-    disjoint_union,
     from_dependence_graph,
     is_irreducible,
     right_angled_properties,

@@ -48,8 +48,8 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Any, Sequence
 
 from . import core, probspace, structure
 from .core import Configuration, Restriction, Valuation
@@ -113,13 +113,13 @@ def _assemble(labels, nubs, weights) -> tuple[Configuration, Valuation]:
     return config, core.valuation_of(config, values)
 
 
-def _is_label_list(value: Any) -> bool:
+def _is_label_list(value: object) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     """One JSON object; a repeated key is ambiguous, so it is refused."""
-    data: dict[str, Any] = {}
+    data: dict[str, object] = {}
     for key, value in pairs:
         if key in data:
             raise ParseError(f"repeated key {key!r} in a JSON object")
@@ -198,7 +198,7 @@ def parse_config(text: str) -> tuple[Configuration, Valuation]:
 
 
 def config_to_json(config: Configuration, valuation: Valuation) -> dict:
-    data: dict[str, Any] = {
+    data: dict[str, object] = {
         "vertices": list(config.labels),
         "nubs": [config.labels_of(nub) for nub in config.nubs],
     }
@@ -212,7 +212,7 @@ def config_to_json(config: Configuration, valuation: Valuation) -> dict:
     return data
 
 
-def _canonical_json(data: Any) -> str:
+def _canonical_json(data: object) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
@@ -221,7 +221,7 @@ def _digest(config: Configuration, valuation: Valuation) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _root_json(root: AlgebraicRoot) -> Any:
+def _root_json(root: AlgebraicRoot) -> object:
     if root.is_rational:
         return format_rational(root.value)
     return {
@@ -232,7 +232,7 @@ def _root_json(root: AlgebraicRoot) -> Any:
     }
 
 
-def _rest_json(rest: Fraction | RestBound) -> Any:
+def _rest_json(rest: Fraction | RestBound) -> object:
     if isinstance(rest, Fraction):
         return format_rational(rest)
     return {

@@ -30,8 +30,8 @@ they are safe to share across threads.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Configuration",
@@ -574,7 +574,7 @@ def relative_configuration(config: Configuration, x: int) -> Restriction:
         raise VertexOutOfRange("vertex set uses bits outside 0..n-1")
     link = _link(config.n, config.nubs, x)
     if link is None:
-        raise NotIndependent(f"{config.word(x)} is not an independence set")
+        raise NotIndependent(f"{','.join(config.labels_of(x))} is not an independence set")
     return Restriction.of(config, *link)
 
 

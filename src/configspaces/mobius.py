@@ -55,8 +55,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, MutableMapping, Sequence
 from fractions import Fraction
-from typing import Iterable, MutableMapping, Sequence, Union
 
 from . import core
 from .core import (
@@ -311,7 +311,7 @@ class MobiusFamily:
         """mu^{|x}: the Mobius polynomial of the configuration relative to x."""
         ids = self._shape_ids()
         if x not in ids and not self.config.is_independent(x):
-            raise NotIndependent(f"{self.config.word(x)} is not an independence set")
+            raise NotIndependent(f"{','.join(self.config.labels_of(x))} is not an independence set")
         poly = self._polynomials.get(ids[x])
         if poly is None:
             shape = self._shapes[ids[x]]
@@ -413,7 +413,7 @@ class MobiusFamily:
         root, attained = self.critical_root()
         is_type_one = 0 in attained
         mu = self.relative(0)
-        rest: Union[Fraction, RestBound]
+        rest: Fraction | RestBound
         if root.is_rational:
             rest = mu(root.value)
         else:

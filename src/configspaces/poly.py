@@ -35,8 +35,8 @@ every comparison and zero-test is certified.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
 
 from .core import _Record
 
@@ -54,7 +54,6 @@ __all__ = [
     "sturm_count",
     "isolate_first_root",
     "first_positive_root",
-    "refine_root",
     "compare_roots",
     "evaluate_on_interval",
     "sign_at_root",
@@ -64,7 +63,7 @@ __all__ = [
     "poly_to_strings",
 ]
 
-CoefficientLike = Union[Fraction, int, str]
+CoefficientLike = Fraction | int | str
 
 # Reported intervals have width at most 2**-_PROBE_BITS; the simplest
 # rational inside is then probed, which catches rational roots with
@@ -171,7 +170,7 @@ class Polynomial:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other: Union["Polynomial", CoefficientLike]) -> "Polynomial":
+    def __mul__(self, other: Polynomial | CoefficientLike) -> Polynomial:
         if isinstance(other, Polynomial):
             if not self._coeffs or not other._coeffs:
                 return Polynomial()
@@ -629,13 +628,6 @@ def first_positive_root(p: Polynomial) -> AlgebraicRoot | None:
     if _sign_at(root.witness, candidate) == 0:
         return AlgebraicRoot(root.witness, candidate, candidate)
     return root
-
-
-def refine_root(root: AlgebraicRoot) -> AlgebraicRoot:
-    """One bisection step; an exact root stays the same point."""
-    cell = _Bisection(root)
-    cell.halve()
-    return cell.root()
 
 
 def compare_roots(a: AlgebraicRoot, b: AlgebraicRoot) -> int:

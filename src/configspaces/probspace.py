@@ -38,11 +38,11 @@ import functools
 import math
 import sys
 from bisect import bisect_left
+from collections.abc import Iterable, Mapping, MutableMapping, Sequence
 from fractions import Fraction
 from itertools import accumulate
 from operator import add, sub
 from types import MappingProxyType
-from typing import Iterable, Mapping, MutableMapping, Sequence, Union
 
 from .core import Configuration, Valuation, _Record
 from .mobius import MobiusFamily, _scaled_products, _superset_transform
@@ -209,7 +209,7 @@ def atoms_from_intersections(
 
 
 def event_probability(
-    source: Union[ConfiguredSpace, Mapping[SignedWord, Fraction]],
+    source: ConfiguredSpace | Mapping[SignedWord, Fraction],
     word: SignedWord,
 ) -> Fraction:
     """Probability of a sign word: total mass of full words extending it."""

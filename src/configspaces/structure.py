@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import operator
-import random
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from . import core
 from .core import (
@@ -48,7 +47,6 @@ __all__ = [
     "right_angled_properties",
     "symmetric_counts",
     "builtin",
-    "disjoint_union",
     "random_configuration",
     "random_valuation",
 ]
@@ -357,8 +355,19 @@ def _dodecahedron() -> Configuration:
     return from_nubs(20, nubs, tuple(str(i + 1) for i in range(20)))
 
 
+def _numeral(text: str) -> int:
+    """A plain decimal numeral: 0, or ASCII digits with no leading zero.
+    ``int`` alone would also take a sign, ``_``, spaces, leading zeros
+    and non-ASCII digits, giving one dataset many names."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{text!r} is not a plain decimal numeral")
+    return value
+
+
 def builtin(name: str) -> Configuration:
-    """Named datasets; star-n-k, path-n, complete-n are parametric."""
+    """Named datasets; star-n-k, path-n, complete-n are parametric, with
+    n and k plain decimal numerals."""
     if name == "fig1-left":
         return from_nubs(
             5,
@@ -374,9 +383,9 @@ def builtin(name: str) -> Configuration:
     parts = name.split("-")
     try:
         if len(parts) == 3 and parts[0] == "star":
-            return star(int(parts[1]), int(parts[2]))
+            return star(_numeral(parts[1]), _numeral(parts[2]))
         if len(parts) == 2 and parts[0] in ("path", "complete"):
-            n = int(parts[1])
+            n = _numeral(parts[1])
             core.check_vertex_count(n)
             if parts[0] == "path":
                 edges = [(i, i + 1) for i in range(n - 1)]
@@ -386,13 +395,6 @@ def builtin(name: str) -> Configuration:
     except (ValueError, BadParameters) as exc:
         raise UnknownDataset(f"bad dataset parameters in {name!r}: {exc}") from exc
     raise UnknownDataset(f"no built-in configuration named {name!r}")
-
-
-def disjoint_union(left: Configuration, right: Configuration) -> Configuration:
-    """Place two configurations side by side (fresh default labels)."""
-    n = left.n + right.n
-    nubs = list(left.nubs) + [nub << left.n for nub in right.nubs]
-    return from_nubs(n, nubs, default_labels(n))
 
 
 def random_configuration(

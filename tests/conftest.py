@@ -9,13 +9,14 @@ from fractions import Fraction
 import pytest
 
 from configspaces import core
-from configspaces.core import Configuration, TooLarge, Valuation
+from configspaces.core import Configuration, TooLarge, Valuation, default_labels, from_nubs
 from configspaces.poly import (
     AlgebraicRoot,
     Polynomial,
     cauchy_root_bound,
     poly_divmod,
     simplest_rational_between,
+    _Bisection,
     _squarefree_chain,
 )
 from configspaces.probspace import ConfiguredSpace, SplitMix64
@@ -109,6 +110,13 @@ def fraction_first_positive_root(p: Polynomial) -> AlgebraicRoot | None:
     return AlgebraicRoot(q, lo, hi)
 
 
+def refine_root(root: AlgebraicRoot) -> AlgebraicRoot:
+    """One bisection step; an exact root stays the same point."""
+    cell = _Bisection(root)
+    cell.halve()
+    return cell.root()
+
+
 def brute_independence_family(config: Configuration) -> set[int]:
     return {m for m in range(1 << config.n) if config.is_independent(m)}
 
@@ -136,6 +144,13 @@ def bfs_components(config: Configuration) -> list[int]:
         parts.append(part)
         seen |= part
     return parts
+
+
+def disjoint_union(left: Configuration, right: Configuration) -> Configuration:
+    """Place two configurations side by side (fresh default labels)."""
+    n = left.n + right.n
+    nubs = list(left.nubs) + [nub << left.n for nub in right.nubs]
+    return from_nubs(n, nubs, default_labels(n))
 
 
 def nub_scan_enumeration(config: Configuration):

@@ -11,7 +11,7 @@ import pytest
 
 from configspaces.core import components, from_nubs
 from configspaces.mobius import MobiusFamily, mobius_polynomial
-from configspaces.poly import Polynomial, refine_root, series_inverse
+from configspaces.poly import Polynomial, series_inverse
 from configspaces.probspace import (
     OutOfRange,
     canonical_space,
@@ -19,7 +19,6 @@ from configspaces.probspace import (
 )
 from configspaces.structure import (
     builtin,
-    disjoint_union,
     from_dependence_graph,
     random_configuration,
     random_valuation,
@@ -29,6 +28,8 @@ from configspaces.structure import (
     trace_count_cf,
     trace_series,
 )
+
+from conftest import disjoint_union, refine_root
 
 P = Polynomial
 

@@ -116,12 +116,17 @@ def test_relative_command(capsys, tmp_path):
     payload = payload_of(out)
     assert payload["mu_relative"] == ["1", "-3", "3"]
     assert payload["vertices"] == ["a", "b", "c"]
+    # The refusal spells the set as --set does: "12" is one vertex.
+    code, out, err = run(capsys, "relative", "--name", "path-12", "--set", "1,2")
+    assert (code, out, err) == (2, "", "error: 1,2 is not an independence set\n")
+    code, out, _ = run(capsys, "relative", "--name", "path-12", "--set", "12")
+    assert (code, payload_of(out)["set"]) == (0, ["12"])
 
 
 @pytest.mark.parametrize(
     "anchor, message",
     [
-        ("a,b,c", "error: abc is not an independence set"),
+        ("a,b,c", "error: a,b,c is not an independence set"),
         ("zz", "error: unknown vertex label 'zz'"),
         ("a,b,a", "error: vertex label 'a' given twice"),
         ("a,,c", "error: --set 'a,,c' has an empty entry"),
@@ -325,6 +330,8 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "classify", "--name", "nonsense")
     assert code == 2
+    code, out, err = run(capsys, "builtin", "--name", "path-03")
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
     code, _, err = run(capsys, "space", "--name", "star-3-2")  # missing --t
     assert code == 2
     code, _, err = run(capsys, "nonsense-command")

@@ -103,15 +103,13 @@ def test_every_command_has_a_golden_row():
     assert {case["argv"][0] for case in CASES} == set(COMMANDS)
 
 
-# Public operations that no command runs: the one-step oracle of the
-# bisection, the dense route the verify cross-check reimplements on the
-# independent masks, one event's probability (verify reads every event
-# from one transform) and a fixture for building split inputs.
+# Public operations that no command runs: the dense route the verify
+# cross-check reimplements on the independent masks, and one event's
+# probability (verify reads every event from one transform).  They stay
+# in the package because the benchmark's tracer times both by name.
 LIBRARY_ONLY = {
-    "poly.refine_root",
     "probspace.atoms_from_intersections",
     "probspace.event_probability",
-    "structure.disjoint_union",
 }
 
 

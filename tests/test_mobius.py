@@ -30,20 +30,18 @@ from configspaces.poly import (
     Polynomial,
     compare_roots,
     first_positive_root,
-    refine_root,
     sturm_count,
     _descartes,
     _descartes_root_free,
 )
 from configspaces.structure import (
     builtin,
-    disjoint_union,
     random_configuration,
     random_valuation,
     star,
 )
 
-from conftest import direct_transform, powerset_mobius
+from conftest import direct_transform, disjoint_union, powerset_mobius, refine_root
 
 P = Polynomial
 

@@ -21,7 +21,6 @@ from configspaces.poly import (
     poly_divmod,
     poly_gcd,
     poly_to_strings,
-    refine_root,
     series_inverse,
     sign_at_root,
     simplest_rational_between,
@@ -31,7 +30,7 @@ from configspaces.poly import (
     _squarefree_chain,
 )
 
-from conftest import fraction_first_positive_root
+from conftest import fraction_first_positive_root, refine_root
 
 P = Polynomial
 

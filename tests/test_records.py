@@ -184,15 +184,23 @@ def test_repr_lists_public_fields():
 
 def test_cli_import_skips_dataclasses():
     # Every command is a fresh process: the CLI's imports are start-up
-    # cost, and dataclasses brings inspect, ast and dis with it.
+    # cost, and dataclasses brings inspect, ast and dis with it.  -S
+    # keeps site, whose .pth files may load typing or random, out of
+    # the child, so their absence is measured and not assumed.
     code = (
         "import json, sys; before = set(sys.modules); import configspaces.cli; "
         "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    new = set(json.loads(run.stdout))
-    assert "configspaces.cli" in new
-    assert sorted(new & {"dataclasses", "inspect", "ast", "dis", "string"}) == []
+    refused = {"dataclasses", "inspect", "ast", "dis", "string", "typing", "random"}
+    for flags in ((), ("-S",)):
+        run = subprocess.run(
+            [sys.executable, *flags, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        new = set(json.loads(run.stdout))
+        assert "configspaces.cli" in new
+        assert (flags, sorted(new & refused)) == (flags, [])

@@ -29,7 +29,6 @@ from configspaces.structure import (
     SelfLoop,
     UnknownDataset,
     builtin,
-    disjoint_union,
     from_dependence_graph,
     is_irreducible,
     random_configuration,
@@ -41,7 +40,7 @@ from configspaces.structure import (
     trace_series,
 )
 
-from conftest import bfs_components, brute_independence_family
+from conftest import bfs_components, brute_independence_family, disjoint_union
 
 P = Polynomial
 
@@ -424,10 +423,23 @@ def test_builtin_names():
     assert builtin("complete-4").nubs == tuple(
         sorted(mask_from_indices(e) for e in combinations(range(4), 2))
     )
-    with pytest.raises(UnknownDataset):
-        builtin("klein-bottle")
-    with pytest.raises(UnknownDataset):
-        builtin("star-3-9")
+    for name in ("path-0", "complete-0", "star-0-0"):
+        assert builtin(name).n == 0
+    # Parameters are plain decimal numerals, so each dataset has one name.
+    for name in (
+        "klein-bottle",
+        "star-3-9",
+        "path-1_0",
+        "path-+3",
+        "path-03",
+        "path- 3",
+        "path-3 ",
+        "path-\u0663",
+        "complete-00",
+        "star-3-02",
+    ):
+        with pytest.raises(UnknownDataset):
+            builtin(name)
 
 
 class _NoDraws:
