@@ -57,6 +57,7 @@ from .mobius import MobiusFamily, RestBound, _enumerated_mu, mobius_polynomial
 from .poly import (
     AlgebraicRoot,
     Polynomial,
+    _decimal,
     format_rational,
     parse_rational,
     poly_to_strings,
@@ -212,8 +213,33 @@ def config_to_json(config: Configuration, valuation: Valuation) -> dict:
     return data
 
 
+class _Numeral:
+    """An integer that ``_canonical_json`` writes as the digits of
+    ``poly._decimal``: json would convert it under the interpreter's
+    limit on the digits of an integer."""
+
+    __slots__ = ("digits",)
+
+    def __init__(self, value: int):
+        self.digits = _decimal(value)
+
+
+#: Where a numeral goes until json has written the rest.
+_HOLE = "\ufffe numeral"
+
+
 def _canonical_json(data: object) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    """Compact JSON with sorted keys; a ``_Numeral`` is written bare."""
+    numerals: list[str] = []
+
+    def hold(numeral: _Numeral) -> str:
+        numerals.append(numeral.digits)
+        return _HOLE
+
+    line = json.dumps(data, sort_keys=True, separators=(",", ":"), default=hold)
+    for digits in numerals:
+        line = line.replace(json.dumps(_HOLE), digits, 1)
+    return line
 
 
 def _digest(config: Configuration, valuation: Valuation) -> str:
@@ -495,7 +521,7 @@ def _cmd_series(args, config, valuation) -> tuple[dict, int]:
 def _cmd_cf_count(args, config, valuation) -> tuple[dict, int]:
     weighted = any(w != 1 for w in valuation.weights)
     count = structure.trace_count_cf(config, args.length, valuation if weighted else None)
-    value = format_rational(Fraction(count)) if weighted else int(count)
+    value = format_rational(Fraction(count)) if weighted else _Numeral(count)
     return {"length": args.length, "count": value}, 0
 
 

@@ -19,7 +19,8 @@ rather than at a vertex count.  The restrictions the Mobius polynomial
 is eliminated over, links, deletions and nub-connected components, are
 built here on bare nub masks, so that ``mobius`` needs nothing from
 ``structure``: ``_link`` and ``_split`` find their vertices and nubs,
-and ``_compact`` alone re-indexes them onto 0..k-1.
+and ``_compact`` alone re-indexes them onto 0..k-1; ``_twin_classes``
+finds the twins whose orbits ``mobius`` works on.
 ``relative_configuration`` and ``components`` add the labels through
 ``Restriction.of``.
 Configurations are immutable after construction and all queries are
@@ -29,7 +30,9 @@ they are safe to share across threads.
 
 from __future__ import annotations
 
+import collections
 import functools
+import math
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
@@ -317,6 +320,77 @@ def _split(n: int, nubs: Sequence[int]) -> dict[int, list[int]]:
     parts += [1 << v for v in indices_of(((1 << n) - 1) & ~sum(parts))]
     parts.sort(key=lambda part: part & -part)
     return {part: [nub for nub in nubs if nub & part] for part in parts}
+
+
+def _twin_classes(n: int, nubs: Sequence[int], weights: Sequence[object]) -> list[int] | None:
+    """The twin classes of the configuration on 0..n-1 with these nubs,
+    in (size, mask) order, and these weights: vertex masks by least
+    vertex, every vertex in one; None when no class has two vertices.
+
+    Vertices u and v are twins when their weights are equal and swapping
+    them maps the nubs onto the nubs.  A group of vertices lies in one
+    class iff every permutation of it maps the nubs onto the nubs
+    (``symmetric``): the nubs meeting it in c vertices, with one part
+    outside it, are then every c-subset of it with that part.  On all n
+    vertices that asks for every k-subset, so a star is certified by its
+    nub count.  Otherwise twins sharing a nub have equal closed
+    neighbourhoods N[v], and twins sharing none equal open ones N[v] - v;
+    each group of equal weight and neighbourhood is certified as a whole,
+    or else pair by pair against the first vertex of each class.
+    """
+    full = (1 << n) - 1
+    distinct = len(set(weights))
+    if distinct == n:
+        return None
+
+    def symmetric(group: int) -> bool:
+        if group == full:
+            k = nubs[0].bit_count() if nubs else 0
+            return not nubs or nubs[-1].bit_count() == k and len(nubs) == math.comb(n, k)
+        inside = map(int.bit_count, map(group.__and__, nubs))
+        counts = collections.Counter(zip(map((full ^ group).__and__, nubs), inside))
+        return all(count == math.comb(group.bit_count(), c) for (_, c), count in counts.items())
+
+    if distinct == 1 and symmetric(full):
+        return [full]
+    near = [1 << v for v in range(n)]
+    for nub in nubs:
+        rest = nub
+        while rest:
+            low = rest & -rest
+            near[low.bit_length() - 1] |= nub
+            rest ^= low
+    classes, placed = [], 0
+    for keys in (
+        [(w, near[v]) for v, w in enumerate(weights)],
+        [(w, near[v] ^ 1 << v) for v, w in enumerate(weights)],
+    ):
+        if len(set(keys)) == n:
+            continue
+        keyed: dict[tuple[object, int], int] = {}
+        for v, key in enumerate(keys):
+            keyed[key] = keyed.get(key, 0) | 1 << v
+        for group in keyed.values():
+            group &= ~placed
+            if not group & (group - 1):
+                continue
+            found = [group]
+            if not symmetric(group):
+                found = []
+                for v in indices_of(group):
+                    for i, twins in enumerate(found):
+                        if symmetric(twins & -twins | 1 << v):
+                            found[i] |= 1 << v
+                            break
+                    else:
+                        found.append(1 << v)
+            for twins in found:
+                if twins & (twins - 1):
+                    classes.append(twins)
+                    placed |= twins
+    if not classes:
+        return None
+    return sorted(classes + [1 << v for v in indices_of(full & ~placed)], key=lambda c: c & -c)
 
 
 def check_vertex_count(n: int) -> None:

@@ -46,6 +46,27 @@ those, so its cost follows the distinct restrictions it meets, not the
 family: ``path-64`` has about 2.8e13 members and 54 distinct
 restrictions, two of them leaves.
 
+Twins.  Vertices u and v are twins when their weights are equal and
+swapping them maps the nubs onto the nubs (``core._twin_classes``).  The
+swap is an automorphism, so every relative polynomial is constant on the
+orbits of the twin classes' symmetric groups.  An orbit is a count
+vector c, c_i vertices taken from class i of size s_i, with prod_i
+C(s_i, c_i) members; it is independent iff its least member is, the c_i
+lowest vertices of each class.  Where some class has two vertices,
+``MobiusFamily`` keys its table by the least members of the independent
+orbits, in (size, mask) order: every shape first meets an anchor that
+is a least member, so shapes come in the order, and with the numbering,
+of the member table.  Digit j of orbit c is the sum of prod_i C(s_i -
+c_i, d_i - c_i) D f(d) over the independent orbits d >= c with |d| =
+|c| + j, transformed one class at a time (``_orbit_transform``) on the
+same packed digits and width, so each shape is the member table's.  The
+family is still refused once its members, not its orbits, number more
+than ``core.MEMBER_BUDGET``.  A leaf of ``mobius_polynomial`` with twins
+sums prod_i C(s_i, d_i) (-w_i t)^{d_i} over its independent orbits
+(``_orbit_mu``), refused only past ``core.MEMBER_BUDGET`` orbits: the
+bipartite dependence K_{20,20} has 2^21 - 1 members and 41 orbits.  The
+canonical spaces of ``probspace`` still walk the members.
+
 The critical root is searched lazily: only polynomials that may have a
 root at or below the best one found are isolated (see
 ``MobiusFamily.critical_root``).
@@ -133,15 +154,15 @@ def _superset_transform(
 
 
 def _scaled_products(
-    members: Iterable[int], valuation: Valuation, t: Fraction
+    members: Iterable[int], weights: Sequence[Fraction], t: Fraction
 ) -> tuple[int, dict[int, int]]:
     """A common denominator D and the integers D f(x) t^|x| over members.
 
-    Members must be downward closed and come in (size, mask) order, so
-    the first is the empty set; x takes the value of x minus its top
-    vertex a times f(a) t.
+    Members must come in (size, mask) order from the empty set, each
+    after x minus its top vertex a, and x takes the value of x - a times
+    f(a) t: a downward closed family, or the least members of orbits.
     """
-    factors = [(c.denominator, c.numerator) for c in (w * t for w in valuation.weights)]
+    factors = [(c.denominator, c.numerator) for c in (w * t for w in weights)]
     scale = math.prod(den for den, _ in factors)
     scaled = {0: scale}
     for x in itertools.islice(members, 1, None):
@@ -172,6 +193,114 @@ def _enumerated_mu(config: Configuration, weights: Sequence[Fraction]) -> Polyno
             w = weights[top]
             branch.append((z, branch[-1][1] // w.denominator * w.numerator))
         sums[z.bit_count()] += branch[-1][1]
+    return Polynomial(Fraction(-total if k % 2 else total, scale) for k, total in enumerate(sums))
+
+
+def _orbits(
+    nubs: Sequence[int], twins: Sequence[int], per_member: bool
+) -> dict[int, tuple[int, int, int]]:
+    """The independent orbits of the twin classes ``twins`` of the
+    configuration with these nubs, in (size, mask) order (see the module
+    docstring), by least member in (size, mask) order.  Each has
+    its tops, the top vertex of each class it meets; its member count,
+    the product of C(s_i, c_i); and the next vertices it may grow by.
+
+    Orbits are found a size at a time, each once, from the orbit without
+    the top of its last class, so it grows by the next vertex of that
+    class or of a later one, less those sharing a pair nub with what it
+    holds.  That is all a pair nub forbids, so where every nub is a pair
+    each candidate is independent.  Otherwise a candidate whose orbits
+    one smaller are all independent is dependent only if its least
+    member is itself a nub: a nub inside it that misses some vertex u
+    lies in a member of the independent orbit without u's class.
+    :class:`TooLarge` is raised once the members (``per_member``) or
+    else the orbits number more than ``core.MEMBER_BUDGET``.
+    """
+    wide = bool(nubs) and nubs[-1].bit_count() > 2
+    dependent = set(nubs) if wide else None
+    # Per vertex: its class, the next vertex of that class, and the
+    # vertices it shares a pair nub with; per class, it and the later ones.
+    owner, after, near = {}, {}, {}
+    for i, twin in enumerate(twins):
+        vertices = [1 << v for v in core.indices_of(twin)]
+        for v, w in zip(vertices, vertices[1:] + [0]):
+            owner[v], after[v], near[v] = i, w, 0
+    later = [sum(twins[i:]) for i in range(len(twins))]
+    for nub in nubs:
+        if nub.bit_count() > 2:
+            break
+        low = nub & -nub
+        near[low] |= nub ^ low
+        near[nub ^ low] |= low
+    level = {0: (0, 1, sum(twin & -twin for twin in twins))}
+    orbits = dict(level)
+    total = 1
+    while level:
+        grown = {}
+        for x, (tops, count, fresh) in level.items():
+            rest = fresh
+            while rest:
+                v = rest & -rest
+                rest ^= v
+                i = owner[v]
+                lower = tops & ~twins[i]
+                if wide:
+                    missing = x | v in dependent
+                    check = lower
+                    while not missing and check:
+                        missing = x ^ v ^ (check & -check) not in level
+                        check &= check - 1
+                    if missing:
+                        continue
+                c = (x & twins[i]).bit_count()
+                grown[x | v] = (
+                    lower | v,
+                    count * (twins[i].bit_count() - c) // (c + 1),
+                    (fresh & later[i] ^ v | after[v]) & ~near[v],
+                )
+        level = {y: grown[y] for y in sorted(grown)}
+        for y, entry in level.items():
+            total += entry[1] if per_member else 1
+            if total > core.MEMBER_BUDGET:
+                raise TooLarge(core._over_budget())
+        orbits.update(level)
+    return orbits
+
+
+def _orbit_transform(table: dict[int, int], orbits: Sequence[int], twins: Sequence[int]) -> None:
+    """In place: table[x] becomes the sum over orbits y >= x of
+    prod_i C(s_i - c_i, d_i - c_i) table[y], one class at a time, with c
+    and d the count vectors of x and y.  Orbits come by least member in
+    (size, mask) order, so the larger orbits along a class, still
+    untouched, follow x.  A class of one vertex takes Yates' step."""
+    for twin in twins:
+        if not twin & (twin - 1):
+            for y in orbits:
+                if y & twin:
+                    table[y ^ twin] += table[y]
+            continue
+        vertices = [1 << v for v in core.indices_of(twin)]
+        size = len(vertices)
+        for x in orbits:
+            c = (x & twin).bit_count()
+            y, total = x, table[x]
+            for k in range(c, size):
+                y |= vertices[k]
+                value = table.get(y)
+                if value is None:
+                    break
+                total += math.comb(size - c, k + 1 - c) * value
+            table[x] = total
+
+
+def _orbit_mu(nubs: Sequence[int], twins: Sequence[int], weights: Sequence[Fraction]) -> Polynomial:
+    """The Mobius polynomial summed over the independent orbits: orbit d
+    gives prod_i C(s_i, d_i) (-w_i t)^{d_i}."""
+    orbits = _orbits(nubs, twins, False)
+    scale, scaled = _scaled_products(orbits, weights, Fraction(1))
+    sums = [0] * (len(weights) + 1)
+    for x, (_, count, _) in orbits.items():
+        sums[x.bit_count()] += count * scaled[x]
     return Polynomial(Fraction(-total if k % 2 else total, scale) for k, total in enumerate(sums))
 
 
@@ -219,8 +348,12 @@ def mobius_polynomial(config: Configuration, valuation: Valuation | None = None)
         if n <= _LEAF_VERTICES or len(nubs) >= n and (
             sum(math.comb(n, j) for j in range(nubs[0].bit_count())) <= core.MEMBER_BUDGET
         ):
-            leaf = Configuration(n, core.default_labels(n), nubs)
-            found = _enumerated_mu(leaf, [values[k] for k in classes])
+            weights = [values[k] for k in classes]
+            twins = core._twin_classes(n, nubs, classes)
+            if twins is None:
+                found = _enumerated_mu(Configuration(n, core.default_labels(n), nubs), weights)
+            else:
+                found = _orbit_mu(nubs, twins, weights)
         else:
             parts = core._split(n, nubs)
             if len(parts) > 1:
@@ -248,10 +381,10 @@ def mobius_polynomial(config: Configuration, valuation: Valuation | None = None)
 class MobiusFamily:
     """All relative Mobius polynomials of one weighted configuration.
 
-    The independence family and its packed zeta transform (see the
-    module docstring) are built on first use and kept.  The
-    transform is read once into one table, each member's index into the
-    distinct shapes (``_shape_ids``), and relative polynomials equal in
+    The independence family, or with twins its orbits, and its packed
+    zeta transform (see the module docstring) are built on first use and
+    kept.  The transform is read once into one table, each anchor's index
+    into the distinct shapes (``_anchor_ids``), and relative polynomials equal in
     value are one object, built from their shape, with one Sturm chain
     and one isolation.  Everything kept is write-once: racing writers
     would store identical values, so concurrent reads are safe.
@@ -264,6 +397,9 @@ class MobiusFamily:
         self._ids: dict[int, int] | None = None
         self._shapes: list[tuple[int, ...]] = []
         self._polynomials: dict[int, Polynomial] = {}
+        # With twins: the twin classes, and per orbit its class tops.
+        self._twins: list[int] | None = None
+        self._tops: dict[int, int] | None = None
 
     def members(self) -> list[int]:
         """The independence family in (size, mask) order, enumerated
@@ -275,11 +411,13 @@ class MobiusFamily:
             self._members = [z for bucket in buckets for z in sorted(bucket)]
         return self._members
 
-    def _shape_ids(self) -> dict[int, int]:
-        """Per member x, in (size, mask) order, the index in ``_shapes``
+    def _anchor_ids(self) -> dict[int, int]:
+        """Per anchor x, in (size, mask) order, the index in ``_shapes``
         of the shape of mu^{|x}: content-free signed integers, shape[0] >
         0, coefficient d being shape[d] / shape[0].  Shapes are listed in
-        order of first anchor.
+        order of first anchor.  The anchors are the members, or with
+        twins the least members of the independent orbits (see the
+        module docstring), which every shape first meets.
 
         The packed transform leaves at x its digit key, digit d the sum
         of D f(z) over members z containing x with |z| = |x| + d (see the
@@ -288,12 +426,27 @@ class MobiusFamily:
         and no key outlives the build.
         """
         if self._ids is None:
-            members = self.members()
-            _, table = _scaled_products(members, self.valuation, Fraction(1))
-            width = sum(table.values()).bit_length()
+            config, weights = self.config, self.valuation.weights
+            # Weights as integer pairs, which hash faster than fractions.
+            pairs = list(map(Fraction.as_integer_ratio, weights))
+            twins = self._twins = core._twin_classes(config.n, config.nubs, pairs)
+            if twins is None:
+                members = self.members()
+                _, table = _scaled_products(members, weights, Fraction(1))
+                total = sum(table.values())
+            else:
+                orbits = _orbits(config.nubs, twins, True)
+                members = list(orbits)
+                self._tops = {x: tops for x, (tops, _, _) in orbits.items()}
+                _, table = _scaled_products(members, weights, Fraction(1))
+                total = sum(table[x] * count for x, (_, count, _) in orbits.items())
+            width = total.bit_length()
             for z in members:
                 table[z] <<= width * z.bit_count()
-            _superset_transform(table, members, self.config.n, 1)
+            if twins is None:
+                _superset_transform(table, members, config.n, 1)
+            else:
+                _orbit_transform(table, members, twins)
             low, decoded, ids = (1 << width) - 1, {}, {}
             for z in members:
                 key = table[z] >> width * z.bit_count()
@@ -307,17 +460,52 @@ class MobiusFamily:
             self._shapes, self._ids = list(ids), table
         return self._ids
 
+    def _shape_ids(self) -> dict[int, int]:
+        """Per member, in (size, mask) order, the index of its shape: the
+        anchor table, with twins spread from each orbit over its members."""
+        ids = self._anchor_ids()
+        if self._twins is None:
+            return ids
+        return {z: ids[self._orbit_of(z)] for z in self._members_of(ids)}
+
     def relative(self, x: int) -> Polynomial:
         """mu^{|x}: the Mobius polynomial of the configuration relative to x."""
-        ids = self._shape_ids()
-        if x not in ids and not self.config.is_independent(x):
-            raise NotIndependent(f"{','.join(self.config.labels_of(x))} is not an independence set")
+        ids = self._anchor_ids()
+        if x not in ids:
+            if not self.config.is_independent(x):
+                labels = ",".join(self.config.labels_of(x))
+                raise NotIndependent(f"{labels} is not an independence set")
+            x = self._orbit_of(x)
         poly = self._polynomials.get(ids[x])
         if poly is None:
             shape = self._shapes[ids[x]]
             poly = self._polynomials[ids[x]] = Polynomial([Fraction(c, shape[0]) for c in shape])
             poly._primitive = shape  # what primitive() would return
         return poly
+
+    def _orbit_of(self, x: int) -> int:
+        """The least member of x's orbit: the lowest vertices of each
+        class, as many as x has."""
+        least = 0
+        for twin in self._twins:
+            for _ in range((x & twin).bit_count()):
+                least |= twin & -twin
+                twin &= twin - 1
+        return least
+
+    def _members_of(self, orbits: Iterable[int]) -> tuple[int, ...]:
+        """Every member of the orbits, in (size, mask) order."""
+        classes = [(twin, [1 << v for v in core.indices_of(twin)]) for twin in self._twins]
+        out = []
+        for x in orbits:
+            choices = [
+                map(sum, itertools.combinations(vertices, (x & twin).bit_count()))
+                for twin, vertices in classes
+            ]
+            out += map(sum, itertools.product(*choices))
+        out.sort()
+        out.sort(key=int.bit_count)
+        return tuple(out)
 
     def transform(self, x: int) -> Polynomial:
         """H(x) = f(x) t^|x| mu^{|x}(t)."""
@@ -356,9 +544,10 @@ class MobiusFamily:
         linear (drop one vertex from a maximal independence set), so the
         minimum always exists for a non-trivial configuration.
 
-        Equal shapes are equal polynomials (see ``_shape_ids``), so each
+        Equal shapes are equal polynomials (see ``_anchor_ids``), so each
         shape is visited once, at its first anchor in (size, mask) order,
-        and ``attained_at`` is read off the shape indices.  One with no
+        and ``attained_at`` is read off the shape indices, the attaining
+        orbits expanded into their members when there are twins.  One with no
         root in (0, best.hi] cannot reach the minimum (the best root only
         decreases) and is never isolated: Descartes' rule on the integer
         shape decides that first (``_descartes_root_free``), and a Sturm
@@ -378,7 +567,7 @@ class MobiusFamily:
         """
         if self.config.n == 0:
             raise TrivialConfiguration("the empty configuration has no critical root")
-        ids = self._shape_ids()
+        ids = self._anchor_ids()
         best: AlgebraicRoot | None = None
         attaining: set[int] = set()
         fresh = 0  # shapes are numbered in order of first anchor
@@ -402,7 +591,8 @@ class MobiusFamily:
                 attaining.add(i)
         if best is None:
             raise AssertionError("no relative polynomial has a positive root")
-        return best, tuple(x for x, i in ids.items() if i in attaining)
+        attained = tuple(x for x, i in ids.items() if i in attaining)
+        return best, attained if self._twins is None else self._members_of(attained)
 
     def classify(self) -> Classification:
         """Type I when the empty set attains t0, where mu vanishes.  Every

@@ -713,16 +713,56 @@ def sign_at_root(p: Polynomial, root: AlgebraicRoot) -> int:
             return 0
 
 
+#: Decimal digits converted at once between integers and strings: below
+#: 640, the least limit CPython lets a program or the environment set on
+#: such conversions, so no setting of that limit changes a report.
+_PIECE = 600
+_PIECE_BOUND = 10**_PIECE
+
+
+def _decimal(value: int) -> str:
+    """``str(value)``, converted in pieces of at most ``_PIECE`` digits."""
+    if -_PIECE_BOUND < value < _PIECE_BOUND:
+        return str(value)
+    if value < 0:
+        return "-" + _decimal(-value)
+    k = _PIECE
+    while 10 ** (2 * k) <= value:
+        k *= 2
+    high, low = divmod(value, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
+def _integer(digits: str) -> int:
+    """``int(digits)`` for ASCII digits, converted in pieces of at most
+    ``_PIECE`` digits."""
+    if len(digits) <= _PIECE:
+        return int(digits)
+    k = len(digits) // 2
+    return _integer(digits[:-k]) * 10**k + _integer(digits[-k:])
+
+
 def format_rational(x: Fraction) -> str:
-    """Render as "num" or "num/den"."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """Render as "num" or "num/den", whatever the interpreter's limit on
+    converting integers to strings (see ``_decimal``)."""
+    num, den = x.numerator, x.denominator
+    if -_PIECE_BOUND < num < _PIECE_BOUND and den < _PIECE_BOUND:
+        return str(num) if den == 1 else f"{num}/{den}"
+    return _decimal(num) if den == 1 else f"{_decimal(num)}/{_decimal(den)}"
 
 
 def parse_rational(text: str) -> Fraction:
+    """Any form ``Fraction`` reads.  A plain ``[+-]digits[/digits]`` is
+    read by ``_integer``, so its length meets no interpreter limit."""
+    body = text.strip()
+    numerator, slash, denominator = body.partition("/")
+    digits = numerator[1:] if numerator[:1] in ("+", "-") else numerator
+    denominator = denominator if slash else "1"
     try:
-        return Fraction(text.strip())
+        if all(part.isascii() and part.isdigit() for part in (digits, denominator)):
+            value = _integer(digits)
+            return Fraction(-value if numerator[0] == "-" else value, _integer(denominator))
+        return Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
 

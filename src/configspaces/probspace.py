@@ -244,7 +244,7 @@ def canonical_space(
         raise OutOfRange(t, 0, t)
     family = MobiusFamily(config, valuation)
     members = family.members()
-    scale, products = _scaled_products(members, family.valuation, t)
+    scale, products = _scaled_products(members, family.valuation.weights, t)
     masses = dict(products)
     _superset_transform(masses, members, config.n, -1)
     for x in members:
@@ -278,7 +278,7 @@ def verify_realization(space: ConfiguredSpace) -> RealizationReport:
     members = closure = products.keys()
     if masses.keys() != members:  # masses off the family: close them
         closure = _downward_closure([*masses, *members], config.n)
-        product_scale, products = _scaled_products(closure, space.valuation, space.t)
+        product_scale, products = _scaled_products(closure, space.valuation.weights, space.t)
     joint = dict.fromkeys(closure, 0)
     joint.update(masses)
     _superset_transform(joint, closure, config.n, 1)

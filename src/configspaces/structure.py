@@ -240,14 +240,17 @@ def _monotone_under_inclusion(family: MobiusFamily, lo: Fraction) -> bool:
     """(d) of ``right_angled_properties``: for every member x and vertex
     v of x, mu^{|x - v} <= mu^{|x} at the points lo * k/4, k = 1..4.
 
-    In integers on the family's shapes (``MobiusFamily._shape_ids``).
+    In integers on the family's shapes (``MobiusFamily._anchor_ids``).
     With the points a_k / b, b = 4 lo.denominator, b^deg p(a_k / b) is
     the dot product of a shape with a_k^j b^(deg - j), over the shape's
     positive lead shape[0].  Each shape is evaluated once, into a list
     indexed by shape, and each distinct (below, above) pair of shape
     indices is compared once, by cross-multiplying with the two leads.
+    With twins the keys are orbits, and x - v runs over the orbits one
+    smaller, v the top of one of x's classes.
     """
-    ids = family._shape_ids()
+    ids = family._anchor_ids()
+    tops = family._tops
     degree = family.relative(0).degree
     b = 4 * lo.denominator
     rows = []
@@ -260,7 +263,7 @@ def _monotone_under_inclusion(family: MobiusFamily, lo: Fraction) -> bool:
     ]
     pairs = set()
     for x, above in ids.items():
-        rest = x
+        rest = x if tops is None else tops[x]
         while rest:
             low = rest & -rest
             pairs.add((ids[x ^ low], above))

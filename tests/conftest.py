@@ -153,6 +153,28 @@ def disjoint_union(left: Configuration, right: Configuration) -> Configuration:
     return from_nubs(n, nubs, default_labels(n))
 
 
+def brute_twin_classes(config: Configuration, weights) -> list[int] | None:
+    """Oracle for ``core._twin_classes``: every pair of equal weights is
+    swapped in every nub and the nub set compared; classes by least
+    vertex, None when no two vertices are twins."""
+    nubs = set(config.nubs)
+
+    def swapped(nub: int, u: int, v: int) -> int:
+        a, b = nub >> u & 1, nub >> v & 1
+        return nub & ~(1 << u | 1 << v) | a << v | b << u
+
+    classes: list[int] = []
+    for v in range(config.n):
+        for i, twins in enumerate(classes):
+            u = (twins & -twins).bit_length() - 1
+            if weights[u] == weights[v] and {swapped(nub, u, v) for nub in nubs} == nubs:
+                classes[i] |= 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return None if len(classes) == config.n else classes
+
+
 def nub_scan_enumeration(config: Configuration):
     """Oracle: the depth-first walk that tests every nub topped by each
     added vertex, in the order and under the member budget of

@@ -440,6 +440,34 @@ def test_stdin_is_read_as_utf8_whatever_the_locale(tmp_path):
         assert (piped.returncode, piped.stdout, piped.stderr) == (0, read.stdout, b"")
 
 
+def _run_under_digit_limit(limit, *argv):
+    """The CLI in a child process that may convert integers of at most
+    ``limit`` decimal digits to and from strings (0: any)."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS=str(limit), PYTHONPATH=path)
+    command = [sys.executable, "-m", "configspaces.cli", *argv]
+    return subprocess.run(command, capture_output=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # A t of 1,101 digits and atom masses of about 4,400.
+        ("space", "--name", "path-8", "--t", "1/1" + "0" * 1100),
+        # Coefficients of about 840 digits, and a count of 8,418.
+        ("series", "--name", "path-3", "--order", "2000"),
+        ("cf-count", "--name", "path-3", "--length", "20000"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_reports_whatever_the_int_digit_limit(argv):
+    # 640 is the least limit CPython allows; 0 lifts it.
+    least, lifted = (_run_under_digit_limit(limit, *argv) for limit in (640, 0))
+    assert (least.returncode, least.stderr) == (0, b"")
+    assert (least.returncode, least.stdout) == (lifted.returncode, lifted.stdout)
+
+
 def test_stdin_that_is_not_utf8_is_an_input_error():
     bad = _run_under_latin1("mobius", "--input", "-", stdin=b"vertices: a \xff\n")
     assert (bad.returncode, bad.stdout) == (2, b"")

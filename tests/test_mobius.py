@@ -183,27 +183,41 @@ def test_elimination_builds_no_restriction(monkeypatch):
 
 
 def test_leaf_rule(monkeypatch):
-    walks = []
-    original = mobius_module.enumerate_independence_sets
+    # Leaves by route: a member walk, or a sum over twin orbits.
+    leaves = []
+    walk = mobius_module.enumerate_independence_sets
+    orbit_sum = mobius_module._orbit_mu
 
-    def counting(config):
-        walks.append(config.n)
-        return original(config)
+    def walking(config):
+        leaves.append(("walk", config.n))
+        return walk(config)
 
-    monkeypatch.setattr(mobius_module, "enumerate_independence_sets", counting)
+    def summing(nubs, twins, weights):
+        leaves.append(("orbits", len(weights)))
+        return orbit_sum(nubs, twins, weights)
+
+    monkeypatch.setattr(mobius_module, "enumerate_independence_sets", walking)
+    monkeypatch.setattr(mobius_module, "_orbit_mu", summing)
     # At least as many nubs as vertices and a family within the budget:
-    # one walk of the whole, even where the sets below the smallest nub
-    # outnumber the nubs (star-14-5: 3,473 sets, 3,003 nubs).
-    for name in ("complete-30", "dodecahedron", "star-64-2", "star-14-5"):
-        walks.clear()
+    # one whole leaf, even where the sets below the smallest nub
+    # outnumber the nubs (star-14-5: 3,473 sets, 3,003 nubs).  The
+    # dodecahedron has no twins and is walked; the others are one twin
+    # class each and summed over their orbits.
+    for name, route in (
+        ("complete-30", "orbits"),
+        ("dodecahedron", "walk"),
+        ("star-64-2", "orbits"),
+        ("star-14-5", "orbits"),
+    ):
+        leaves.clear()
         mobius_polynomial(builtin(name))
-        assert walks == [builtin(name).n], name
+        assert leaves == [(route, builtin(name).n)], name
     # star(n, n - 2) has 2^n - n - 1 sets below its n nubs, past the
     # budget from n = 18: star-30-28 eliminates down to star(17, 15).
-    walks.clear()
+    leaves.clear()
     mu = mobius_polynomial(star(30, 28))
     assert mu == P([(-1) ** k * math.comb(30, k) for k in range(29)])
-    assert max(walks) == 17
+    assert max(n for _, n in leaves) == 17
 
 
 def test_elimination_memo_budget(monkeypatch):
