@@ -36,7 +36,9 @@ anything.
 Exit codes: 0 on success, 1 when a verification command found a
 violation (or the requested t is out of range), 2 on usage, parse, or
 validation errors (malformed input fields included), 3 on an internal
-error (reported on one stderr line, never as a traceback).
+error or when the reader closed stdout (each on one stderr line, never
+as a traceback).  Integers are read by ``poly._integer`` and written by
+``poly._decimal``, whatever the interpreter's limit on their digits.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
@@ -58,6 +61,7 @@ from .poly import (
     AlgebraicRoot,
     Polynomial,
     _decimal,
+    _integer,
     format_rational,
     parse_rational,
     poly_to_strings,
@@ -108,7 +112,7 @@ def _assemble(labels, nubs, weights) -> tuple[Configuration, Valuation]:
             raise ParseError(f"second weight for vertex {name!r}", line)
         weighted.add(name)
         try:
-            values[index[name]] = parse_rational(str(value))
+            values[index[name]] = Fraction(value) if type(value) is int else parse_rational(value)
         except ValueError as exc:
             raise ParseError(f"weight for {name!r}: {exc}", line) from exc
     return config, core.valuation_of(config, values)
@@ -130,7 +134,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
 
 def parse_config_json(text: str) -> tuple[Configuration, Valuation]:
     try:
-        data = json.loads(text, object_pairs_hook=_unique_keys)
+        data = json.loads(text, object_pairs_hook=_unique_keys, parse_int=_integer)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), exc.lineno) from exc
     if not isinstance(data, dict):
@@ -448,7 +452,7 @@ def _cmd_sample(args, config, valuation) -> tuple[dict, int]:
     return {
         "t": format_rational(space.t),
         "count": args.count,
-        "seed": args.seed,
+        "seed": _Numeral(args.seed),
         "counts": counts,
     }, 0
 
@@ -566,7 +570,7 @@ def _cmd_check_identities(args) -> tuple[dict, int]:
     payload = {
         "n": args.n,
         "trials": args.trials,
-        "seed": args.seed,
+        "seed": _Numeral(args.seed),
         "checks": [
             "derivative_identity",
             "inversion",
@@ -593,6 +597,16 @@ def _pretty_summary(command: str, payload: dict) -> str:
     return _canonical_json(payload)
 
 
+def _integer_option(text: str) -> int:
+    """``int(text)``, but [-]digits of any length are read by
+    ``poly._integer``; refused with the message of ``type=int``."""
+    digits = text.removeprefix("-")
+    try:
+        return _integer(text) if digits.isascii() and digits.isdigit() else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use."""
@@ -614,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--t", help="rational event probability, e.g. 1/2")
         if name == "sample":
             cmd.add_argument("--count", type=int, default=10000)
-            cmd.add_argument("--seed", type=int, default=0)
+            cmd.add_argument("--seed", type=_integer_option, default=0)
         if name == "series":
             cmd.add_argument("--order", type=int, default=8)
         if name == "cf-count":
@@ -622,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "check-identities":
             cmd.add_argument("--n", type=int, default=8)
             cmd.add_argument("--trials", type=int, default=50)
-            cmd.add_argument("--seed", type=int, default=0)
+            cmd.add_argument("--seed", type=_integer_option, default=0)
     return parser
 
 
@@ -654,7 +668,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "check-identities":
             payload, code = _cmd_check_identities(args)
-            digest_blob = f"n={args.n};trials={args.trials};seed={args.seed}"
+            digest_blob = f"n={args.n};trials={args.trials};seed={_decimal(args.seed)}"
             digest = hashlib.sha256(digest_blob.encode()).hexdigest()[:16]
         else:
             config, valuation = _load(args)
@@ -677,7 +691,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Exception as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    print(line)
+    try:
+        print(line, flush=True)
+    except OSError as exc:
+        # Say, BrokenPipeError: the rest goes to os.devnull, so the exit flush is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 3
     if args.pretty:
         print(_pretty_summary(args.command, payload), file=sys.stderr)
     return code

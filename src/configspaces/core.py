@@ -6,21 +6,24 @@ nub always has at least two vertices, and the nubs form an antichain.
 
 Vertex sets are plain Python ints used as bitmasks: bit i is vertex i.
 The family is enumerated depth first, adding vertices in increasing
-order, by extension bitsets: a child's set of extending vertices is the
-intersection of its parent's, those of its subsets one smaller, and the
-complement of the vertices that top a nub over it, so no nub is scanned
-per member.  When every nub is a pair the parent's set suffices and only
-the current branch is kept; otherwise the subsets' sets are memoised,
-one mask per member the memo reaches, walked or not (see
-``enumerate_independence_sets``).  Every object built from the
-independence family costs work in proportion to its size, so
-enumeration stops past ``MEMBER_BUDGET`` members, yielded or memoised,
-rather than at a vertex count.  The restrictions the Mobius polynomial
-is eliminated over, links, deletions and nub-connected components, are
-built here on bare nub masks, so that ``mobius`` needs nothing from
-``structure``: ``_link`` and ``_split`` find their vertices and nubs,
-and ``_compact`` alone re-indexes them onto 0..k-1; ``_twin_classes``
-finds the twins whose orbits ``mobius`` works on.
+order, by extension bitsets: with y = x | a, a the top vertex of y,
+
+    ext(y) = (ext(x) | next(a)) & ~excluded(a) & ~tops(y)
+             & AND over u in x topping its class in y of (ext(y - u) | next(u)),
+
+so no nub is scanned per member.  Given the twin classes
+(``_twin_classes``) the walk yields the least member of each independent
+orbit, a vertex following its class predecessor next(.); without them
+each vertex is its own class.  When every nub is a pair only the current
+branch is kept; otherwise ext is memoised, one mask per set the memo
+reaches, walked or not (see ``enumerate_independence_sets``).  Every
+object built from the independence family costs work in proportion to
+its size, so enumeration stops past ``MEMBER_BUDGET`` sets, yielded or
+memoised, rather than at a vertex count.  The restrictions the Mobius
+polynomial is eliminated over, links, deletions and nub-connected
+components, are built here on bare nub masks, so that ``mobius`` needs
+nothing from ``structure``: ``_link`` and ``_split`` find their vertices
+and nubs, and ``_compact`` alone re-indexes them onto 0..k-1.
 ``relative_configuration`` and ``components`` add the labels through
 ``Restriction.of``.
 Configurations are immutable after construction and all queries are
@@ -526,73 +529,110 @@ def _over_budget() -> str:
     return f"the independence family exceeds the member budget of {MEMBER_BUDGET}"
 
 
-def enumerate_independence_sets(config: Configuration) -> Iterator[int]:
-    """Yield every independence set exactly once, as bitmasks.
+def enumerate_independence_sets(
+    config: Configuration, twins: Sequence[int] | None = None
+) -> Iterator[int]:
+    """Yield every independence set exactly once, as bitmasks; given the
+    twin classes ``twins`` (see ``_twin_classes``), only the least member
+    of each independent orbit: the lowest c_i vertices of each class i.
 
     The walk is depth first and adds vertices in increasing order, so
     each set is yielded after the set without its top vertex, and that
-    set is still on the current branch.  Each member x carries ext(x):
-    the vertices b above top(x) with x | b independent.  Its children
-    are x | a for a in ext(x), and no nub is scanned.  A set is
-    independent iff it is not a nub and every subset one smaller is
-    independent (the Apriori candidate test, here run as bitset
-    intersection).  With tops(s) the vertices b that top a nub N with
-    N - b = s, a child y = x | a gets
+    set is still on the current branch.  Each set x carries ext(x), the
+    vertices b above top(x) with x | b yielded, and its children are
+    x | a for a in ext(x).  A vertex may only follow its class
+    predecessor: next(a) is the vertex after a in its class, and
+    ext(empty set) is the least vertex of each class.  Without classes
+    each vertex is a class of its own, with no next.  With tops(s) the
+    vertices b such that s | b is a nub, and excluded(a) every vertex up
+    to a and every b with {a, b} a nub, y = x | a gets
 
-        ext(y) = ext(x) & above(a) & ~tops({a}) & ~tops(y)
-                 & AND over v in x of ext(y - v),
+        ext(y) = (ext(x) | next(a)) & ~excluded(a) & ~tops(y)
+                 & AND over u in x topping its class in y
+                   of (ext(y - u) | next(u)),
 
-    because a nub inside y | b either is {a, b}, or is y | b, or misses
-    some v in x.  When every nub is a pair, tops(y) is empty for
-    |y| > 1 and the subsets add nothing, so the walk needs only the
-    parent and keeps nothing but its branch.  When some nub has three
-    or more vertices, each y - v comes later in the walk, so its ext is
-    computed on demand, recursively, and memoised.  The memo can then
-    run far ahead of the walk: on a branch 0..k it may hold every subset
-    of that branch containing k.  Its keys are distinct members, though,
-    so it holds at most one mask per member.
+    the Apriori candidate test (a set is independent iff it is not a
+    nub and its subsets one smaller are) run as bitset intersection over
+    class tops, and no nub is scanned.  Class tops are enough: if a nub
+    inside y | b misses a vertex w, and u tops w's class in y | b,
+    swapping w and u maps the nubs onto the nubs and carries that nub
+    into (y | b) - u.  u = b would put it inside y, u = a is the
+    parent's term, and b = next(u) leaves u no top.  A nub missing no
+    vertex is y | b itself, in tops(y), so where some nub has three or
+    more vertices only the nubs that are least members are read.
 
-    :class:`TooLarge` is raised when the walk is about to yield a member
+    When every nub is a pair, tops(y) is empty for |y| > 1 and the
+    subsets add nothing: ext(y) is (rest | next(a)) & ~excluded(a), rest
+    the parent's vertices not yet walked, and only the branch is kept.
+    Otherwise each y - u comes later in the walk, so its ext is computed
+    on demand, recursively, and memoised.  The memo can run far ahead of
+    the walk (on a branch 0..k it may hold every subset of that branch
+    containing k), but its keys are distinct sets the walk yields.
+
+    :class:`TooLarge` is raised when the walk is about to yield a set
     past ``MEMBER_BUDGET``, or as soon as the memo holds more masks than
     that, before any caller has stored or summed the excess.  On a
-    right-angled configuration that is always member ``MEMBER_BUDGET +
-    1``; with wider nubs the memo can reach it with fewer yielded.
+    right-angled configuration that is always set ``MEMBER_BUDGET + 1``;
+    with wider nubs the memo can reach it with fewer yielded.
     """
-    n = config.n
+    n, nubs = config.n, config.nubs
+    wide = not is_right_angled(config)
+    after = None
+    if twins is not None:
+        after = {}  # per vertex, as a bit, next(vertex), 0 for a class's top
+        for twin in twins:
+            if wide and twin & (twin - 1):
+                # Keep the nubs that meet the class in its lowest vertices;
+                # those of a class of every vertex, as a star's, are prefixes.
+                prefixes = {0} | {twin & ((2 << v) - 1) for v in indices_of(twin)}
+                if twin == (1 << n) - 1:
+                    nubs = prefixes.intersection(nubs)
+                else:
+                    nubs = [nub for nub in nubs if nub & twin in prefixes]
+            while twin:
+                low = twin & -twin
+                twin ^= low
+                after[low] = twin & -twin
     tops: dict[int, int] = {}
-    for nub in config.nubs:
+    for nub in nubs:
         top = 1 << (nub.bit_length() - 1)
         tops[nub ^ top] = tops.get(nub ^ top, 0) | top
     # excluded[a]: every vertex up to a, and every b with {a, b} a nub.
     excluded = [((2 << a) - 1) | tops.get(1 << a, 0) for a in range(n)]
-    wide = not is_right_angled(config)
-    memo = {0: (1 << n) - 1}
+    start = (1 << n) - 1 if twins is None else sum(twin & -twin for twin in twins)
+    memo = {0: start}
 
     def ext_of(y: int) -> int:
         found = memo.get(y)
         if found is None:
             top = y.bit_length() - 1
             x = y ^ (1 << top)
-            found = ext_of(x) & ~(excluded[top] | tops.get(y, 0))
-            # For |x| = 1, ext(y - v) = ext({top}) adds nothing.
+            found = ext_of(x)
+            if after is not None:
+                found |= after[1 << top]
+            found &= ~(excluded[top] | tops.get(y, 0))
+            # For |x| = 1, ext(y - u) = ext({top}) adds nothing.
             if x & (x - 1):
                 while x and found:
-                    v = x & -x
-                    found &= ext_of(y ^ v)
-                    x ^= v
+                    u = x & -x
+                    x ^= u
+                    if after is None:
+                        found &= ext_of(y ^ u)
+                    elif not y & after[u]:
+                        found &= ext_of(y ^ u) | after[u]
             memo[y] = found
-            # Memo keys are distinct members, walked or not: past
-            # the budget the family is too, however few have been yielded.
+            # Memo keys are distinct sets, walked or not: past the
+            # budget the family is too, however few have been yielded.
             if len(memo) > MEMBER_BUDGET:
                 raise TooLarge(_over_budget())
         return found
 
     def walk() -> Iterator[int]:
         produced = 0
-        # Per branch member x: the vertices of ext(x) not yet walked.
+        # Per branch set x: the vertices of ext(x) not yet walked.
         branch: list[int] = []
         rests: list[int] = []
-        y, ext = 0, (1 << n) - 1
+        y, ext = 0, start
         while True:
             produced += 1
             if produced > MEMBER_BUDGET:
@@ -612,7 +652,12 @@ def enumerate_independence_sets(config: Configuration) -> Iterator[int]:
             else:
                 branch.pop()
                 rests.pop()
-            ext = ext_of(y) if wide else rest & ~excluded[low.bit_length() - 1]
+            if wide:
+                ext = ext_of(y)
+            else:
+                if after is not None:
+                    rest |= after[low]
+                ext = rest & ~excluded[low.bit_length() - 1]
 
     return walk()
 

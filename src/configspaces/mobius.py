@@ -52,20 +52,21 @@ swap is an automorphism, so every relative polynomial is constant on the
 orbits of the twin classes' symmetric groups.  An orbit is a count
 vector c, c_i vertices taken from class i of size s_i, with prod_i
 C(s_i, c_i) members; it is independent iff its least member is, the c_i
-lowest vertices of each class.  Where some class has two vertices,
-``MobiusFamily`` keys its table by the least members of the independent
-orbits, in (size, mask) order: every shape first meets an anchor that
-is a least member, so shapes come in the order, and with the numbering,
-of the member table.  Digit j of orbit c is the sum of prod_i C(s_i -
-c_i, d_i - c_i) D f(d) over the independent orbits d >= c with |d| =
-|c| + j, transformed one class at a time (``_orbit_transform``) on the
-same packed digits and width, so each shape is the member table's.  The
-family is still refused once its members, not its orbits, number more
-than ``core.MEMBER_BUDGET``.  A leaf of ``mobius_polynomial`` with twins
-sums prod_i C(s_i, d_i) (-w_i t)^{d_i} over its independent orbits
-(``_orbit_mu``), refused only past ``core.MEMBER_BUDGET`` orbits: the
-bipartite dependence K_{20,20} has 2^21 - 1 members and 41 orbits.  The
-canonical spaces of ``probspace`` still walk the members.
+lowest vertices of each class.  Without twins every class is one vertex
+and every orbit one member.  ``MobiusFamily`` and the leaves of
+``mobius_polynomial`` walk the least members of the independent orbits
+(``core.enumerate_independence_sets`` given the classes).  The family's
+table is keyed by them in (size, mask) order, in which every shape first
+meets a least member, so shapes keep the order and numbering of a table
+over all members.  Digit j of orbit c is the sum of prod_i C(s_i - c_i,
+d_i - c_i) D f(d) over the independent orbits d >= c with |d| = |c| + j,
+transformed one class at a time (``_orbit_transform``, Yates' step for a
+class of one vertex) on the same packed digits and width.  The family is
+refused once its members, not its orbits, number more than
+``core.MEMBER_BUDGET``; a leaf, which sums prod_i C(s_i, d_i) D f(d) by
+size, only past that many orbits: the bipartite dependence K_{20,20} has
+2^21 - 1 members and 41 orbits.  The canonical spaces of ``probspace``
+still walk the members.
 
 The critical root is searched lazily: only polynomials that may have a
 root at or below the best one found are isolated (see
@@ -135,22 +136,22 @@ class Classification(_Record):
 
 
 def _superset_transform(
-    table: MutableMapping[int, int] | list[int], keys: Iterable[int], n: int, sign: int
+    table: MutableMapping[int, int] | list[int], keys: Iterable[int], vertices: int, sign: int
 ) -> None:
     """In place: table[x] becomes the sum of sign^(|y|-|x|) table[y] over
-    keys y containing x, one vertex at a time (Yates' algorithm).
+    keys y containing x with y - x inside ``vertices``, one vertex at a
+    time (Yates' algorithm).
 
     sign -1 is the superset Mobius transform, +1 the superset sums
     (zeta transform).  The keys must be downward closed: every subset
     of a key is a key.
     """
-    for i in range(n):
-        bit = 1 << i
+    for bit in map((1).__lshift__, core.indices_of(vertices)):
         for y in keys:
             if y & bit:
                 value = table[y]
                 if value:
-                    table[y ^ bit] += sign * value
+                    table[y ^ bit] += value if sign > 0 else -value
 
 
 def _scaled_products(
@@ -172,20 +173,38 @@ def _scaled_products(
     return scale, scaled
 
 
-def _enumerated_mu(config: Configuration, weights: Sequence[Fraction]) -> Polynomial:
-    """The Mobius polynomial, summed by size straight from the walk.
+def _orbit_weights(weights: Sequence[Fraction], twins: Sequence[int] | None) -> list[Fraction]:
+    """The weights, vertex v times (s - r + 1) / r where v is the r-th
+    lowest of a twin class of s vertices: over the least member of an
+    orbit d they multiply to f(d) prod_i C(s_i, d_i), the sum of f over
+    its members."""
+    out = list(weights)
+    for twin in twins or ():
+        vertices = core.indices_of(twin)
+        for r, v in enumerate(vertices, 1):
+            out[v] *= Fraction(len(vertices) + 1 - r, r)
+    return out
 
-    Nothing per member is stored here; on a right-angled configuration
+
+def _enumerated_mu(
+    config: Configuration, weights: Sequence[Fraction], twins: Sequence[int] | None = None
+) -> Polynomial:
+    """The Mobius polynomial, summed by size straight from the walk of
+    the orbits of the twin classes ``twins`` (see the module docstring),
+    each weighted by ``_orbit_weights`` to stand for its members.
+
+    Nothing per set is stored here; on a right-angled configuration
     the enumeration keeps only its branch, otherwise it keeps up to one
-    extension mask per member, at most ``core.MEMBER_BUDGET`` of them
+    extension mask per set, at most ``core.MEMBER_BUDGET`` of them
     (see ``core.enumerate_independence_sets``).
     """
+    weights = _orbit_weights(weights, twins)
     scale = math.prod(w.denominator for w in weights)
     sums = [0] * (config.n + 1)
     # The current branch of the depth-first walk, as (z, D f(z)) pairs:
     # z minus its top vertex is on it when z is yielded.
     branch = [(0, scale)]
-    for z in enumerate_independence_sets(config):
+    for z in enumerate_independence_sets(config, twins):
         if z:
             top = z.bit_length() - 1
             while branch[-1][0] != z ^ (1 << top):
@@ -196,88 +215,15 @@ def _enumerated_mu(config: Configuration, weights: Sequence[Fraction]) -> Polyno
     return Polynomial(Fraction(-total if k % 2 else total, scale) for k, total in enumerate(sums))
 
 
-def _orbits(
-    nubs: Sequence[int], twins: Sequence[int], per_member: bool
-) -> dict[int, tuple[int, int, int]]:
-    """The independent orbits of the twin classes ``twins`` of the
-    configuration with these nubs, in (size, mask) order (see the module
-    docstring), by least member in (size, mask) order.  Each has
-    its tops, the top vertex of each class it meets; its member count,
-    the product of C(s_i, c_i); and the next vertices it may grow by.
-
-    Orbits are found a size at a time, each once, from the orbit without
-    the top of its last class, so it grows by the next vertex of that
-    class or of a later one, less those sharing a pair nub with what it
-    holds.  That is all a pair nub forbids, so where every nub is a pair
-    each candidate is independent.  Otherwise a candidate whose orbits
-    one smaller are all independent is dependent only if its least
-    member is itself a nub: a nub inside it that misses some vertex u
-    lies in a member of the independent orbit without u's class.
-    :class:`TooLarge` is raised once the members (``per_member``) or
-    else the orbits number more than ``core.MEMBER_BUDGET``.
-    """
-    wide = bool(nubs) and nubs[-1].bit_count() > 2
-    dependent = set(nubs) if wide else None
-    # Per vertex: its class, the next vertex of that class, and the
-    # vertices it shares a pair nub with; per class, it and the later ones.
-    owner, after, near = {}, {}, {}
-    for i, twin in enumerate(twins):
-        vertices = [1 << v for v in core.indices_of(twin)]
-        for v, w in zip(vertices, vertices[1:] + [0]):
-            owner[v], after[v], near[v] = i, w, 0
-    later = [sum(twins[i:]) for i in range(len(twins))]
-    for nub in nubs:
-        if nub.bit_count() > 2:
-            break
-        low = nub & -nub
-        near[low] |= nub ^ low
-        near[nub ^ low] |= low
-    level = {0: (0, 1, sum(twin & -twin for twin in twins))}
-    orbits = dict(level)
-    total = 1
-    while level:
-        grown = {}
-        for x, (tops, count, fresh) in level.items():
-            rest = fresh
-            while rest:
-                v = rest & -rest
-                rest ^= v
-                i = owner[v]
-                lower = tops & ~twins[i]
-                if wide:
-                    missing = x | v in dependent
-                    check = lower
-                    while not missing and check:
-                        missing = x ^ v ^ (check & -check) not in level
-                        check &= check - 1
-                    if missing:
-                        continue
-                c = (x & twins[i]).bit_count()
-                grown[x | v] = (
-                    lower | v,
-                    count * (twins[i].bit_count() - c) // (c + 1),
-                    (fresh & later[i] ^ v | after[v]) & ~near[v],
-                )
-        level = {y: grown[y] for y in sorted(grown)}
-        for y, entry in level.items():
-            total += entry[1] if per_member else 1
-            if total > core.MEMBER_BUDGET:
-                raise TooLarge(core._over_budget())
-        orbits.update(level)
-    return orbits
-
-
 def _orbit_transform(table: dict[int, int], orbits: Sequence[int], twins: Sequence[int]) -> None:
     """In place: table[x] becomes the sum over orbits y >= x of
     prod_i C(s_i - c_i, d_i - c_i) table[y], one class at a time, with c
     and d the count vectors of x and y.  Orbits come by least member in
     (size, mask) order, so the larger orbits along a class, still
-    untouched, follow x.  A class of one vertex takes Yates' step."""
+    untouched, follow x.  The classes of one vertex take Yates' steps."""
+    _superset_transform(table, orbits, sum(twin for twin in twins if not twin & (twin - 1)), 1)
     for twin in twins:
         if not twin & (twin - 1):
-            for y in orbits:
-                if y & twin:
-                    table[y ^ twin] += table[y]
             continue
         vertices = [1 << v for v in core.indices_of(twin)]
         size = len(vertices)
@@ -293,15 +239,12 @@ def _orbit_transform(table: dict[int, int], orbits: Sequence[int], twins: Sequen
             table[x] = total
 
 
-def _orbit_mu(nubs: Sequence[int], twins: Sequence[int], weights: Sequence[Fraction]) -> Polynomial:
-    """The Mobius polynomial summed over the independent orbits: orbit d
-    gives prod_i C(s_i, d_i) (-w_i t)^{d_i}."""
-    orbits = _orbits(nubs, twins, False)
-    scale, scaled = _scaled_products(orbits, weights, Fraction(1))
-    sums = [0] * (len(weights) + 1)
-    for x, (_, count, _) in orbits.items():
-        sums[x.bit_count()] += count * scaled[x]
-    return Polynomial(Fraction(-total if k % 2 else total, scale) for k, total in enumerate(sums))
+def _in_size_order(sets: Iterable[int]) -> list[int]:
+    """The sets in (size, mask) order: sorted as plain ints, then stably
+    by size."""
+    out = sorted(sets)
+    out.sort(key=int.bit_count)
+    return out
 
 
 #: Restrictions with at most this many vertices are enumerated, not split.
@@ -348,12 +291,9 @@ def mobius_polynomial(config: Configuration, valuation: Valuation | None = None)
         if n <= _LEAF_VERTICES or len(nubs) >= n and (
             sum(math.comb(n, j) for j in range(nubs[0].bit_count())) <= core.MEMBER_BUDGET
         ):
+            leaf = Configuration(n, core.default_labels(n), nubs)
             weights = [values[k] for k in classes]
-            twins = core._twin_classes(n, nubs, classes)
-            if twins is None:
-                found = _enumerated_mu(Configuration(n, core.default_labels(n), nubs), weights)
-            else:
-                found = _orbit_mu(nubs, twins, weights)
+            found = _enumerated_mu(leaf, weights, core._twin_classes(n, nubs, classes))
         else:
             parts = core._split(n, nubs)
             if len(parts) > 1:
@@ -381,13 +321,14 @@ def mobius_polynomial(config: Configuration, valuation: Valuation | None = None)
 class MobiusFamily:
     """All relative Mobius polynomials of one weighted configuration.
 
-    The independence family, or with twins its orbits, and its packed
-    zeta transform (see the module docstring) are built on first use and
-    kept.  The transform is read once into one table, each anchor's index
-    into the distinct shapes (``_anchor_ids``), and relative polynomials equal in
-    value are one object, built from their shape, with one Sturm chain
-    and one isolation.  Everything kept is write-once: racing writers
-    would store identical values, so concurrent reads are safe.
+    The independent orbits of the twin classes (see the module
+    docstring; without twins, the members) and their packed zeta
+    transform are built on first use and kept.  The transform is read
+    once into one table, each anchor's index into the distinct shapes
+    (``_anchor_ids``), and relative polynomials equal in value are one
+    object, built from their shape, with one Sturm chain and one
+    isolation.  Everything kept is write-once: racing writers would
+    store identical values, so concurrent reads are safe.
     """
 
     def __init__(self, config: Configuration, valuation: Valuation | None = None):
@@ -397,27 +338,22 @@ class MobiusFamily:
         self._ids: dict[int, int] | None = None
         self._shapes: list[tuple[int, ...]] = []
         self._polynomials: dict[int, Polynomial] = {}
-        # With twins: the twin classes, and per orbit its class tops.
-        self._twins: list[int] | None = None
-        self._tops: dict[int, int] | None = None
+        # The twin classes, each vertex its own class where it has no twin.
+        self._classes: list[int] = []
 
     def members(self) -> list[int]:
-        """The independence family in (size, mask) order, enumerated
-        once: bucketed by size, each bucket sorted as plain ints."""
+        """The independence family in (size, mask) order, enumerated once."""
         if self._members is None:
-            buckets: list[list[int]] = [[] for _ in range(self.config.n + 1)]
-            for z in enumerate_independence_sets(self.config):
-                buckets[z.bit_count()].append(z)
-            self._members = [z for bucket in buckets for z in sorted(bucket)]
+            self._members = _in_size_order(enumerate_independence_sets(self.config))
         return self._members
 
     def _anchor_ids(self) -> dict[int, int]:
         """Per anchor x, in (size, mask) order, the index in ``_shapes``
         of the shape of mu^{|x}: content-free signed integers, shape[0] >
         0, coefficient d being shape[d] / shape[0].  Shapes are listed in
-        order of first anchor.  The anchors are the members, or with
-        twins the least members of the independent orbits (see the
-        module docstring), which every shape first meets.
+        order of first anchor.  The anchors are the least members of the
+        independent orbits (see the module docstring), which every shape
+        first meets: without twins, the members.
 
         The packed transform leaves at x its digit key, digit d the sum
         of D f(z) over members z containing x with |z| = |x| + d (see the
@@ -429,26 +365,30 @@ class MobiusFamily:
             config, weights = self.config, self.valuation.weights
             # Weights as integer pairs, which hash faster than fractions.
             pairs = list(map(Fraction.as_integer_ratio, weights))
-            twins = self._twins = core._twin_classes(config.n, config.nubs, pairs)
-            if twins is None:
-                members = self.members()
-                _, table = _scaled_products(members, weights, Fraction(1))
-                total = sum(table.values())
+            twins = core._twin_classes(config.n, config.nubs, pairs)
+            self._classes = twins or [1 << v for v in range(config.n)]
+            if twins is None:  # the orbits are the members: walk them once
+                anchors = self.members()
             else:
-                orbits = _orbits(config.nubs, twins, True)
-                members = list(orbits)
-                self._tops = {x: tops for x, (tops, _, _) in orbits.items()}
-                _, table = _scaled_products(members, weights, Fraction(1))
-                total = sum(table[x] * count for x, (_, count, _) in orbits.items())
+                anchors = _in_size_order(enumerate_independence_sets(config, twins))
+            _, table = _scaled_products(anchors, weights, Fraction(1))
+            total = sum(table.values())
+            twinned = [twin for twin in self._classes if twin & (twin - 1)]
+            if twinned:
+                # Each orbit's members, prod_i C(s_i, c_i).
+                sizes = [
+                    math.prod(math.comb(t.bit_count(), (z & t).bit_count()) for t in twinned)
+                    for z in anchors
+                ]
+                if sum(sizes) > core.MEMBER_BUDGET:
+                    raise TooLarge(core._over_budget())
+                total = sum(size * value for size, value in zip(sizes, table.values()))
             width = total.bit_length()
-            for z in members:
+            for z in anchors:
                 table[z] <<= width * z.bit_count()
-            if twins is None:
-                _superset_transform(table, members, config.n, 1)
-            else:
-                _orbit_transform(table, members, twins)
+            _orbit_transform(table, anchors, self._classes)
             low, decoded, ids = (1 << width) - 1, {}, {}
-            for z in members:
+            for z in anchors:
                 key = table[z] >> width * z.bit_count()
                 if key not in decoded:
                     digits, rest = [], key
@@ -459,14 +399,6 @@ class MobiusFamily:
                 table[z] = decoded[key]
             self._shapes, self._ids = list(ids), table
         return self._ids
-
-    def _shape_ids(self) -> dict[int, int]:
-        """Per member, in (size, mask) order, the index of its shape: the
-        anchor table, with twins spread from each orbit over its members."""
-        ids = self._anchor_ids()
-        if self._twins is None:
-            return ids
-        return {z: ids[self._orbit_of(z)] for z in self._members_of(ids)}
 
     def relative(self, x: int) -> Polynomial:
         """mu^{|x}: the Mobius polynomial of the configuration relative to x."""
@@ -487,25 +419,25 @@ class MobiusFamily:
         """The least member of x's orbit: the lowest vertices of each
         class, as many as x has."""
         least = 0
-        for twin in self._twins:
+        for twin in self._classes:
             for _ in range((x & twin).bit_count()):
                 least |= twin & -twin
                 twin &= twin - 1
         return least
 
     def _members_of(self, orbits: Iterable[int]) -> tuple[int, ...]:
-        """Every member of the orbits, in (size, mask) order."""
-        classes = [(twin, [1 << v for v in core.indices_of(twin)]) for twin in self._twins]
+        """Every member of the orbits, in (size, mask) order: the
+        vertices outside classes of two or more are each orbit's own."""
+        twinned = [twin for twin in self._classes if twin & (twin - 1)]
+        classes = [(twin, [1 << v for v in core.indices_of(twin)]) for twin in twinned]
         out = []
         for x in orbits:
             choices = [
                 map(sum, itertools.combinations(vertices, (x & twin).bit_count()))
                 for twin, vertices in classes
             ]
-            out += map(sum, itertools.product(*choices))
-        out.sort()
-        out.sort(key=int.bit_count)
-        return tuple(out)
+            out += map(sum, itertools.product([x & ~sum(twinned)], *choices))
+        return tuple(_in_size_order(out))
 
     def transform(self, x: int) -> Polynomial:
         """H(x) = f(x) t^|x| mu^{|x}(t)."""
@@ -530,7 +462,7 @@ class MobiusFamily:
         for every member x, by one superset zeta transform of H."""
         members = self.members()
         table = {y: self.transform(y) for y in members}
-        _superset_transform(table, members, self.config.n, 1)
+        _superset_transform(table, members, self.config.vertex_mask, 1)
         return all(
             table[x] == Polynomial([self.valuation.of(x)]).shifted(x.bit_count())
             for x in members
@@ -592,7 +524,7 @@ class MobiusFamily:
         if best is None:
             raise AssertionError("no relative polynomial has a positive root")
         attained = tuple(x for x, i in ids.items() if i in attaining)
-        return best, attained if self._twins is None else self._members_of(attained)
+        return best, self._members_of(attained)
 
     def classify(self) -> Classification:
         """Type I when the empty set attains t0, where mu vanishes.  Every

@@ -734,10 +734,12 @@ def _decimal(value: int) -> str:
 
 
 def _integer(digits: str) -> int:
-    """``int(digits)`` for ASCII digits, converted in pieces of at most
-    ``_PIECE`` digits."""
+    """``int(digits)`` for ASCII digits after an optional minus sign,
+    converted in pieces of at most ``_PIECE`` digits."""
     if len(digits) <= _PIECE:
         return int(digits)
+    if digits[0] == "-":
+        return -_integer(digits[1:])
     k = len(digits) // 2
     return _integer(digits[:-k]) * 10**k + _integer(digits[-k:])
 

@@ -165,7 +165,7 @@ def _intersection_masses(
     Raises :class:`InfeasibleIntersections` when any mass comes out
     negative, listing the offending masks in key order.
     """
-    _superset_transform(table, keys, keys[-1].bit_length(), -1)
+    _superset_transform(table, keys, (1 << keys[-1].bit_length()) - 1, -1)
     negatives = [(y, Fraction(table[y], scale)) for y in keys if table[y] < 0]
     if negatives:
         raise InfeasibleIntersections(negatives)
@@ -246,7 +246,7 @@ def canonical_space(
     members = family.members()
     scale, products = _scaled_products(members, family.valuation.weights, t)
     masses = dict(products)
-    _superset_transform(masses, members, config.n, -1)
+    _superset_transform(masses, members, config.vertex_mask, -1)
     for x in members:
         if masses[x] < 0:
             raise OutOfRange(t, x, Fraction(masses[x], products[x]))
@@ -281,7 +281,7 @@ def verify_realization(space: ConfiguredSpace) -> RealizationReport:
         product_scale, products = _scaled_products(closure, space.valuation.weights, space.t)
     joint = dict.fromkeys(closure, 0)
     joint.update(masses)
-    _superset_transform(joint, closure, config.n, 1)
+    _superset_transform(joint, closure, config.vertex_mask, 1)
     # joint / scale against products / product_scale, cross-multiplied by
     # the cofactors of the two denominators: 1 and 1 on a canonical space.
     common = math.gcd(scale, product_scale)

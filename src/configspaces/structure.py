@@ -246,11 +246,10 @@ def _monotone_under_inclusion(family: MobiusFamily, lo: Fraction) -> bool:
     positive lead shape[0].  Each shape is evaluated once, into a list
     indexed by shape, and each distinct (below, above) pair of shape
     indices is compared once, by cross-multiplying with the two leads.
-    With twins the keys are orbits, and x - v runs over the orbits one
-    smaller, v the top of one of x's classes.
+    The keys are the least members of the twin orbits, and x - v runs
+    over the keys one smaller: v the top of one of x's classes.
     """
     ids = family._anchor_ids()
-    tops = family._tops
     degree = family.relative(0).degree
     b = 4 * lo.denominator
     rows = []
@@ -263,10 +262,11 @@ def _monotone_under_inclusion(family: MobiusFamily, lo: Fraction) -> bool:
     ]
     pairs = set()
     for x, above in ids.items():
-        rest = x if tops is None else tops[x]
+        rest = x
         while rest:
             low = rest & -rest
-            pairs.add((ids[x ^ low], above))
+            if x ^ low in ids:
+                pairs.add((ids[x ^ low], above))
             rest ^= low
     for below, above in pairs:
         lead_below, at_below = values[below]

@@ -175,6 +175,14 @@ def brute_twin_classes(config: Configuration, weights) -> list[int] | None:
     return None if len(classes) == config.n else classes
 
 
+def shape_ids(family) -> dict[int, int]:
+    """Per member of a ``MobiusFamily``, in (size, mask) order, the index
+    of its shape: the anchor table spread from each twin orbit's least
+    member over the orbit's members."""
+    ids = family._anchor_ids()
+    return {z: ids[family._orbit_of(z)] for z in family.members()}
+
+
 def nub_scan_enumeration(config: Configuration):
     """Oracle: the depth-first walk that tests every nub topped by each
     added vertex, in the order and under the member budget of

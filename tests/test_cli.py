@@ -22,7 +22,7 @@ from configspaces.cli import (
 )
 from configspaces.core import components, valuation_of
 from configspaces.mobius import MobiusFamily
-from configspaces.poly import Polynomial, poly_to_strings
+from configspaces.poly import Polynomial, _integer, poly_to_strings
 from configspaces.structure import (
     builtin,
     random_configuration,
@@ -55,7 +55,8 @@ def run(capsys, *argv):
 
 
 def payload_of(out):
-    report = json.loads(out)
+    # Integers read whatever the interpreter's limit on their digits.
+    report = json.loads(out, parse_int=_integer)
     assert report["schema_version"] == "1"
     assert set(report) == {"schema_version", "command", "input_digest", "payload"}
     return report["payload"]
@@ -417,11 +418,16 @@ def test_leading_byte_order_mark_is_ignored(capsys, tmp_path, text):
         assert run(capsys, command, "--input", str(marked)) == expected
 
 
-def _run_under_latin1(*argv, stdin=b""):
-    """The CLI in a child process whose standard streams are latin-1."""
+def _child_env(**extra):
+    """The environment of a CLI child process that imports this package."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONIOENCODING="latin-1", PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def _run_under_latin1(*argv, stdin=b""):
+    """The CLI in a child process whose standard streams are latin-1."""
+    env = _child_env(PYTHONIOENCODING="latin-1")
     command = [sys.executable, "-m", "configspaces.cli", *argv]
     return subprocess.run(command, input=stdin, capture_output=True, env=env, timeout=120)
 
@@ -440,32 +446,60 @@ def test_stdin_is_read_as_utf8_whatever_the_locale(tmp_path):
         assert (piped.returncode, piped.stdout, piped.stderr) == (0, read.stdout, b"")
 
 
-def _run_under_digit_limit(limit, *argv):
+def _run_under_digit_limit(limit, *argv, stdin=b""):
     """The CLI in a child process that may convert integers of at most
     ``limit`` decimal digits to and from strings (0: any)."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONINTMAXSTRDIGITS=str(limit), PYTHONPATH=path)
+    env = _child_env(PYTHONINTMAXSTRDIGITS=str(limit))
     command = [sys.executable, "-m", "configspaces.cli", *argv]
-    return subprocess.run(command, capture_output=True, env=env, timeout=120)
+    return subprocess.run(command, input=stdin, capture_output=True, env=env, timeout=120)
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, stdin",
     [
         # A t of 1,101 digits and atom masses of about 4,400.
-        ("space", "--name", "path-8", "--t", "1/1" + "0" * 1100),
+        pytest.param(("space", "--name", "path-8", "--t", "1/1" + "0" * 1100), b"", id="space"),
         # Coefficients of about 840 digits, and a count of 8,418.
-        ("series", "--name", "path-3", "--order", "2000"),
-        ("cf-count", "--name", "path-3", "--length", "20000"),
+        pytest.param(("series", "--name", "path-3", "--order", "2000"), b"", id="series"),
+        pytest.param(("cf-count", "--name", "path-3", "--length", "20000"), b"", id="cf-count"),
+        # A JSON weight written as an integer of 701 digits.
+        pytest.param(
+            ("mobius", "--input", "-"),
+            b'{"vertices":["a","b"],"nubs":[["a","b"]],"weights":{"a":1' + b"0" * 700 + b"}}",
+            id="mobius",
+        ),
+        # A seed of 701 digits, echoed in the report.
+        pytest.param(
+            ("sample", "--name", "path-3", "--t", "1/8", "--count", "3", "--seed", "7" * 701),
+            b"",
+            id="sample",
+        ),
     ],
-    ids=lambda argv: argv[0],
 )
-def test_reports_whatever_the_int_digit_limit(argv):
+def test_reports_whatever_the_int_digit_limit(argv, stdin):
     # 640 is the least limit CPython allows; 0 lifts it.
-    least, lifted = (_run_under_digit_limit(limit, *argv) for limit in (640, 0))
+    least, lifted = (_run_under_digit_limit(limit, *argv, stdin=stdin) for limit in (640, 0))
     assert (least.returncode, least.stderr) == (0, b"")
     assert (least.returncode, least.stdout) == (lifted.returncode, lifted.stdout)
+
+
+def test_closed_stdout_is_one_error_line():
+    # About 2 MB of report: the reader closes the pipe after 20 bytes,
+    # while the writer is still blocked on a full pipe.
+    command = [sys.executable, "-m", "configspaces.cli", "series", "--name", "path-3"]
+    child = subprocess.Popen(
+        [*command, "--order", "3000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    head = child.stdout.read(20)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (head, child.wait(timeout=120)) == (b'{"command":"series",', 3)
+    assert b"Traceback" not in err and b"Exception ignored" not in err
+    assert err.startswith(b"error: ") and err.count(b"\n") == 1
 
 
 def test_stdin_that_is_not_utf8_is_an_input_error():

@@ -41,7 +41,7 @@ from configspaces.structure import (
     star,
 )
 
-from conftest import direct_transform, disjoint_union, powerset_mobius, refine_root
+from conftest import direct_transform, disjoint_union, powerset_mobius, refine_root, shape_ids
 
 P = Polynomial
 
@@ -183,29 +183,24 @@ def test_elimination_builds_no_restriction(monkeypatch):
 
 
 def test_leaf_rule(monkeypatch):
-    # Leaves by route: a member walk, or a sum over twin orbits.
+    # Leaves by walk: over the members, or over the least members of
+    # the twin orbits when the leaf has twin classes.
     leaves = []
     walk = mobius_module.enumerate_independence_sets
-    orbit_sum = mobius_module._orbit_mu
 
-    def walking(config):
-        leaves.append(("walk", config.n))
-        return walk(config)
-
-    def summing(nubs, twins, weights):
-        leaves.append(("orbits", len(weights)))
-        return orbit_sum(nubs, twins, weights)
+    def walking(config, twins=None):
+        leaves.append(("members" if twins is None else "orbits", config.n))
+        return walk(config, twins)
 
     monkeypatch.setattr(mobius_module, "enumerate_independence_sets", walking)
-    monkeypatch.setattr(mobius_module, "_orbit_mu", summing)
     # At least as many nubs as vertices and a family within the budget:
     # one whole leaf, even where the sets below the smallest nub
     # outnumber the nubs (star-14-5: 3,473 sets, 3,003 nubs).  The
-    # dodecahedron has no twins and is walked; the others are one twin
-    # class each and summed over their orbits.
+    # dodecahedron has no twins and walks its members; the others are
+    # one twin class each and walk their orbits.
     for name, route in (
         ("complete-30", "orbits"),
-        ("dodecahedron", "walk"),
+        ("dodecahedron", "members"),
         ("star-64-2", "orbits"),
         ("star-14-5", "orbits"),
     ):
@@ -575,7 +570,7 @@ def test_critical_root_decodes_each_key_once(monkeypatch):
         family = MobiusFamily(config, valuation)
         anchors.clear()
         family.critical_root()
-        ids = family._shape_ids()
+        ids = shape_ids(family)
         assert len(anchors) <= len(set(ids.values())) < len(ids)
         assert len({ids[x] for x in anchors}) == len(anchors)
 
@@ -589,7 +584,7 @@ def test_shape_table_keeps_no_digit_key():
         family = MobiusFamily(config, valuation)
         family.critical_root()
         assert not hasattr(family, "_keys")
-        ids = family._shape_ids()
+        ids = shape_ids(family)
         assert list(ids) == family.members()
         assert all(type(i) is int and i in range(len(family._shapes)) for i in ids.values())
         assert len(set(family._shapes)) == len(family._shapes)

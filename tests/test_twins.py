@@ -1,5 +1,6 @@
 """The twin-class quotient: detection against an all-pairs swap oracle,
-and the orbit route against the member route it replaces."""
+the orbit walk against the brute-force family, and the orbits against
+the members they stand for."""
 
 import itertools
 import json
@@ -10,12 +11,12 @@ import pytest
 
 import configspaces.core as core_module
 from configspaces import cli
-from configspaces.core import TooLarge, Valuation, from_nubs
-from configspaces.mobius import MobiusFamily, _enumerated_mu, _orbits, mobius_polynomial
+from configspaces.core import TooLarge, Valuation, enumerate_independence_sets, from_nubs
+from configspaces.mobius import MobiusFamily, _enumerated_mu, mobius_polynomial
 from configspaces.poly import Polynomial
 from configspaces.structure import builtin, random_configuration, random_valuation, star
 
-from conftest import brute_independence_family, brute_twin_classes, powerset_mobius
+from conftest import brute_independence_family, brute_twin_classes, powerset_mobius, shape_ids
 
 
 def blown_up(rng):
@@ -60,19 +61,46 @@ def test_classes_match_the_swap_oracle(inputs, rng):
         assert found == brute_twin_classes(config, valuation.weights), config
 
 
+def lowest(twin, c):
+    """The c lowest vertices of a class."""
+    least = 0
+    for _ in range(c):
+        least |= twin & -twin
+        twin &= twin - 1
+    return least
+
+
 def test_orbits_partition_the_family(inputs):
-    for config, valuation in inputs:
+    # A star or a complete configuration is one class of every vertex.
+    names = ("complete-5", "star-6-2", "star-7-3")
+    uniform = [(builtin(name), Valuation.uniform(builtin(name).n)) for name in names]
+    walked = 0
+    for config, valuation in inputs + uniform:
         twins = core_module._twin_classes(config.n, config.nubs, valuation.weights)
         if twins is None:
             continue
-        orbits = _orbits(config.nubs, twins, True)
+        walked += 1
+        classes = brute_twin_classes(config, valuation.weights)
+        members = brute_independence_family(config)
+        least = {
+            z
+            for z in members
+            if all(z & twin == lowest(twin, (z & twin).bit_count()) for twin in classes)
+        }
+        walk = list(enumerate_independence_sets(config, twins))
+        assert len(walk) == len(set(walk)) and set(walk) == least, config
+        for k, z in enumerate(walk):
+            assert not z or z ^ 1 << (z.bit_length() - 1) in walk[:k], config
+        sizes = (
+            math.prod(math.comb(twin.bit_count(), (z & twin).bit_count()) for twin in classes)
+            for z in walk
+        )
+        assert sum(sizes) == len(members)
         family = MobiusFamily(config, valuation)
         family._anchor_ids()
-        assert list(orbits) == sorted(orbits, key=lambda x: (x.bit_count(), x))
-        members = brute_independence_family(config)
-        assert {family._orbit_of(z) for z in members} == set(orbits)
-        assert sum(count for _, count, _ in orbits.values()) == len(members)
-        assert sorted(family._members_of(orbits)) == sorted(members)
+        assert {family._orbit_of(z) for z in members} == least
+        assert sorted(family._members_of(walk)) == sorted(members)
+    assert walked > len(inputs) // 2
 
 
 def report(capsys, *argv):
@@ -87,10 +115,11 @@ def by_route(config, valuation, path, capsys):
     right-angled reports."""
     family = MobiusFamily(config, valuation)
     root, attained = family.critical_root()
-    shapes = {z: family._shapes[i] for z, i in family._shape_ids().items()}
+    shapes = {z: family._shapes[i] for z, i in shape_ids(family).items()}
     commands = ("classify", "right-angled")
     payloads = [report(capsys, command, "--input", str(path)) for command in commands]
-    return family._twins is not None, (shapes, root, cli._root_json(root), attained, payloads)
+    twins = len(family._classes) < config.n
+    return twins, (shapes, root, cli._root_json(root), attained, payloads)
 
 
 def test_orbit_route_matches_the_member_route(inputs, monkeypatch, capsys, tmp_path):
@@ -100,7 +129,8 @@ def test_orbit_route_matches_the_member_route(inputs, monkeypatch, capsys, tmp_p
         path.write_text(json.dumps(cli.config_to_json(config, valuation)))
         twins, orbits = by_route(config, valuation, path, capsys)
         with monkeypatch.context() as patch:
-            # No configuration has twins: every family walks its members.
+            # No configuration has twins: every family walks its members,
+            # the twin-free case of the same walk and transform.
             patch.setattr(core_module, "_twin_classes", lambda n, nubs, weights: None)
             walked, members = by_route(config, valuation, path, capsys)
         assert not walked
@@ -113,6 +143,8 @@ def test_orbit_leaf_matches_the_walk(inputs):
     for config, valuation in inputs:
         mu = mobius_polynomial(config, valuation)
         assert mu == _enumerated_mu(config, valuation.weights) == powerset_mobius(config, valuation)
+        twins = core_module._twin_classes(config.n, config.nubs, valuation.weights)
+        assert _enumerated_mu(config, valuation.weights, twins) == mu, config
 
 
 def test_family_budget_counts_members(monkeypatch):
