@@ -205,7 +205,7 @@ def parse_config(text: str) -> tuple[Configuration, Valuation]:
 def config_to_json(config: Configuration, valuation: Valuation) -> dict:
     data: dict[str, object] = {
         "vertices": list(config.labels),
-        "nubs": [config.labels_of(nub) for nub in config.nubs],
+        "nubs": config.labels_of_each(config.nubs),
     }
     weights = {
         config.label_of(i): format_rational(w)
@@ -353,9 +353,11 @@ def _out_of_range_payload(config, exc: probspace.OutOfRange) -> dict:
 
 def _cmd_space(args, config, valuation) -> tuple[dict, int]:
     space = _space(args, config, valuation)
+    # Each distinct mass is reduced and written once.
+    text = {m: format_rational(Fraction(m, space.scale)) for m in set(space.masses.values())}
     atoms = [
-        {"x": config.labels_of(x), "mass": format_rational(mass)}
-        for x, mass in space.atoms.items()
+        {"x": labels, "mass": text[m]}
+        for labels, m in zip(config.labels_of_each(space.masses), space.masses.values())
     ]
     return {
         "t": format_rational(space.t),
@@ -448,7 +450,8 @@ def _cmd_verify(args, config, valuation) -> tuple[dict, int]:
 def _cmd_sample(args, config, valuation) -> tuple[dict, int]:
     space = _space(args, config, valuation)
     tallies = probspace.sample(space, args.count, args.seed)
-    counts = [{"x": config.labels_of(x), "n": n} for x, n in tallies.items()]
+    labels = config.labels_of_each(tallies)
+    counts = [{"x": x, "n": n} for x, n in zip(labels, tallies.values())]
     return {
         "t": format_rational(space.t),
         "count": args.count,

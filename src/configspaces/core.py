@@ -36,7 +36,8 @@ from __future__ import annotations
 import collections
 import functools
 import math
-from collections.abc import Iterable, Iterator, Sequence
+import operator
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from fractions import Fraction
 
 __all__ = [
@@ -228,6 +229,16 @@ class Configuration(_Record):
             mask >>= 8
             byte += 1
         return out
+
+    def labels_of_each(self, masks: Collection[int]) -> list[tuple[str, ...]]:
+        """``labels_of`` for each mask of vertices 0..n-1, as tuples, read
+        a byte of every mask at a time: no Python call per mask."""
+        low, *high = self._label_tables or [((),)]  # n = 0: only the empty set
+        out = map(low.__getitem__, map((255).__and__, masks))
+        for byte, table in enumerate(high, 1):
+            column = map((255).__and__, map((8 * byte).__rrshift__, masks))
+            out = map(operator.add, out, map(table.__getitem__, column))
+        return list(out)
 
     def word(self, mask: int) -> str:
         """Word notation for a vertex set (empty set prints as 'e')."""

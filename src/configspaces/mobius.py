@@ -66,7 +66,8 @@ refused once its members, not its orbits, number more than
 ``core.MEMBER_BUDGET``; a leaf, which sums prod_i C(s_i, d_i) D f(d) by
 size, only past that many orbits: the bipartite dependence K_{20,20} has
 2^21 - 1 members and 41 orbits.  The canonical spaces of ``probspace``
-still walk the members.
+transform the same orbits with signs, and ``_expand`` lists the members
+of orbits only for output.
 
 The critical root is searched lazily: only polynomials that may have a
 root at or below the best one found are isolated (see
@@ -79,6 +80,7 @@ import itertools
 import math
 from collections.abc import Iterable, MutableMapping, Sequence
 from fractions import Fraction
+from operator import mul
 
 from . import core
 from .core import (
@@ -215,13 +217,17 @@ def _enumerated_mu(
     return Polynomial(Fraction(-total if k % 2 else total, scale) for k, total in enumerate(sums))
 
 
-def _orbit_transform(table: dict[int, int], orbits: Sequence[int], twins: Sequence[int]) -> None:
+def _orbit_transform(
+    table: dict[int, int], orbits: Sequence[int], twins: Sequence[int], sign: int
+) -> None:
     """In place: table[x] becomes the sum over orbits y >= x of
-    prod_i C(s_i - c_i, d_i - c_i) table[y], one class at a time, with c
-    and d the count vectors of x and y.  Orbits come by least member in
-    (size, mask) order, so the larger orbits along a class, still
-    untouched, follow x.  The classes of one vertex take Yates' steps."""
-    _superset_transform(table, orbits, sum(twin for twin in twins if not twin & (twin - 1)), 1)
+    sign^(|y|-|x|) prod_i C(s_i - c_i, d_i - c_i) table[y], one class at
+    a time, with c and d the count vectors of x and y: the superset sums
+    (sign +1) or Mobius transform (-1) over the members, read at the
+    least members.  Orbits come by least member in (size, mask) order, so the
+    larger orbits along a class, still untouched, follow x.  The classes
+    of one vertex take Yates' steps."""
+    _superset_transform(table, orbits, sum(twin for twin in twins if not twin & (twin - 1)), sign)
     for twin in twins:
         if not twin & (twin - 1):
             continue
@@ -235,8 +241,42 @@ def _orbit_transform(table: dict[int, int], orbits: Sequence[int], twins: Sequen
                 value = table.get(y)
                 if value is None:
                     break
-                total += math.comb(size - c, k + 1 - c) * value
+                total += sign ** (k + 1 - c) * math.comb(size - c, k + 1 - c) * value
             table[x] = total
+
+
+def _orbit_sizes(orbits: Sequence[int], twins: Sequence[int]) -> list[int]:
+    """Each orbit's member count, prod_i C(s_i, c_i), one class at a time."""
+    sizes = [1] * len(orbits)
+    for twin in twins:
+        if twin & (twin - 1):
+            s = twin.bit_count()
+            members = [math.comb(s, c) for c in range(s + 1)]
+            counts = map(int.bit_count, map(twin.__and__, orbits))
+            sizes = list(map(mul, sizes, map(members.__getitem__, counts)))
+    return sizes
+
+
+def _expand(twins: Sequence[int], *tables: dict[int, object]) -> tuple[dict[int, object], ...]:
+    """The tables, keyed by orbits in (size, mask) order, re-keyed by
+    every member of those orbits in that order with its orbit's values:
+    class by class, a set with c vertices of a class of two or more
+    becomes the C(s, c) sets with any c of them.  Without such a class
+    they come back as is."""
+    twinned = [twin for twin in twins if twin & (twin - 1)]
+    if not twinned:
+        return tables
+    owner = dict(zip(tables[0], tables[0]))
+    for twin in twinned:
+        vertices = [1 << v for v in core.indices_of(twin)]
+        expanded: dict[int, int] = {}
+        for x, orbit in owner.items():
+            picks = map(sum, itertools.combinations(vertices, (x & twin).bit_count()))
+            expanded.update(dict.fromkeys(map((x & ~twin).__or__, picks), orbit))
+        owner = expanded
+    members = _in_size_order(owner)
+    owners = list(map(owner.__getitem__, members))
+    return tuple(dict(zip(members, map(table.__getitem__, owners))) for table in tables)
 
 
 def _in_size_order(sets: Iterable[int]) -> list[int]:
@@ -372,21 +412,14 @@ class MobiusFamily:
             else:
                 anchors = _in_size_order(enumerate_independence_sets(config, twins))
             _, table = _scaled_products(anchors, weights, Fraction(1))
-            total = sum(table.values())
-            twinned = [twin for twin in self._classes if twin & (twin - 1)]
-            if twinned:
-                # Each orbit's members, prod_i C(s_i, c_i).
-                sizes = [
-                    math.prod(math.comb(t.bit_count(), (z & t).bit_count()) for t in twinned)
-                    for z in anchors
-                ]
-                if sum(sizes) > core.MEMBER_BUDGET:
-                    raise TooLarge(core._over_budget())
-                total = sum(size * value for size, value in zip(sizes, table.values()))
+            sizes = _orbit_sizes(anchors, self._classes)
+            if sum(sizes) > core.MEMBER_BUDGET:
+                raise TooLarge(core._over_budget())
+            total = sum(map(mul, sizes, table.values()))
             width = total.bit_length()
             for z in anchors:
                 table[z] <<= width * z.bit_count()
-            _orbit_transform(table, anchors, self._classes)
+            _orbit_transform(table, anchors, self._classes, 1)
             low, decoded, ids = (1 << width) - 1, {}, {}
             for z in anchors:
                 key = table[z] >> width * z.bit_count()
@@ -424,20 +457,6 @@ class MobiusFamily:
                 least |= twin & -twin
                 twin &= twin - 1
         return least
-
-    def _members_of(self, orbits: Iterable[int]) -> tuple[int, ...]:
-        """Every member of the orbits, in (size, mask) order: the
-        vertices outside classes of two or more are each orbit's own."""
-        twinned = [twin for twin in self._classes if twin & (twin - 1)]
-        classes = [(twin, [1 << v for v in core.indices_of(twin)]) for twin in twinned]
-        out = []
-        for x in orbits:
-            choices = [
-                map(sum, itertools.combinations(vertices, (x & twin).bit_count()))
-                for twin, vertices in classes
-            ]
-            out += map(sum, itertools.product([x & ~sum(twinned)], *choices))
-        return tuple(_in_size_order(out))
 
     def transform(self, x: int) -> Polynomial:
         """H(x) = f(x) t^|x| mu^{|x}(t)."""
@@ -524,7 +543,7 @@ class MobiusFamily:
         if best is None:
             raise AssertionError("no relative polynomial has a positive root")
         attained = tuple(x for x, i in ids.items() if i in attaining)
-        return best, self._members_of(attained)
+        return best, tuple(_expand(self._classes, dict.fromkeys(attained))[0])
 
     def classify(self) -> Classification:
         """Type I when the empty set attains t0, where mu vanishes.  Every

@@ -16,7 +16,11 @@ algorithm, the kernel ``mobius`` builds every relative polynomial
 with) on integer numerators over a common denominator, in
 O(|F| n) steps for a family F on n vertices; downward closure makes
 the transform over the family alone exact, so no relative polynomial
-is built.  Prescribed intersection probabilities go through one more
+is built.  Every atom of an orbit of the twin classes has one mass (see
+``mobius``), so ``canonical_space`` transforms the orbits, in O(|orbits|
+n) steps, and expands them to atoms only for output;
+``verify_realization`` and the CLI's dense route stay on the members,
+so they check it independently.  Prescribed intersection probabilities go through one more
 kernel, ``_intersection_masses``: ``atoms_from_intersections`` runs it
 over all 2^n subsets, and the CLI's ``verify`` cross-check over the
 subsets that contain no nub.  The two agree exactly.  The dependent
@@ -44,8 +48,16 @@ from itertools import accumulate
 from operator import add, sub
 from types import MappingProxyType
 
+from . import core
 from .core import Configuration, Valuation, _Record
-from .mobius import MobiusFamily, _scaled_products, _superset_transform
+from .mobius import (
+    _expand,
+    _in_size_order,
+    _orbit_sizes,
+    _orbit_transform,
+    _scaled_products,
+    _superset_transform,
+)
 
 __all__ = [
     "SignedWord",
@@ -119,9 +131,11 @@ class ConfiguredSpace(_Record):
 
     @functools.cached_property
     def atoms(self) -> Mapping[int, Fraction]:
-        """Each atom's mass as a reduced fraction; computed once."""
-        scale = self.scale
-        return MappingProxyType({x: Fraction(m, scale) for x, m in self.masses.items()})
+        """Each atom's mass as a reduced fraction; computed once, and
+        once per distinct mass."""
+        masses = self.masses
+        reduced = {m: Fraction(m, self.scale) for m in set(masses.values())}
+        return MappingProxyType(dict(zip(masses, map(reduced.__getitem__, masses.values()))))
 
     def mass(self, x: int) -> Fraction:
         return Fraction(self.masses[x], self.scale)
@@ -230,30 +244,42 @@ def canonical_space(
 
     The masses are the superset Mobius transform of q(x) = f(x) t^|x|
     over the independence family, computed on integer numerators with
-    no relative polynomial.  Raises :class:`OutOfRange` whenever some
+    no relative polynomial.  The transform (``mobius._orbit_transform``),
+    the member budget and the witness run on the least members of the
+    independent orbits of the twin classes; only then does each member
+    get its orbit's mass and product (``mobius._expand``).  Raises :class:`OutOfRange` whenever some
     relative polynomial is negative at t, which happens exactly for t
     above the critical root.  The witness is the first independence set
     in (size, mask) order with a negative mass, and the reported value
-    is m(x) / q(x), which is its relative polynomial at t.  At t = 0
-    no mass is negative.  A negative t is out of range, with the empty
-    set and t as the error's witness and value, although every relative
-    polynomial is positive there.
+    is m(x) / q(x), which is its relative polynomial at t: the least
+    member of an orbit is its smallest, so the first negative orbit
+    names it.  At t = 0 no mass is negative.  A negative t is out of
+    range, with the empty set and t as the error's witness and value,
+    although every relative polynomial is positive there.
     """
     t = Fraction(t)
     if t < 0:
         raise OutOfRange(t, 0, t)
-    family = MobiusFamily(config, valuation)
-    members = family.members()
-    scale, products = _scaled_products(members, family.valuation.weights, t)
+    valuation = valuation if valuation is not None else Valuation.uniform(config.n)
+    weights = valuation.weights
+    # Weights as integer pairs, which hash faster than fractions.
+    pairs = list(map(Fraction.as_integer_ratio, weights))
+    twins = core._twin_classes(config.n, config.nubs, pairs)
+    classes = twins or [1 << v for v in range(config.n)]
+    orbits = _in_size_order(core.enumerate_independence_sets(config, twins))
+    if sum(_orbit_sizes(orbits, classes)) > core.MEMBER_BUDGET:
+        raise core.TooLarge(core._over_budget())
+    scale, products = _scaled_products(orbits, weights, t)
     masses = dict(products)
-    _superset_transform(masses, members, config.vertex_mask, -1)
-    for x in members:
+    _orbit_transform(masses, orbits, classes, -1)
+    for x in orbits:
         if masses[x] < 0:
             raise OutOfRange(t, x, Fraction(masses[x], products[x]))
+    masses, products = _expand(classes, masses, products)
     total = sum(masses.values())
     if total != scale:
         raise AssertionError(f"atom masses sum to {Fraction(total, scale)}, not 1")
-    return ConfiguredSpace(config, family.valuation, t, scale, masses, (scale, products))
+    return ConfiguredSpace(config, valuation, t, scale, masses, (scale, products))
 
 
 def verify_realization(space: ConfiguredSpace) -> RealizationReport:

@@ -110,7 +110,7 @@ def star(n: int, k: int) -> Configuration:
         )
     # The nubs all have k+1 vertices, so no one contains another, and
     # sorting their masks puts them in (size, mask) order.
-    nubs = sorted(map(mask_from_indices, combinations(range(n), k + 1)))
+    nubs = sorted(map(sum, combinations([1 << v for v in range(n)], k + 1)))
     return Configuration(n=n, labels=default_labels(n), nubs=tuple(nubs))
 
 

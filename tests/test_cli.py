@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from configspaces import cli, mobius, probspace
+from configspaces import cli, core, mobius, probspace
 from configspaces.cli import (
     COMMANDS,
     ParseError,
@@ -576,7 +576,8 @@ def test_one_family_per_configuration(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(MobiusFamily, "__init__", counting_init)
     # mobius, relative and series eliminate mu with no family; decompose
     # sums the whole by enumeration, an irreducible configuration is its
-    # own one component, and a split one eliminates its parts.
+    # own one component, and a split one eliminates its parts.  space,
+    # verify and sample transform the orbits in canonical_space itself.
     path = tmp_path / "cfg.txt"
     path.write_text("vertices: a b c d e\nnub: a b\nnub: c d\n")
     assert len(components(parse_config(path.read_text())[0])) == 3
@@ -588,9 +589,9 @@ def test_one_family_per_configuration(capsys, monkeypatch, tmp_path):
         (0, "decompose", "--input", str(path)),
         (1, "critical-root", "--name", "star-5-3"),
         (1, "classify", "--name", "fig1-right"),
-        (1, "space", "--name", "star-4-3", "--t", "1/2"),
-        (1, "verify", "--name", "star-5-3", "--t", "1/4"),
-        (1, "sample", "--name", "path-6", "--t", "1/8", "--count", "50"),
+        (0, "space", "--name", "star-4-3", "--t", "1/2"),
+        (0, "verify", "--name", "star-5-3", "--t", "1/4"),
+        (0, "sample", "--name", "path-6", "--t", "1/8", "--count", "50"),
         (1, "right-angled", "--name", "path-6"),
         (1, "symmetric-counts", "--name", "fig1-left"),
     ]
@@ -601,16 +602,16 @@ def test_one_family_per_configuration(capsys, monkeypatch, tmp_path):
 
 
 def test_verify_enumerates_the_family_once(capsys, monkeypatch):
-    # verify sums mu(t) over the members its space already enumerated
-    from configspaces import mobius
-
+    # verify sums mu(t) over the members its space already expanded from
+    # one walk of the orbits (of the members, where there are no twins)
     walks = []
-    original = mobius.enumerate_independence_sets
+    original = core.enumerate_independence_sets
 
-    def counting(config):
+    def counting(config, twins=None):
         walks.append(config)
-        return original(config)
+        return original(config, twins)
 
+    monkeypatch.setattr(core, "enumerate_independence_sets", counting)
     monkeypatch.setattr(mobius, "enumerate_independence_sets", counting)
     for argv in (
         ("verify", "--name", "star-5-3", "--t", "1/4"),

@@ -12,11 +12,24 @@ import pytest
 import configspaces.core as core_module
 from configspaces import cli
 from configspaces.core import TooLarge, Valuation, enumerate_independence_sets, from_nubs
-from configspaces.mobius import MobiusFamily, _enumerated_mu, mobius_polynomial
+from configspaces.mobius import (
+    MobiusFamily,
+    _enumerated_mu,
+    _expand,
+    _orbit_sizes,
+    mobius_polynomial,
+)
 from configspaces.poly import Polynomial
+from configspaces.probspace import canonical_space
 from configspaces.structure import builtin, random_configuration, random_valuation, star
 
-from conftest import brute_independence_family, brute_twin_classes, powerset_mobius, shape_ids
+from conftest import (
+    brute_independence_family,
+    brute_twin_classes,
+    direct_transform,
+    powerset_mobius,
+    shape_ids,
+)
 
 
 def blown_up(rng):
@@ -70,6 +83,10 @@ def lowest(twin, c):
     return least
 
 
+def in_size_order(sets):
+    return sorted(sets, key=lambda x: (x.bit_count(), x))
+
+
 def test_orbits_partition_the_family(inputs):
     # A star or a complete configuration is one class of every vertex.
     names = ("complete-5", "star-6-2", "star-7-3")
@@ -99,7 +116,8 @@ def test_orbits_partition_the_family(inputs):
         family = MobiusFamily(config, valuation)
         family._anchor_ids()
         assert {family._orbit_of(z) for z in members} == least
-        assert sorted(family._members_of(walk)) == sorted(members)
+        (expanded,) = _expand(family._classes, dict.fromkeys(in_size_order(walk)))
+        assert list(expanded) == in_size_order(members)
     assert walked > len(inputs) // 2
 
 
@@ -171,3 +189,69 @@ def test_bipartite_dependence_by_orbits(capsys, tmp_path):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert captured.err == "error: the independence family exceeds the member budget of 131072\n"
+
+
+def spaces_by_route(config, valuation, path, capsys):
+    """The stdout, stderr and exit code of space, sample and verify at
+    t = 0, half of t0, t0 itself when it is rational, and just above t0,
+    where the witness and its value are reported."""
+    root, _ = MobiusFamily(config, valuation).critical_root()
+    t0 = root.value if root.is_rational else root.lo
+    above = root.value * Fraction(101, 100) if root.is_rational else root.hi
+    ts = [Fraction(0), t0 / 2, above] + ([t0] if root.is_rational else [])
+    out = []
+    for t in map(str, ts):
+        for argv in (
+            ("space", "--t", t),
+            ("sample", "--t", t, "--count", "300", "--seed", "7"),
+            ("verify", "--t", t),
+        ):
+            code = cli.main([*argv, "--input", str(path)])
+            captured = capsys.readouterr()
+            out.append((argv, code, captured.out, captured.err))
+    return out
+
+
+def test_canonical_spaces_by_orbit_match_the_member_route(inputs, monkeypatch, capsys, tmp_path):
+    names = ("complete-5", "star-6-2", "star-7-3", "fig1-left")
+    uniform = [(builtin(name), Valuation.uniform(builtin(name).n)) for name in names]
+    with_twins = 0
+    for k, (config, valuation) in enumerate(inputs + uniform):
+        path = tmp_path / f"space{k}.json"
+        path.write_text(json.dumps(cli.config_to_json(config, valuation)))
+        orbits = spaces_by_route(config, valuation, path, capsys)
+        with monkeypatch.context() as patch:
+            patch.setattr(core_module, "_twin_classes", lambda n, nubs, weights: None)
+            members = spaces_by_route(config, valuation, path, capsys)
+        assert orbits == members, config
+        assert {code for _, code, _, _ in orbits} == {0, 1}, config
+        with_twins += core_module._twin_classes(config.n, config.nubs, valuation.weights) is not None
+    assert with_twins > len(inputs) // 2
+
+
+def test_canonical_space_masses_match_the_brute_force(inputs):
+    for config, valuation in inputs + [(builtin("star-6-2"), Valuation.uniform(6))]:
+        if config.n > 8:
+            continue
+        root, _ = MobiusFamily(config, valuation).critical_root()
+        t = (root.value if root.is_rational else root.lo) / 2
+        space = canonical_space(config, valuation, t)
+        family = in_size_order(brute_independence_family(config))
+        oracle = {x: direct_transform(config, valuation, x)(t) for x in family}
+        assert list(space.atoms.items()) == list(oracle.items()), config
+
+
+def test_space_budget_refusal_by_orbits(monkeypatch, capsys):
+    # star(18, 9): one class, 10 orbits, 155,382 members.
+    config = star(18, 9)
+    orbits = in_size_order(enumerate_independence_sets(config, [config.vertex_mask]))
+    assert (len(orbits), sum(_orbit_sizes(orbits, [config.vertex_mask]))) == (10, 155382)
+    refusals = []
+    for patched in (False, True):
+        with monkeypatch.context() as patch:
+            if patched:
+                patch.setattr(core_module, "_twin_classes", lambda n, nubs, weights: None)
+            code = cli.main(["space", "--name", "star-18-9", "--t", "1/100"])
+            refusals.append((code, *capsys.readouterr()))
+    message = "error: the independence family exceeds the member budget of 131072\n"
+    assert refusals == [(2, "", message)] * 2
