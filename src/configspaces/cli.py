@@ -12,9 +12,10 @@ JSON a key other than ``vertices``, ``nubs`` and ``weights``.
 ``mobius`` and ``relative`` call ``mobius_polynomial``, which
 eliminates and enumerates small leaves only; ``relative`` calls it on
 the anchor's link, the relative configuration.  A handler that reads the
-enumerated family builds one ``MobiusFamily`` per configuration it
-analyses and reads every reported quantity from it; ``space``,
-``verify`` and ``sample`` get theirs through ``canonical_space``.  Every
+shape table builds one ``MobiusFamily`` per configuration it analyses
+and reads every reported quantity from it; ``space``, ``verify``,
+``sample`` and ``symmetric-counts`` read the twin quotient through
+``canonical_space`` and ``symmetric_counts``, and build none.  Every
 enumeration stops past ``core.MEMBER_BUDGET`` independence sets, and
 every elimination past that many memoised polynomials (exit 2), before
 anything built from the family is stored.  ``decompose`` and
@@ -310,7 +311,7 @@ def _cmd_relative(args, config, valuation) -> tuple[dict, int]:
     return {
         "set": config.labels_of(anchor),
         "vertices": config.labels_of(view.vertices),
-        "nubs": [view.config.labels_of(nub) for nub in view.config.nubs],
+        "nubs": view.config.labels_of_each(view.config.nubs),
         "mu_relative": poly_to_strings(poly),
     }, 0
 
@@ -486,7 +487,7 @@ def _cmd_decompose(args, config, valuation) -> tuple[dict, int]:
         "components": [
             {
                 "vertices": config.labels_of(part.vertices),
-                "nubs": [part.config.labels_of(nub) for nub in part.config.nubs],
+                "nubs": part.config.labels_of_each(part.config.nubs),
             }
             for part in parts
         ],

@@ -14,7 +14,8 @@ order, by extension bitsets: with y = x | a, a the top vertex of y,
 so no nub is scanned per member.  Given the twin classes
 (``_twin_classes``) the walk yields the least member of each independent
 orbit, a vertex following its class predecessor next(.); without them
-each vertex is its own class.  When every nub is a pair only the current
+each vertex is its own class; ``_orbit_family`` sets this quotient up
+for every family command.  When every nub is a pair only the current
 branch is kept; otherwise ext is memoised, one mask per set the memo
 reaches, walked or not (see ``enumerate_independence_sets``).  Every
 object built from the independence family costs work in proportion to
@@ -671,6 +672,38 @@ def enumerate_independence_sets(
                 ext = rest & ~excluded[low.bit_length() - 1]
 
     return walk()
+
+
+def _in_size_order(sets: Iterable[int]) -> list[int]:
+    """The sets in (size, mask) order: sorted as plain ints, then stably
+    by size."""
+    out = sorted(sets)
+    out.sort(key=int.bit_count)
+    return out
+
+
+def _orbit_family(
+    config: Configuration, weights: Sequence[Fraction]
+) -> tuple[list[int], list[int], list[int]]:
+    """The twin classes (``_twin_classes``), each vertex its own class
+    where it has no twin; the least members of the independent orbits,
+    in (size, mask) order; and each orbit's member count prod_i C(s_i,
+    c_i).  Raises :class:`TooLarge` once the members, not the orbits,
+    number more than ``MEMBER_BUDGET``."""
+    # Weights as integer pairs, which hash faster than fractions.
+    pairs = list(map(Fraction.as_integer_ratio, weights))
+    twins = _twin_classes(config.n, config.nubs, pairs)
+    orbits = _in_size_order(enumerate_independence_sets(config, twins))
+    sizes = [1] * len(orbits)
+    for twin in twins or ():
+        if twin & (twin - 1):
+            s = twin.bit_count()
+            members = [math.comb(s, c) for c in range(s + 1)]
+            counts = map(int.bit_count, map(twin.__and__, orbits))
+            sizes = list(map(operator.mul, sizes, map(members.__getitem__, counts)))
+    if sum(sizes) > MEMBER_BUDGET:
+        raise TooLarge(_over_budget())
+    return twins or [1 << v for v in range(config.n)], orbits, sizes
 
 
 def _link(n: int, nubs: Iterable[int], x: int) -> tuple[int, tuple[int, ...]] | None:

@@ -55,7 +55,9 @@ C(s_i, c_i) members; it is independent iff its least member is, the c_i
 lowest vertices of each class.  Without twins every class is one vertex
 and every orbit one member.  ``MobiusFamily`` and the leaves of
 ``mobius_polynomial`` walk the least members of the independent orbits
-(``core.enumerate_independence_sets`` given the classes).  The family's
+(``core.enumerate_independence_sets`` given the classes); the family
+takes them from ``core._orbit_family``, as ``probspace`` and
+``structure`` do, and a leaf finds its own classes.  The family's
 table is keyed by them in (size, mask) order, in which every shape first
 meets a least member, so shapes keep the order and numbering of a table
 over all members.  Digit j of orbit c is the sum of prod_i C(s_i - c_i,
@@ -88,6 +90,7 @@ from .core import (
     NotIndependent,
     TooLarge,
     Valuation,
+    _in_size_order,
     _Record,
     enumerate_independence_sets,
 )
@@ -164,13 +167,17 @@ def _scaled_products(
     Members must come in (size, mask) order from the empty set, each
     after x minus its top vertex a, and x takes the value of x - a times
     f(a) t: a downward closed family, or the least members of orbits.
+    f(a) t is reduced once per distinct weight, looked up by the
+    weight's integer pair, which hashes faster than the fraction.
     """
-    factors = [(c.denominator, c.numerator) for c in (w * t for w in weights)]
-    scale = math.prod(den for den, _ in factors)
+    pairs = [w.as_integer_ratio() for w in weights]
+    ratios = {pair: (w * t).as_integer_ratio() for pair, w in dict(zip(pairs, weights)).items()}
+    factors = list(map(ratios.__getitem__, pairs))
+    scale = math.prod(den for _, den in factors)
     scaled = {0: scale}
     for x in itertools.islice(members, 1, None):
         top = x.bit_length() - 1
-        den, num = factors[top]
+        num, den = factors[top]
         scaled[x] = scaled[x ^ (1 << top)] // den * num
     return scale, scaled
 
@@ -245,18 +252,6 @@ def _orbit_transform(
             table[x] = total
 
 
-def _orbit_sizes(orbits: Sequence[int], twins: Sequence[int]) -> list[int]:
-    """Each orbit's member count, prod_i C(s_i, c_i), one class at a time."""
-    sizes = [1] * len(orbits)
-    for twin in twins:
-        if twin & (twin - 1):
-            s = twin.bit_count()
-            members = [math.comb(s, c) for c in range(s + 1)]
-            counts = map(int.bit_count, map(twin.__and__, orbits))
-            sizes = list(map(mul, sizes, map(members.__getitem__, counts)))
-    return sizes
-
-
 def _expand(twins: Sequence[int], *tables: dict[int, object]) -> tuple[dict[int, object], ...]:
     """The tables, keyed by orbits in (size, mask) order, re-keyed by
     every member of those orbits in that order with its orbit's values:
@@ -277,14 +272,6 @@ def _expand(twins: Sequence[int], *tables: dict[int, object]) -> tuple[dict[int,
     members = _in_size_order(owner)
     owners = list(map(owner.__getitem__, members))
     return tuple(dict(zip(members, map(table.__getitem__, owners))) for table in tables)
-
-
-def _in_size_order(sets: Iterable[int]) -> list[int]:
-    """The sets in (size, mask) order: sorted as plain ints, then stably
-    by size."""
-    out = sorted(sets)
-    out.sort(key=int.bit_count)
-    return out
 
 
 #: Restrictions with at most this many vertices are enumerated, not split.
@@ -402,19 +389,9 @@ class MobiusFamily:
         and no key outlives the build.
         """
         if self._ids is None:
-            config, weights = self.config, self.valuation.weights
-            # Weights as integer pairs, which hash faster than fractions.
-            pairs = list(map(Fraction.as_integer_ratio, weights))
-            twins = core._twin_classes(config.n, config.nubs, pairs)
-            self._classes = twins or [1 << v for v in range(config.n)]
-            if twins is None:  # the orbits are the members: walk them once
-                anchors = self.members()
-            else:
-                anchors = _in_size_order(enumerate_independence_sets(config, twins))
+            weights = self.valuation.weights
+            self._classes, anchors, sizes = core._orbit_family(self.config, weights)
             _, table = _scaled_products(anchors, weights, Fraction(1))
-            sizes = _orbit_sizes(anchors, self._classes)
-            if sum(sizes) > core.MEMBER_BUDGET:
-                raise TooLarge(core._over_budget())
             total = sum(map(mul, sizes, table.values()))
             width = total.bit_length()
             for z in anchors:

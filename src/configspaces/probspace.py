@@ -17,8 +17,9 @@ with) on integer numerators over a common denominator, in
 O(|F| n) steps for a family F on n vertices; downward closure makes
 the transform over the family alone exact, so no relative polynomial
 is built.  Every atom of an orbit of the twin classes has one mass (see
-``mobius``), so ``canonical_space`` transforms the orbits, in O(|orbits|
-n) steps, and expands them to atoms only for output;
+``mobius``), so ``canonical_space`` transforms the orbits
+(``core._orbit_family`` sets them up), in O(|orbits| n) steps, and
+expands them to atoms only for output;
 ``verify_realization`` and the CLI's dense route stay on the members,
 so they check it independently.  Prescribed intersection probabilities go through one more
 kernel, ``_intersection_masses``: ``atoms_from_intersections`` runs it
@@ -50,14 +51,7 @@ from types import MappingProxyType
 
 from . import core
 from .core import Configuration, Valuation, _Record
-from .mobius import (
-    _expand,
-    _in_size_order,
-    _orbit_sizes,
-    _orbit_transform,
-    _scaled_products,
-    _superset_transform,
-)
+from .mobius import _expand, _orbit_transform, _scaled_products, _superset_transform
 
 __all__ = [
     "SignedWord",
@@ -244,31 +238,27 @@ def canonical_space(
 
     The masses are the superset Mobius transform of q(x) = f(x) t^|x|
     over the independence family, computed on integer numerators with
-    no relative polynomial.  The transform (``mobius._orbit_transform``),
-    the member budget and the witness run on the least members of the
-    independent orbits of the twin classes; only then does each member
-    get its orbit's mass and product (``mobius._expand``).  Raises :class:`OutOfRange` whenever some
-    relative polynomial is negative at t, which happens exactly for t
-    above the critical root.  The witness is the first independence set
-    in (size, mask) order with a negative mass, and the reported value
-    is m(x) / q(x), which is its relative polynomial at t: the least
-    member of an orbit is its smallest, so the first negative orbit
-    names it.  At t = 0 no mass is negative.  A negative t is out of
-    range, with the empty set and t as the error's witness and value,
-    although every relative polynomial is positive there.
+    no relative polynomial.  The transform (``mobius._orbit_transform``)
+    and the witness run on the least members of the independent orbits
+    of the twin classes, which ``core._orbit_family`` walks and checks
+    against the member budget; only then does each member get its
+    orbit's mass and product (``mobius._expand``).  Raises
+    :class:`OutOfRange` whenever some relative polynomial is negative at
+    t, which happens exactly for t above the critical root.  The witness
+    is the first independence set in (size, mask) order with a negative
+    mass, and the reported value is m(x) / q(x), which is its relative
+    polynomial at t: the least member of an orbit is its smallest, so
+    the first negative orbit names it.  At t = 0 no mass is negative.  A
+    negative t is out of range, with the empty set and t as the error's
+    witness and value, although every relative polynomial is positive
+    there.
     """
     t = Fraction(t)
     if t < 0:
         raise OutOfRange(t, 0, t)
     valuation = valuation if valuation is not None else Valuation.uniform(config.n)
     weights = valuation.weights
-    # Weights as integer pairs, which hash faster than fractions.
-    pairs = list(map(Fraction.as_integer_ratio, weights))
-    twins = core._twin_classes(config.n, config.nubs, pairs)
-    classes = twins or [1 << v for v in range(config.n)]
-    orbits = _in_size_order(core.enumerate_independence_sets(config, twins))
-    if sum(_orbit_sizes(orbits, classes)) > core.MEMBER_BUDGET:
-        raise core.TooLarge(core._over_budget())
+    classes, orbits, _ = core._orbit_family(config, weights)
     scale, products = _scaled_products(orbits, weights, t)
     masses = dict(products)
     _orbit_transform(masses, orbits, classes, -1)

@@ -293,19 +293,33 @@ def symmetric_counts(config: Configuration) -> SymmetricCountReport:
     level and beyond) and whether the formula holds at every level.  The
     uniform Mobius polynomial has coefficients (-1)^k counts[k], so its
     coefficient form of the formula needs no separate check.
+
+    Both counts are constant on twin orbits, so they are read off the
+    quotient (``core._orbit_family``).  The automorphisms fixing the
+    least member x of an orbit permute a class's vertices outside x
+    transitively, so all of them are parallel to x or none is: all iff
+    x with the lowest of them is an orbit y, in which that vertex tops
+    its class.
     """
-    members = MobiusFamily(config).members()
-    top = max(x.bit_count() for x in members)
+    classes, orbits, sizes = core._orbit_family(config, Valuation.uniform(config.n).weights)
+    top = orbits[-1].bit_count()
     counts = [0] * (top + 1)
-    # free[x]: the vertices a parallel to x, counted from each member x | a.
-    free = dict.fromkeys(members, 0)
-    for y in members:
-        counts[y.bit_count()] += 1
-        rest = y
+    twinned = [twin for twin in classes if twin & (twin - 1)]
+    alone = sum(twin for twin in classes if not twin & (twin - 1))
+    # free[x]: the vertices parallel to x, counted from each orbit x | a.
+    free = dict.fromkeys(orbits, 0)
+    for y, size in zip(orbits, sizes):
+        counts[y.bit_count()] += size
+        rest = y & alone
         while rest:
             low = rest & -rest
             free[y ^ low] += 1
             rest ^= low
+    for twin in twinned:
+        for y in orbits:
+            inside = y & twin
+            if inside:  # y minus its top in the class: the class from there up
+                free[y ^ (1 << inside.bit_length() - 1)] += (twin & ~y).bit_count() + 1
     parallel_sizes: list[set[int]] = [set() for _ in range(top + 1)]
     for x, parallel in free.items():
         parallel_sizes[x.bit_count()].add(parallel)

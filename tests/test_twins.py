@@ -12,13 +12,7 @@ import pytest
 import configspaces.core as core_module
 from configspaces import cli
 from configspaces.core import TooLarge, Valuation, enumerate_independence_sets, from_nubs
-from configspaces.mobius import (
-    MobiusFamily,
-    _enumerated_mu,
-    _expand,
-    _orbit_sizes,
-    mobius_polynomial,
-)
+from configspaces.mobius import MobiusFamily, _enumerated_mu, _expand, mobius_polynomial
 from configspaces.poly import Polynomial
 from configspaces.probspace import canonical_space
 from configspaces.structure import builtin, random_configuration, random_valuation, star
@@ -244,8 +238,10 @@ def test_canonical_space_masses_match_the_brute_force(inputs):
 def test_space_budget_refusal_by_orbits(monkeypatch, capsys):
     # star(18, 9): one class, 10 orbits, 155,382 members.
     config = star(18, 9)
-    orbits = in_size_order(enumerate_independence_sets(config, [config.vertex_mask]))
-    assert (len(orbits), sum(_orbit_sizes(orbits, [config.vertex_mask]))) == (10, 155382)
+    with monkeypatch.context() as patch:
+        patch.setattr(core_module, "MEMBER_BUDGET", 155382)
+        _, orbits, sizes = core_module._orbit_family(config, Valuation.uniform(18).weights)
+    assert (len(orbits), sum(sizes)) == (10, 155382)
     refusals = []
     for patched in (False, True):
         with monkeypatch.context() as patch:
@@ -255,3 +251,29 @@ def test_space_budget_refusal_by_orbits(monkeypatch, capsys):
             refusals.append((code, *capsys.readouterr()))
     message = "error: the independence family exceeds the member budget of 131072\n"
     assert refusals == [(2, "", message)] * 2
+
+
+def test_symmetric_counts_by_orbit_match_the_member_route(inputs, monkeypatch, capsys, tmp_path):
+    paths = []
+    for k, (config, valuation) in enumerate(inputs):
+        path = tmp_path / f"counts{k}.json"
+        path.write_text(json.dumps(cli.config_to_json(config, valuation)))
+        paths.append(("--input", str(path)))
+    names = ("star-0-0", "star-6-2", "star-12-6", "complete-5", "dodecahedron", "fig1-left")
+    paths += [("--name", name) for name in names + ("star-18-9",)]
+    routes = []
+    for patched in (False, True):
+        out = []
+        with monkeypatch.context() as patch:
+            if patched:
+                patch.setattr(core_module, "_twin_classes", lambda n, nubs, weights: None)
+            for argv in paths:
+                code = cli.main(["symmetric-counts", *argv])
+                out.append((argv, code, *capsys.readouterr()))
+        routes.append(out)
+    assert routes[0] == routes[1]
+    message = "error: the independence family exceeds the member budget of 131072\n"
+    assert routes[0][-1][1:] == (2, "", message)
+    assert {code for _, code, _, _ in routes[0][:-1]} == {0}
+    uniform = (core_module._twin_classes(c.n, c.nubs, [(1, 1)] * c.n) for c, _ in inputs)
+    assert sum(twins is not None for twins in uniform) > len(inputs) // 2
