@@ -15,7 +15,10 @@ the anchor's link, the relative configuration.  A handler that reads the
 shape table builds one ``MobiusFamily`` per configuration it analyses
 and reads every reported quantity from it; ``space``, ``verify``,
 ``sample`` and ``symmetric-counts`` read the twin quotient through
-``canonical_space`` and ``symmetric_counts``, and build none.  Every
+``canonical_space`` and ``symmetric_counts``, and build none.
+``classify`` and ``critical-root`` build none on a connected dependence
+graph either: ``connected_graph_root`` eliminates mu there, and the
+empty set alone attains its first root.  Every
 enumeration stops past ``core.MEMBER_BUDGET`` independence sets, and
 every elimination past that many memoised polynomials (exit 2), before
 anything built from the family is stored.  ``decompose`` and
@@ -57,7 +60,14 @@ from fractions import Fraction
 
 from . import core, probspace, structure
 from .core import Configuration, Restriction, Valuation
-from .mobius import MobiusFamily, RestBound, _enumerated_mu, mobius_polynomial
+from .mobius import (
+    MobiusFamily,
+    RestBound,
+    _classified,
+    _enumerated_mu,
+    connected_graph_root,
+    mobius_polynomial,
+)
 from .poly import (
     AlgebraicRoot,
     Polynomial,
@@ -317,7 +327,11 @@ def _cmd_relative(args, config, valuation) -> tuple[dict, int]:
 
 
 def _cmd_critical_root(args, config, valuation) -> tuple[dict, int]:
-    root, attained = MobiusFamily(config, valuation).critical_root()
+    graph = connected_graph_root(config, valuation)
+    if graph is None:
+        root, attained = MobiusFamily(config, valuation).critical_root()
+    else:
+        root, attained = graph[1], (0,)
     return {
         "t0": _root_json(root),
         "attained_at": [config.labels_of(x) for x in attained],
@@ -325,10 +339,15 @@ def _cmd_critical_root(args, config, valuation) -> tuple[dict, int]:
 
 
 def _cmd_classify(args, config, valuation) -> tuple[dict, int]:
-    family = MobiusFamily(config, valuation)
-    result = family.classify()
+    graph = connected_graph_root(config, valuation)
+    if graph is None:
+        family = MobiusFamily(config, valuation)
+        result, mu = family.classify(), family.relative(0)
+    else:
+        mu, root = graph
+        result = _classified(mu, root, (0,))
     return {
-        "mu": poly_to_strings(family.relative(0)),
+        "mu": poly_to_strings(mu),
         "t0": _root_json(result.critical_root),
         "type": result.config_type,
         "rest": _rest_json(result.rest_at_t0),

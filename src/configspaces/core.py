@@ -326,15 +326,40 @@ def _compact(vertices: int, nubs: Iterable[int]) -> tuple[int, ...]:
 
 def _split(n: int, nubs: Sequence[int]) -> dict[int, list[int]]:
     """The nub-connected parts of 0..n-1 by least vertex, each with its
-    nubs in original indices and (size, mask) order.  Each nub merges the
-    parts it meets; a vertex in no nub is a part of its own."""
-    parts: list[int] = []
+    nubs in original indices and (size, mask) order.  One pass over the
+    nubs gives each vertex the union of its nubs, and each part is
+    flood-filled from the least vertex not yet placed, so a vertex in no
+    nub is a part of its own.  A nub goes to the part of its least
+    vertex."""
+    reach = [1 << v for v in range(n)]
     for nub in nubs:
-        met = [part for part in parts if part & nub]  # disjoint, so their sum is their union
-        parts = [part for part in parts if not part & nub] + [nub | sum(met)]
-    parts += [1 << v for v in indices_of(((1 << n) - 1) & ~sum(parts))]
-    parts.sort(key=lambda part: part & -part)
-    return {part: [nub for nub in nubs if nub & part] for part in parts}
+        rest = nub
+        while rest:
+            low = rest & -rest
+            reach[low.bit_length() - 1] |= nub
+            rest ^= low
+    parts, left = [], (1 << n) - 1
+    while left:
+        part = grown = left & -left
+        while grown:
+            near = 0
+            for v in indices_of(grown):
+                near |= reach[v]
+            grown = near & ~part
+            part |= grown
+        parts.append(part)
+        left ^= part
+    if len(parts) == 1:
+        return {parts[0]: list(nubs)}
+    owner = [0] * n
+    split: dict[int, list[int]] = {}
+    for part in parts:
+        split[part] = []
+        for v in indices_of(part):
+            owner[v] = part
+    for nub in nubs:
+        split[owner[(nub & -nub).bit_length() - 1]].append(nub)
+    return split
 
 
 def _twin_classes(n: int, nubs: Sequence[int], weights: Sequence[object]) -> list[int] | None:

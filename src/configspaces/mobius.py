@@ -74,6 +74,18 @@ of orbits only for output.
 The critical root is searched lazily: only polynomials that may have a
 root at or below the best one found are isolated (see
 ``MobiusFamily.critical_root``).
+
+On graphs no search is needed.  A right-angled configuration is a
+dependence graph G, its nubs the edges; mu(t) is G's independence
+polynomial at w_v = -f(v) t, and mu^{|x} that of G minus x and its
+neighbours, a proper induced subgraph when x is not empty.  When G is
+connected, the first positive root along that ray rises strictly on
+every proper induced subgraph (Shearer 1985; Scott and Sokal 2005).  So
+on an irreducible right-angled configuration the empty set alone
+attains t0, which is the first positive root of mu, and the type is I:
+``connected_graph_root`` eliminates mu and builds no family, and
+``_classified`` reads the rest off mu as ``MobiusFamily.classify``
+does.
 """
 
 from __future__ import annotations
@@ -114,6 +126,7 @@ __all__ = [
     "Classification",
     "MobiusFamily",
     "mobius_polynomial",
+    "connected_graph_root",
 ]
 
 TYPE_I = "I"
@@ -523,26 +536,43 @@ class MobiusFamily:
         return best, tuple(_expand(self._classes, dict.fromkeys(attained))[0])
 
     def classify(self) -> Classification:
-        """Type I when the empty set attains t0, where mu vanishes.  Every
-        relative polynomial is 1 at 0 with no root below t0, so
-        ``attained_at`` decides its sign at t0 exactly: zero on those
-        anchors, positive elsewhere.  An irrational t0's rest is enclosed
-        to width 2**-64."""
+        """The type and the rest at the critical root (``_classified``)."""
         root, attained = self.critical_root()
-        is_type_one = 0 in attained
-        mu = self.relative(0)
-        rest: Fraction | RestBound
-        if root.is_rational:
-            rest = mu(root.value)
-        else:
-            for lo, hi in _enclosures(mu, root):
-                if (hi - lo) * 2**64 <= 1:
-                    break
-            rest = RestBound("zero" if is_type_one else "positive", lo, hi)
-        return Classification(
-            critical_root=root,
-            attained_at=attained,
-            config_type=TYPE_I if is_type_one else TYPE_II,
-            rest_at_t0=rest,
-        )
+        return _classified(self.relative(0), root, attained)
 
+
+def _classified(mu: Polynomial, root: AlgebraicRoot, attained: tuple[int, ...]) -> Classification:
+    """Type I when the empty set attains t0, where mu vanishes.  Every
+    relative polynomial is 1 at 0 with no root below t0, so
+    ``attained_at`` decides its sign at t0 exactly: zero on those
+    anchors, positive elsewhere.  An irrational t0's rest is enclosed
+    to width 2**-64."""
+    is_type_one = 0 in attained
+    rest: Fraction | RestBound
+    if root.is_rational:
+        rest = mu(root.value)
+    else:
+        for lo, hi in _enclosures(mu, root):
+            if (hi - lo) * 2**64 <= 1:
+                break
+        rest = RestBound("zero" if is_type_one else "positive", lo, hi)
+    return Classification(
+        critical_root=root,
+        attained_at=attained,
+        config_type=TYPE_I if is_type_one else TYPE_II,
+        rest_at_t0=rest,
+    )
+
+
+def connected_graph_root(
+    config: Configuration, valuation: Valuation
+) -> tuple[Polynomial, AlgebraicRoot] | None:
+    """mu, by elimination, and its first positive root, which is t0 and
+    attained at the empty set alone, when the configuration is right
+    angled and irreducible: a connected dependence graph (see the module
+    docstring).  None on any other configuration, which
+    ``MobiusFamily`` decides; no family is built here."""
+    if not core.is_right_angled(config) or len(core._split(config.n, config.nubs)) != 1:
+        return None
+    mu = mobius_polynomial(config, valuation)
+    return mu, first_positive_root(mu)

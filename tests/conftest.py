@@ -146,6 +146,24 @@ def bfs_components(config: Configuration) -> list[int]:
     return parts
 
 
+def merged_split(n: int, nubs) -> dict[int, list[int]]:
+    """Oracle for ``core._split``: each nub merges the parts it meets, a
+    vertex in no nub is a part of its own, and each part lists the nubs
+    that meet it, in their original order."""
+    parts: list[int] = []
+    for nub in nubs:
+        met = [part for part in parts if part & nub]  # disjoint, so their sum is their union
+        parts = [part for part in parts if not part & nub] + [nub | sum(met)]
+    parts += [1 << v for v in core.indices_of(((1 << n) - 1) & ~sum(parts))]
+    parts.sort(key=lambda part: part & -part)
+    return {part: [nub for nub in nubs if nub & part] for part in parts}
+
+
+def path_mu(n: int) -> list[str]:
+    """mu of path-n as printed: coefficient k is (-1)^k C(n + 1 - k, k)."""
+    return [str((-1) ** k * math.comb(n + 1 - k, k)) for k in range((n + 1) // 2 + 1)]
+
+
 def disjoint_union(left: Configuration, right: Configuration) -> Configuration:
     """Place two configurations side by side (fresh default labels)."""
     n = left.n + right.n

@@ -30,7 +30,7 @@ from configspaces.structure import (
     trace_series,
 )
 
-from conftest import shift_masses
+from conftest import path_mu, shift_masses
 
 TEXT_CONFIG = """
 # three vertices, one triple nub
@@ -578,7 +578,9 @@ def test_one_family_per_configuration(capsys, monkeypatch, tmp_path):
     # sums the whole by enumeration, an irreducible configuration is its
     # own one component, and a split one eliminates its parts.  space,
     # verify and sample transform the orbits in canonical_space itself,
-    # and symmetric-counts reads them in symmetric_counts.
+    # and symmetric-counts reads them in symmetric_counts.  classify and
+    # critical-root eliminate mu on a connected dependence graph and
+    # build the family elsewhere: a triple nub or a split graph.
     path = tmp_path / "cfg.txt"
     path.write_text("vertices: a b c d e\nnub: a b\nnub: c d\n")
     assert len(components(parse_config(path.read_text())[0])) == 3
@@ -589,7 +591,10 @@ def test_one_family_per_configuration(capsys, monkeypatch, tmp_path):
         (0, "decompose", "--name", "star-9-4"),
         (0, "decompose", "--input", str(path)),
         (1, "critical-root", "--name", "star-5-3"),
-        (1, "classify", "--name", "fig1-right"),
+        (0, "critical-root", "--name", "path-6"),
+        (0, "classify", "--name", "fig1-right"),
+        (1, "classify", "--name", "fig1-left"),
+        (1, "classify", "--input", str(path)),
         (0, "space", "--name", "star-4-3", "--t", "1/2"),
         (0, "verify", "--name", "star-5-3", "--t", "1/4"),
         (0, "sample", "--name", "path-6", "--t", "1/8", "--count", "50"),
@@ -791,21 +796,22 @@ def test_pretty_flag(capsys):
     ids=lambda argv: argv[0],
 )
 def test_member_budget(capsys, monkeypatch, argv):
-    # The budget bounds enumerations and memo keys: classify enumerates
-    # the whole family, mobius and relative eliminate down to small leaves.
-    if argv[0] == "classify":
-        monkeypatch.setattr(cli.core, "MEMBER_BUDGET", 4096)
-        err = refused_within_a_mebibyte(capsys, *argv)
-        assert "member budget of 4096" in err
-        return
+    # The budget bounds enumerations and memo keys: mobius and relative
+    # eliminate down to small leaves, and so does classify on a connected
+    # dependence graph, which builds no family.
     _, unpatched, _ = run(capsys, *argv)
     monkeypatch.setattr(cli.core, "MEMBER_BUDGET", 4096)
     assert run(capsys, *argv) == (0, unpatched, "")
 
 
-def path_mu(n):
-    """mu of path-n as printed: coefficient k is (-1)^k C(n + 1 - k, k)."""
-    return [str((-1) ** k * math.comb(n + 1 - k, k)) for k in range((n + 1) // 2 + 1)]
+@pytest.mark.parametrize("command", ["classify", "critical-root"])
+def test_member_budget_family_refusal(capsys, monkeypatch, command):
+    # star-14-12, one class of 14 twins and 14 nubs of 13 vertices, is
+    # not right angled, so both commands build its family: 16,369
+    # members, counted from 13 orbits.
+    monkeypatch.setattr(cli.core, "MEMBER_BUDGET", 4096)
+    err = refused_within_a_mebibyte(capsys, command, "--name", "star-14-12")
+    assert "member budget of 4096" in err
 
 
 def test_elimination_past_the_budget(capsys, tmp_path):
@@ -821,8 +827,17 @@ def test_elimination_past_the_budget(capsys, tmp_path):
     code, out, _ = run(capsys, "mobius", "--input", str(path))
     expected = Polynomial((-1) ** k * math.comb(37, k) for k in range(38)) * Polynomial([1, -3, 3])
     assert (code, payload_of(out)["mu"]) == (0, poly_to_strings(expected))
-    # classify still enumerates the whole family.
-    code, out, err = run(capsys, "classify", "--name", "path-25")
+    # classify eliminates mu on a connected dependence graph ...
+    code, out, _ = run(capsys, "classify", "--name", "path-25")
+    payload = payload_of(out)
+    assert (code, payload["mu"], payload["attained_at"]) == (0, path_mu(25), [[]])
+    # ... and still enumerates the whole family of a split one: two
+    # 13-vertex paths, 610^2 = 372,100 members.
+    labels = [f"{side}{i}" for side in "pq" for i in range(13)]
+    nubs = [[f"{side}{i}", f"{side}{i + 1}"] for side in "pq" for i in range(12)]
+    path = tmp_path / "two-paths.json"
+    path.write_text(json.dumps({"vertices": labels, "nubs": nubs}))
+    code, out, err = run(capsys, "classify", "--input", str(path))
     assert (code, out) == (2, "")
     assert err == "error: the independence family exceeds the member budget of 131072\n"
 

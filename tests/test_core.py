@@ -28,7 +28,7 @@ from configspaces.core import (
 )
 from configspaces.structure import builtin, from_dependence_graph, random_configuration, star
 
-from conftest import brute_independence_family, nub_scan_enumeration
+from conftest import brute_independence_family, merged_split, nub_scan_enumeration
 
 FIG1_LEFT_FAMILY = (
     [()]
@@ -202,6 +202,22 @@ def to_original(view, mask):
 
 def original_nubs(view):
     return tuple(to_original(view, nub) for nub in view.config.nubs)
+
+
+def test_split_matches_merging(rng):
+    # The same dict, parts in least-vertex order and each part's nubs in
+    # their original order, on 2- and 3-vertex nubs and the built-ins.
+    names = ("fig1-left", "fig1-right", "dodecahedron", "path-64", "complete-20", "star-9-4")
+    configs = [builtin(name) for name in names]
+    configs += [random_configuration(n, rng, 0.12, (2, 3)) for n in range(15) for _ in range(24)]
+    configs.append(from_nubs(0, []))
+    split = 0
+    for config in configs:
+        expected = merged_split(config.n, config.nubs)
+        found = core._split(config.n, config.nubs)
+        assert list(found.items()) == list(expected.items()), config
+        split += len(found) > 1
+    assert split > 100
 
 
 def test_relative_configuration_star():

@@ -179,6 +179,17 @@ def test_bipartite_dependence_by_orbits(capsys, tmp_path):
     code, out = report(capsys, "mobius", "--input", str(path))
     mu = Polynomial([(-1) ** k * math.comb(20, k) * 2 for k in range(21)]) - Polynomial([1])
     assert (code, json.loads(out)["payload"]["mu"]) == (0, [str(c) for c in mu.coefficients])
+    # A connected dependence graph: classify eliminates mu, and t0 is
+    # its first root, 1 - 2^(-1/20), attained at the empty set alone.
+    code, out = report(capsys, "classify", "--input", str(path))
+    payload = json.loads(out)["payload"]
+    assert (code, payload["type"], payload["attained_at"]) == (0, "I", [[]])
+    lo, hi = (Fraction(payload["t0"][end]) for end in ("lo", "hi"))
+    assert mu(lo) > 0 > mu(hi)
+    # One more nub, of three left vertices, and it is not right angled:
+    # classify builds its family, 2^20 + 7 * 2^17 - 1 members counted
+    # over orbits of three classes, and is refused.
+    path.write_text(json.dumps({"vertices": left + right, "nubs": nubs + [left[:3]]}))
     code = cli.main(["classify", "--input", str(path)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
