@@ -10,18 +10,19 @@ JSON a key other than ``vertices``, ``nubs`` and ``weights``.
 ``--input`` or ``--name``.
 
 ``mobius`` and ``relative`` call ``mobius_polynomial``, which
-eliminates and enumerates small leaves only; ``relative`` calls it on
-the anchor's link, the relative configuration.  A handler that reads the
+eliminates a dependence graph on vertex masks and walks no leaf, and
+elsewhere enumerates small leaves only; ``relative`` calls it on the
+anchor's link, the relative configuration.  A handler that reads the
 shape table builds one ``MobiusFamily`` per configuration it analyses
 and reads every reported quantity from it; ``space``, ``verify``,
 ``sample`` and ``symmetric-counts`` read the twin quotient through
 ``canonical_space`` and ``symmetric_counts``, and build none.
 ``classify`` and ``critical-root`` build none on a connected dependence
 graph either: ``connected_graph_root`` eliminates mu there, and the
-empty set alone attains its first root.  Every
-enumeration stops past ``core.MEMBER_BUDGET`` independence sets, and
-every elimination past that many memoised polynomials (exit 2), before
-anything built from the family is stored.  ``decompose`` and
+empty set alone attains its first root.  Every enumeration stops past
+``core.MEMBER_BUDGET`` independence sets, and every elimination past
+that many memoised polynomials or graph masks (exit 2), before anything
+built from the family is stored.  ``decompose`` and
 ``check-identities`` compare the product of the components' eliminated
 mu with an enumerated mu of the whole, so the check does not repeat the
 split it tests.

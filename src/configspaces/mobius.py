@@ -40,11 +40,15 @@ the sets that miss v and the sets v | y with y independent in the link
 of v, so mu_C = mu_{C - v} - f(v) t mu^{|v}: the paper's derivative
 formula taken at one vertex, and the deletion-link recursion of Gutman
 and Harary for independence polynomials.  On a disjoint union mu is the
-product over the components.  ``mobius_polynomial`` splits and
-eliminates over bare nub masks down to small leaves and enumerates only
-those, so its cost follows the distinct restrictions it meets, not the
-family: ``path-64`` has about 2.8e13 members and 54 distinct
-restrictions, two of them leaves.
+product over the components.  On graphs, where every nub is a pair,
+the link of v is the induced subgraph on C minus v and its neighbours,
+so the recursion is mu_G = mu_{G - v} - f(v) t mu_{G - N[v]} and every
+restriction it meets is a vertex mask: ``_graph_mu`` eliminates on
+masks, in a breadth-first order that keeps them few, and walks no leaf
+(``path-64``, about 2.8e13 members, memoises 65 masks).  Other inputs
+are split and eliminated over bare nub masks down to small leaves, and
+only those are enumerated, unless a restriction reached is a graph:
+the cost follows the distinct restrictions met, not the family.
 
 Twins.  Vertices u and v are twins when their weights are equal and
 swapping them maps the nubs onto the nubs (``core._twin_classes``).  The
@@ -66,8 +70,7 @@ transformed one class at a time (``_orbit_transform``, Yates' step for a
 class of one vertex) on the same packed digits and width.  The family is
 refused once its members, not its orbits, number more than
 ``core.MEMBER_BUDGET``; a leaf, which sums prod_i C(s_i, d_i) D f(d) by
-size, only past that many orbits: the bipartite dependence K_{20,20} has
-2^21 - 1 members and 41 orbits.  The canonical spaces of ``probspace``
+size, only past that many orbits.  The canonical spaces of ``probspace``
 transform the same orbits with signs, and ``_expand`` lists the members
 of orbits only for output.
 
@@ -83,9 +86,9 @@ connected, the first positive root along that ray rises strictly on
 every proper induced subgraph (Shearer 1985; Scott and Sokal 2005).  So
 on an irreducible right-angled configuration the empty set alone
 attains t0, which is the first positive root of mu, and the type is I:
-``connected_graph_root`` eliminates mu and builds no family, and
-``_classified`` reads the rest off mu as ``MobiusFamily.classify``
-does.
+``connected_graph_root`` eliminates mu on vertex masks (``_graph_mu``)
+and builds no family, and ``_classified`` reads the rest off mu as
+``MobiusFamily.classify`` does.
 """
 
 from __future__ import annotations
@@ -287,6 +290,78 @@ def _expand(twins: Sequence[int], *tables: dict[int, object]) -> tuple[dict[int,
     return tuple(dict(zip(members, map(table.__getitem__, owners))) for table in tables)
 
 
+def _graph_mu(n: int, edges: Sequence[int], weights: Sequence[Fraction]) -> Polynomial:
+    """mu of the dependence graph on 0..n-1 with these edges, nubs of
+    two vertices, eliminated on vertex masks.
+
+    The vertices are relabelled once, breadth first from a least-degree
+    vertex of each component, new neighbours by rising degree and ties
+    by index (Cuthill and McKee): mu does not change when the weights
+    move with their vertices, and the order's narrow frontier keeps the
+    masks met few.  Then, with v the least vertex of the mask S,
+
+        M(S) = M(S - v) + (M(S - N[v]) // den(v) * num(v) << B),
+
+    M(S) packing the sums of D f(x) over the independent x inside S, one
+    B-bit digit per size, with D the product of the weight denominators.
+    den(v) divides every digit of M(S - N[v]), since D f(x) has the
+    factor den(v) when v is not in x.  No digit exceeds prod (num +
+    den), the sum of D f(x) over all sets, so B is its bit length and no
+    carry crosses digits; coefficient k of mu is (-1)^k digit_k / D.
+    Each call drops a vertex of S, so the recursion is at most n deep,
+    and :class:`TooLarge` is raised once more than
+    ``core.MEMBER_BUDGET`` masks are memoised.
+    """
+    near = [1 << v for v in range(n)]
+    for edge in edges:
+        near[(edge & -edge).bit_length() - 1] |= edge
+        near[edge.bit_length() - 1] |= edge
+    degree = list(map(int.bit_count, near))
+    order, seen = [], 0
+    for start in sorted(range(n), key=degree.__getitem__):
+        if not seen >> start & 1:
+            seen |= 1 << start
+            queue = [start]
+            for v in queue:  # the queue grows as it is read
+                fresh = near[v] & ~seen
+                seen |= fresh
+                queue += sorted(core.indices_of(fresh), key=degree.__getitem__)
+            order += queue
+    closed = near
+    if order != list(range(n)):
+        position = [0] * n
+        for i, v in enumerate(order):
+            position[v] = i
+        closed = [1 << i for i in range(n)]
+        for edge in edges:
+            a, b = position[(edge & -edge).bit_length() - 1], position[edge.bit_length() - 1]
+            closed[a] |= 1 << b
+            closed[b] |= 1 << a
+    pairs = [weights[v].as_integer_ratio() for v in order]
+    scale = math.prod(den for _, den in pairs)
+    width = math.prod(num + den for num, den in pairs).bit_length()
+    memo = {0: scale}
+
+    def packed(s: int) -> int:
+        # Called on masks not yet memoised; every value is positive.
+        low = s & -s
+        v = low.bit_length() - 1
+        num, den = pairs[v]
+        rest, kept = s ^ low, s & ~closed[v]
+        kept = memo.get(kept) or packed(kept)
+        found = memo[s] = (memo.get(rest) or packed(rest)) + (kept // den * num << width)
+        if len(memo) > core.MEMBER_BUDGET:
+            raise TooLarge(f"the elimination memo exceeds the member budget of {core.MEMBER_BUDGET}")
+        return found
+
+    whole = (1 << n) - 1
+    total, digit, sums = memo.get(whole) or packed(whole), (1 << width) - 1, []
+    while total:
+        sums.append(Fraction(-(total & digit) if len(sums) % 2 else total & digit, scale))
+        total >>= width
+    return Polynomial(sums)
+
+
 #: Restrictions with at most this many vertices are enumerated, not split.
 _LEAF_VERTICES = 12
 
@@ -300,7 +375,10 @@ def mobius_polynomial(config: Configuration, valuation: Valuation | None = None)
     of C - 0, or are 0 plus an independence set of the link of 0, so
     mu_C = mu_{C - 0} - f(0) t mu_{link(0)}; and the polynomial of a
     disjoint union is the product over its nub-connected components.
-    A restriction with at least as many nubs as vertices, or at most
+    A restriction whose nubs are all pairs, the input or one reached
+    below, is a dependence graph and goes whole to ``_graph_mu``, which
+    eliminates on vertex masks and walks no leaf.  Of the others, a
+    restriction with at least as many nubs as vertices, or at most
     ``_LEAF_VERTICES`` of them, is a leaf and summed by
     ``_enumerated_mu``: there a walk over few members is cheaper than
     re-indexing many nubs per step.  The sets below the smallest nub are
@@ -316,7 +394,8 @@ def mobius_polynomial(config: Configuration, valuation: Valuation | None = None)
     parts come from ``core._link`` and ``core._split`` through
     ``core._compact``, and only a leaf becomes a ``Configuration``.
     Results are memoised for this call, and :class:`TooLarge` is raised
-    once the memo holds more than ``core.MEMBER_BUDGET`` polynomials.
+    once the memo holds more than ``core.MEMBER_BUDGET`` polynomials, or
+    a graph's more than that many masks.
     """
     weights = (valuation if valuation is not None else Valuation.uniform(config.n)).weights
     values = list(dict.fromkeys(weights))
@@ -328,7 +407,9 @@ def mobius_polynomial(config: Configuration, valuation: Valuation | None = None)
         found = memo.get(key)
         if found is not None:
             return found
-        if n <= _LEAF_VERTICES or len(nubs) >= n and (
+        if all(nub.bit_count() == 2 for nub in nubs):
+            found = _graph_mu(n, nubs, [values[k] for k in classes])
+        elif n <= _LEAF_VERTICES or len(nubs) >= n and (
             sum(math.comb(n, j) for j in range(nubs[0].bit_count())) <= core.MEMBER_BUDGET
         ):
             leaf = Configuration(n, core.default_labels(n), nubs)

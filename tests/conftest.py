@@ -164,6 +164,44 @@ def path_mu(n: int) -> list[str]:
     return [str((-1) ** k * math.comb(n + 1 - k, k)) for k in range((n + 1) // 2 + 1)]
 
 
+def cycle_mu(n: int) -> list[str]:
+    """mu of the n-cycle (n >= 3) as printed: it has n / (n - k) C(n - k, k)
+    independent k-sets."""
+    return [str((-1) ** k * n * math.comb(n - k, k) // (n - k)) for k in range(n // 2 + 1)]
+
+
+def grid_edges(rows: int, cols: int) -> list[tuple[int, int]]:
+    """The edges of the rows x cols grid graph, vertex r * cols + c."""
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return right + down
+
+
+def grid_mu(rows: int, cols: int) -> list[str]:
+    """mu of the rows x cols grid graph as printed, by a row-by-row
+    transfer matrix: a state is an independent subset of one row, and a
+    row may follow another when they share no column.  Counts by size
+    are summed over the states of the last row; no elimination order is
+    involved."""
+    states = [s for s in range(1 << cols) if not s & (s >> 1)]
+    size = (rows * cols + 1) // 2 + 1  # past the largest independent set
+    counts = {0: [1] + [0] * (size - 1)}  # no row yet: the empty set
+    for _ in range(rows):
+        following = {}
+        for s in states:
+            k, total = s.bit_count(), [0] * size
+            for before, sums in counts.items():
+                if not before & s:
+                    for j in range(size - k):
+                        total[j + k] += sums[j]
+            following[s] = total
+        counts = following
+    sums = [sum(column) for column in zip(*counts.values())]
+    while sums[-1] == 0:
+        sums.pop()
+    return [str((-1) ** k * c) for k, c in enumerate(sums)]
+
+
 def disjoint_union(left: Configuration, right: Configuration) -> Configuration:
     """Place two configurations side by side (fresh default labels)."""
     n = left.n + right.n

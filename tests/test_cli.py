@@ -855,19 +855,31 @@ def test_wide_star_past_the_budget(capsys):
 
 
 def test_product_check_catches_wrong_elimination(capsys, monkeypatch, tmp_path):
-    # path-13 and a disjoint pair: the path component is eliminated, and
-    # the product is compared with an enumeration of the whole.
+    # path-13 and a disjoint pair: both components are dependence graphs,
+    # eliminated by the graph kernel.  Widen the path's first nub by a far
+    # vertex and that component is eliminated by links instead.  Each
+    # product is compared with an enumeration of the whole.
     labels = [f"p{i}" for i in range(13)] + ["x", "y"]
-    nubs = [[f"p{i}", f"p{i + 1}"] for i in range(12)] + [["x", "y"]]
-    path = tmp_path / "split.json"
-    path.write_text(json.dumps({"vertices": labels, "nubs": nubs}))
-    code, out, _ = run(capsys, "decompose", "--input", str(path))
-    assert (code, payload_of(out)["product_check"]) == (0, True)
-    original = cli.core._link
-    # The link of the next vertex in place of the link of vertex 0.
-    monkeypatch.setattr(cli.core, "_link", lambda n, nubs, x: original(n, nubs, x << 1))
-    code, out, _ = run(capsys, "decompose", "--input", str(path))
-    assert (code, payload_of(out)["product_check"]) == (0, False)
+    pairs = [[f"p{i}", f"p{i + 1}"] for i in range(12)] + [["x", "y"]]
+    graph, linked = tmp_path / "graph.json", tmp_path / "linked.json"
+    graph.write_text(json.dumps({"vertices": labels, "nubs": pairs}))
+    linked.write_text(json.dumps({"vertices": labels, "nubs": [["p0", "p1", "p6"]] + pairs[1:]}))
+
+    def checked(path):
+        code, out, _ = run(capsys, "decompose", "--input", str(path))
+        assert code == 0
+        return payload_of(out)["product_check"]
+
+    assert (checked(graph), checked(linked)) == (True, True)
+    kernel, link = mobius._graph_mu, core._link
+    # The graph kernel misses the last edge it is given.
+    monkeypatch.setattr(mobius, "_graph_mu", lambda n, edges, weights: kernel(n, edges[:-1], weights))
+    assert checked(graph) is False
+    monkeypatch.setattr(mobius, "_graph_mu", kernel)
+    # The link of the next vertex in place of the link of vertex 0:
+    # only the widened path takes a link.
+    monkeypatch.setattr(core, "_link", lambda n, nubs, x: link(n, nubs, x << 1))
+    assert (checked(graph), checked(linked)) == (True, False)
 
 
 # 40 vertices and the one nub {37, 38, 39}: 2^40 - 2^37 members, and a

@@ -1,21 +1,32 @@
-"""classify and critical-root on connected dependence graphs: the
-eliminated route (``mobius.connected_graph_root``) against the family
-route it replaces, and against closed forms past the member budget."""
+"""Dependence graphs: classify and critical-root by the eliminated
+route (``mobius.connected_graph_root``) against the family route it
+replaces, mu by the mask kernel (``mobius._graph_mu``) against the
+enumeration and the brute force, and both against closed forms and a
+transfer matrix past the member budget."""
 
 import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from configspaces import cli
-from configspaces.core import from_nubs
-from configspaces.poly import _integer
+from configspaces import cli, core
+from configspaces.core import Valuation, from_nubs
+from configspaces.mobius import _enumerated_mu, _graph_mu, mobius_polynomial
+from configspaces.poly import Polynomial, _integer
 from configspaces.structure import random_valuation
 
-from conftest import path_mu
+from conftest import (
+    brute_twin_classes,
+    cycle_mu,
+    grid_edges,
+    grid_mu,
+    path_mu,
+    powerset_mobius,
+)
 
 
 def connected_graph(rng, n, density):
@@ -134,3 +145,143 @@ def test_no_family_on_a_connected_graph_past_the_budget(capsys, monkeypatch):
     for command in ("classify", "critical-root"):
         assert cli.main([command, "--name", "path-64"]) == 0
         assert json.loads(capsys.readouterr().out)["payload"]["attained_at"] == [[]]
+
+
+
+def as_polynomial(printed):
+    return Polynomial(map(Fraction, printed))
+
+
+def path_edges(n):
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+def cycle_edges(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def test_oracles_match_the_brute_force():
+    for n in range(3, 11):
+        assert powerset_mobius(from_nubs(n, cycle_edges(n))) == as_polynomial(cycle_mu(n))
+        assert powerset_mobius(from_nubs(n, path_edges(n))) == as_polynomial(path_mu(n))
+    for rows, cols in [(1, 1), (1, 5), (2, 2), (2, 5), (3, 3), (3, 4)]:
+        grid = from_nubs(rows * cols, grid_edges(rows, cols))
+        assert powerset_mobius(grid) == as_polynomial(grid_mu(rows, cols))
+
+
+def graph_document(n, edges, shuffle):
+    """An --input document of the graph on vertices v0..v{n-1}, listed
+    in a shuffled order when shuffle is a seed, so vertex indices are
+    not the graph's own."""
+    labels = [f"v{i}" for i in range(n)]
+    order = list(labels)
+    if shuffle is not None:
+        random.Random(shuffle).shuffle(order)
+    return {"vertices": order, "nubs": [[labels[a], labels[b]] for a, b in edges]}
+
+
+# Every one has more independence sets than the member budget: the
+# 30-cycle about 1.9e6, the 6x6 grid about 5.6e6.  The expected mu
+# comes from the closed forms and the transfer matrix, not from the
+# program.
+PAST_THE_BUDGET = {
+    "cycle-30": (30, cycle_edges(30), None, cycle_mu(30)),
+    "cycle-40": (40, cycle_edges(40), None, cycle_mu(40)),
+    "grid-6x6": (36, grid_edges(6, 6), None, grid_mu(6, 6)),
+    "grid-8x8": (64, grid_edges(8, 8), None, grid_mu(8, 8)),
+    "grid-7x7-shuffled": (49, grid_edges(7, 7), 7, grid_mu(7, 7)),
+    "path-40-shuffled": (40, path_edges(40), 40, path_mu(40)),
+}
+
+
+@pytest.mark.parametrize("name", list(PAST_THE_BUDGET))
+def test_mobius_on_graphs_past_the_budget(capsys, tmp_path, name):
+    n, edges, shuffle, expected = PAST_THE_BUDGET[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(graph_document(n, edges, shuffle)))
+    code = cli.main(["mobius", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert json.loads(captured.out)["payload"]["mu"] == expected
+
+
+def small_graph(rng, kind):
+    """A random weighted graph of at most 12 vertices, as (n, edges,
+    weights): kind 0 one draw, 1 two draws side by side, 2 a draw with
+    isolated vertices added, 3 a draw whose vertices are blown up into
+    twin classes of up to three equal-weight copies, adjacent to each
+    other or not."""
+
+    def draw(n):
+        density = rng.choice((0.1, 0.3, 0.5, 0.8))
+        return [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+
+    def weights(n):
+        return [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(n)]
+
+    if kind == 0:
+        n = rng.randint(0, 12)
+        return n, draw(n), weights(n)
+    if kind == 1:
+        m = rng.randint(1, 6)
+        n = m + rng.randint(1, 6)
+        return n, draw(m) + [(a + m, b + m) for a, b in draw(n - m)], weights(n)
+    if kind == 2:
+        m = rng.randint(1, 10)
+        n = rng.randint(m + 1, 12)
+        return n, draw(m), weights(n)
+    base = rng.randint(1, 5)
+    sizes = [rng.randint(1, 3) for _ in range(base)]
+    while sum(sizes) > 12:
+        sizes[sizes.index(max(sizes))] -= 1
+    start = list(itertools.accumulate(sizes, initial=0))
+    members = [range(start[i], start[i + 1]) for i in range(base)]
+    edges = [(u, v) for a, b in draw(base) for u in members[a] for v in members[b]]
+    for copies in members:
+        if rng.random() < 0.5:
+            edges += itertools.combinations(copies, 2)
+    values = weights(base)
+    return start[-1], edges, [values[i] for i in range(base) for _ in members[i]]
+
+
+def test_graph_kernel_matches_the_enumeration_and_the_brute_force():
+    rng = random.Random(32)
+    seen = set()
+    for k in range(240):
+        n, edges, weights = small_graph(rng, k % 4)
+        config = from_nubs(n, edges)
+        mu = _graph_mu(n, config.nubs, weights)
+        assert mu == _enumerated_mu(config, weights) == powerset_mobius(config, Valuation(tuple(weights)))
+        assert mobius_polynomial(config, Valuation(tuple(weights))) == mu
+        if len(core._split(n, config.nubs)) > 1:
+            seen.add("disconnected")
+        if any(not any(nub >> v & 1 for nub in config.nubs) for v in range(n)) and n > 1:
+            seen.add("isolated")
+        if brute_twin_classes(config, weights) is not None:
+            seen.add("twins")
+    assert seen == {"disconnected", "isolated", "twins"}
+
+
+def test_graph_memo_refusal_is_bounded(capsys, monkeypatch, tmp_path):
+    # A sparse random graph on 64 vertices, 206 edges, needs more than
+    # 4,096 masks.  The refusal is one line, and the peak stays under
+    # 1 MiB (0.7 MB measured): the memo takes 150-180 bytes a mask, the
+    # packed integer of its sums included.  The parser is built first,
+    # outside the trace.
+    rng = random.Random(64)
+    edges = [e for e in itertools.combinations(range(64), 2) if rng.random() < 0.1]
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(graph_document(64, edges, None)))
+    cli.main(["builtin", "--name", "fig1-left"])
+    capsys.readouterr()
+    monkeypatch.setattr(core, "MEMBER_BUDGET", 4096)
+    tracemalloc.start()
+    try:
+        code = cli.main(["mobius", "--input", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: the elimination memo exceeds the member budget of 4096\n"
+    assert peak < 2**20

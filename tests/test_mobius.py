@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -41,7 +42,14 @@ from configspaces.structure import (
     star,
 )
 
-from conftest import direct_transform, disjoint_union, powerset_mobius, refine_root, shape_ids
+from conftest import (
+    direct_transform,
+    disjoint_union,
+    grid_edges,
+    powerset_mobius,
+    refine_root,
+    shape_ids,
+)
 
 P = Polynomial
 
@@ -62,8 +70,8 @@ def test_mobius_trivial():
 
 
 def test_mu_streams_on_right_angled():
-    # The leaf kernel, which classify's walk and every leaf run: path-20
-    # has 17,711 members, and a walk that kept one mask per member, or a
+    # The leaf kernel, which decompose runs on the whole: path-20 has
+    # 17,711 members, and a walk that kept one mask per member, or a
     # whole level of them, peaks at 0.8 MB or more.
     path = builtin("path-20")
     weights = Valuation.uniform(path.n).weights
@@ -78,7 +86,7 @@ def test_mu_streams_on_right_angled():
 
 
 def test_eliminated_mu_memory():
-    # path-64: about 2.8e13 members, 54 memoised polynomials.
+    # path-64: about 2.8e13 members, 65 memoised masks.
     path = builtin("path-64")
     tracemalloc.start()
     try:
@@ -91,16 +99,41 @@ def test_eliminated_mu_memory():
 
 
 @pytest.fixture
-def eliminations(monkeypatch):
-    """Counts the links taken by elimination."""
+def routes(monkeypatch):
+    """Observes the routes of ``mobius_polynomial``: each link taken by
+    the elimination of a wide restriction, as ("link", x), and each
+    dependence graph eliminated on masks, as ("graph", n, steps, depth).
+    steps counts the masks ``_graph_mu`` eliminated, the calls of its
+    inner ``packed``, and depth their deepest nesting, both read by a
+    profile hook."""
     calls = []
-    original = core_module._link
+    link, graph = core_module._link, mobius_module._graph_mu
 
-    def counting(n, nubs, x):
-        calls.append(x)
-        return original(n, nubs, x)
+    def linking(n, nubs, x):
+        calls.append(("link", x))
+        return link(n, nubs, x)
 
-    monkeypatch.setattr(core_module, "_link", counting)
+    def eliminating(n, edges, weights):
+        steps, depth, deepest = 0, 0, 0
+
+        def hook(frame, event, arg):
+            nonlocal steps, depth, deepest
+            if frame.f_code.co_name == "packed" and frame.f_globals is vars(mobius_module):
+                if event == "call":
+                    steps, depth, deepest = steps + 1, depth + 1, max(deepest, depth + 1)
+                elif event == "return":
+                    depth -= 1
+
+        previous = sys.getprofile()
+        sys.setprofile(hook)
+        try:
+            return graph(n, edges, weights)
+        finally:
+            sys.setprofile(previous)
+            calls.append(("graph", n, steps, deepest))
+
+    monkeypatch.setattr(core_module, "_link", linking)
+    monkeypatch.setattr(mobius_module, "_graph_mu", eliminating)
     return calls
 
 
@@ -126,44 +159,55 @@ def chain_configuration(n, rng):
     return from_nubs(n, nubs)
 
 
-def test_elimination_matches_leaf_kernel(rng, eliminations):
-    sizes = set()
+def test_elimination_matches_leaf_kernel(rng, routes):
+    # A chain of pairs is a path under shuffled labels: it goes whole to
+    # the graph kernel, whose breadth-first order from an end recovers
+    # the path, one mask per vertex.  A chain with a wider nub is
+    # eliminated by links.
+    sizes, graphs = set(), 0
     for _ in range(200):
         c = chain_configuration(rng.randint(13, 20), rng)
         f = random_valuation(c, rng)
         assert len(c.nubs) == c.n - 1
         sizes.update(nub.bit_count() for nub in c.nubs)
-        eliminations.clear()
+        routes.clear()
         assert mobius_polynomial(c, f) == _enumerated_mu(c, f.weights)
-        assert eliminations
-    assert sizes == {2, 3, 4}
+        if c.nubs[-1].bit_count() == 2:
+            graphs += 1
+            assert [route[:3] for route in routes] == [("graph", c.n, c.n)]
+        else:
+            assert routes[0][0] == "link"
+    assert sizes == {2, 3, 4} and 0 < graphs < 200
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, route",
     [
-        builtin("path-13"),
-        builtin("path-20"),
-        disjoint_union(builtin("path-14"), star(4, 3)),
-        star(14, 13),
+        (builtin("path-13"), [("graph", 13, 13)]),
+        (builtin("path-20"), [("graph", 20, 20)]),
+        # The path component is a graph, star(4, 3) a leaf of one nub.
+        (disjoint_union(builtin("path-14"), star(4, 3)), [("graph", 14, 14)]),
+        # Two links down to the leaf star(12, 11); the deletions have
+        # no nubs left, so they are graphs without edges.
+        (star(14, 13), [("link", 1), ("link", 1), ("graph", 12, 12), ("graph", 13, 13)]),
     ],
     ids=["path-13", "path-20", "union", "star-14-13"],
 )
-def test_elimination_on_built_ins(config, eliminations):
+def test_elimination_on_built_ins(config, route, routes):
     uniform = Valuation.uniform(config.n)
     weighted = Valuation(tuple(Fraction(1 + i % 3, 2 + i % 5) for i in range(config.n)))
     for f in (uniform, weighted):
-        eliminations.clear()
+        routes.clear()
         assert mobius_polynomial(config, f) == _enumerated_mu(config, f.weights)
-        assert eliminations
+        assert [step[:3] for step in routes] == route
 
 
-def test_star_closed_form_by_elimination(eliminations):
+def test_star_closed_form_by_elimination(routes):
     # star(n, n - 1): mu is (1 - t)^n without its top term.
     for n in (13, 16, 24):
         full = [(-1) ** k * math.comb(n, k) for k in range(n)]
         assert mobius_polynomial(star(n, n - 1)) == P(full)
-    assert eliminations
+    assert ("link", 1) in routes
 
 
 def test_elimination_builds_no_restriction(monkeypatch):
@@ -182,7 +226,7 @@ def test_elimination_builds_no_restriction(monkeypatch):
     assert calls == [2**64 - 1]
 
 
-def test_leaf_rule(monkeypatch):
+def test_leaf_rule(monkeypatch, routes):
     # Leaves by walk: over the members, or over the least members of
     # the twin orbits when the leaf has twin classes.
     leaves = []
@@ -193,26 +237,49 @@ def test_leaf_rule(monkeypatch):
         return walk(config, twins)
 
     monkeypatch.setattr(mobius_module, "enumerate_independence_sets", walking)
-    # At least as many nubs as vertices and a family within the budget:
-    # one whole leaf, even where the sets below the smallest nub
-    # outnumber the nubs (star-14-5: 3,473 sets, 3,003 nubs).  The
-    # dodecahedron has no twins and walks its members; the others are
-    # one twin class each and walk their orbits.
-    for name, route in (
-        ("complete-30", "orbits"),
-        ("dodecahedron", "members"),
-        ("star-64-2", "orbits"),
-        ("star-14-5", "orbits"),
+    # Dependence graphs walk no leaf: the graph kernel takes them whole.
+    for name in ("complete-30", "dodecahedron"):
+        leaves.clear()
+        routes.clear()
+        mobius_polynomial(builtin(name))
+        assert leaves == [] and [route[:2] for route in routes] == [("graph", builtin(name).n)]
+    # At least as many nubs as vertices, some wider than a pair, and a
+    # family within the budget: one whole leaf, even where the sets
+    # below the smallest nub outnumber the nubs (star-14-5: 3,473 sets,
+    # 3,003 nubs).  The 13 triples {i, i + 1, i + 3} mod 13 leave no
+    # twins and walk the members; the stars are one twin class each and
+    # walk their orbits.
+    for config, route in (
+        (from_nubs(13, [(i, (i + 1) % 13, (i + 3) % 13) for i in range(13)]), "members"),
+        (builtin("star-64-2"), "orbits"),
+        (builtin("star-14-5"), "orbits"),
     ):
         leaves.clear()
-        mobius_polynomial(builtin(name))
-        assert leaves == [(route, builtin(name).n)], name
+        routes.clear()
+        mobius_polynomial(config)
+        assert leaves == [(route, config.n)] and routes == [], config
     # star(n, n - 2) has 2^n - n - 1 sets below its n nubs, past the
     # budget from n = 18: star-30-28 eliminates down to star(17, 15).
     leaves.clear()
     mu = mobius_polynomial(star(30, 28))
     assert mu == P([(-1) ** k * math.comb(30, k) for k in range(29)])
     assert max(n for _, n in leaves) == 17
+
+
+def test_graph_kernel_recursion_depth(routes):
+    # Each nested call eliminates a vertex, so the kernel recurses at
+    # most n deep, within the interpreter's default limit at n = 64.
+    configs = [
+        builtin("path-64"),
+        builtin("complete-64"),
+        from_nubs(40, [(i, (i + 1) % 40) for i in range(40)]),
+        from_nubs(64, grid_edges(8, 8)),
+    ]
+    for config in configs:
+        routes.clear()
+        mobius_polynomial(config)
+        [(route, n, steps, depth)] = routes
+        assert (route, n) == ("graph", config.n) and 0 < depth <= n <= steps
 
 
 def test_elimination_memo_budget(monkeypatch):
