@@ -11,7 +11,8 @@ JSON a key other than ``vertices``, ``nubs`` and ``weights``.
 
 ``mobius`` and ``relative`` call ``mobius_polynomial``, which
 eliminates a dependence graph on vertex masks and walks no leaf, and
-elsewhere enumerates small leaves only; ``relative`` calls it on the
+elsewhere enumerates only leaves of at most 2^12 twin orbits, which are
+never refused; ``relative`` calls it on the
 anchor's link, the relative configuration.  A handler that reads the
 shape table builds one ``MobiusFamily`` per configuration it analyses
 and reads every reported quantity from it; ``space``, ``verify``,

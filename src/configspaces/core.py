@@ -324,20 +324,30 @@ def _compact(vertices: int, nubs: Iterable[int]) -> tuple[int, ...]:
     return tuple(mask_from_indices(position[v] for v in indices_of(nub)) for nub in nubs)
 
 
-def _split(n: int, nubs: Sequence[int]) -> dict[int, list[int]]:
-    """The nub-connected parts of 0..n-1 by least vertex, each with its
-    nubs in original indices and (size, mask) order.  One pass over the
-    nubs gives each vertex the union of its nubs, and each part is
-    flood-filled from the least vertex not yet placed, so a vertex in no
-    nub is a part of its own.  A nub goes to the part of its least
-    vertex."""
-    reach = [1 << v for v in range(n)]
+def _neighbourhoods(n: int, nubs: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Per vertex v of 0..n-1, its closed neighbourhood N[v], v with
+    every nub containing it, and the number of those nubs: one pass
+    over the vertices of each nub."""
+    near = [1 << v for v in range(n)]
+    count = [0] * n
     for nub in nubs:
         rest = nub
         while rest:
             low = rest & -rest
-            reach[low.bit_length() - 1] |= nub
+            v = low.bit_length() - 1
+            near[v] |= nub
+            count[v] += 1
             rest ^= low
+    return near, count
+
+
+def _split(n: int, nubs: Sequence[int]) -> dict[int, list[int]]:
+    """The nub-connected parts of 0..n-1 by least vertex, each with its
+    nubs in original indices and (size, mask) order.  Each part is
+    flood-filled over the neighbourhoods (``_neighbourhoods``) from the
+    least vertex not yet placed, so a vertex in no nub is a part of its
+    own.  A nub goes to the part of its least vertex."""
+    reach, _ = _neighbourhoods(n, nubs)
     parts, left = [], (1 << n) - 1
     while left:
         part = grown = left & -left
@@ -373,10 +383,12 @@ def _twin_classes(n: int, nubs: Sequence[int], weights: Sequence[object]) -> lis
     (``symmetric``): the nubs meeting it in c vertices, with one part
     outside it, are then every c-subset of it with that part.  On all n
     vertices that asks for every k-subset, so a star is certified by its
-    nub count.  Otherwise twins sharing a nub have equal closed
-    neighbourhoods N[v], and twins sharing none equal open ones N[v] - v;
-    each group of equal weight and neighbourhood is certified as a whole,
-    or else pair by pair against the first vertex of each class.
+    nub count.  Otherwise twins lie in as many nubs, and twins sharing a
+    nub have equal closed neighbourhoods N[v] (``_neighbourhoods``), twins
+    sharing none equal open ones N[v] - v; each group of equal weight,
+    nub count and neighbourhood is certified as a whole, or else pair by
+    pair against the first vertex of each class.  The count splits the
+    one group that full closed neighbourhoods make on dense inputs.
     """
     full = (1 << n) - 1
     distinct = len(set(weights))
@@ -393,21 +405,15 @@ def _twin_classes(n: int, nubs: Sequence[int], weights: Sequence[object]) -> lis
 
     if distinct == 1 and symmetric(full):
         return [full]
-    near = [1 << v for v in range(n)]
-    for nub in nubs:
-        rest = nub
-        while rest:
-            low = rest & -rest
-            near[low.bit_length() - 1] |= nub
-            rest ^= low
+    near, count = _neighbourhoods(n, nubs)
     classes, placed = [], 0
     for keys in (
-        [(w, near[v]) for v, w in enumerate(weights)],
-        [(w, near[v] ^ 1 << v) for v, w in enumerate(weights)],
+        list(zip(weights, count, near)),
+        list(zip(weights, count, [m ^ 1 << v for v, m in enumerate(near)])),
     ):
         if len(set(keys)) == n:
             continue
-        keyed: dict[tuple[object, int], int] = {}
+        keyed: dict[tuple[object, int, int], int] = {}
         for v, key in enumerate(keys):
             keyed[key] = keyed.get(key, 0) | 1 << v
         for group in keyed.values():

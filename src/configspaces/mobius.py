@@ -46,9 +46,11 @@ so the recursion is mu_G = mu_{G - v} - f(v) t mu_{G - N[v]} and every
 restriction it meets is a vertex mask: ``_graph_mu`` eliminates on
 masks, in a breadth-first order that keeps them few, and walks no leaf
 (``path-64``, about 2.8e13 members, memoises 65 masks).  Other inputs
-are split and eliminated over bare nub masks down to small leaves, and
-only those are enumerated, unless a restriction reached is a graph:
-the cost follows the distinct restrictions met, not the family.
+are split and eliminated over bare nub masks down to leaves, and only
+those are enumerated, unless a restriction reached is a graph: a leaf
+is a restriction whose twin classes (below) give at most 2^12 count
+vectors, so the cost follows the distinct restrictions met, not the
+family.
 
 Twins.  Vertices u and v are twins when their weights are equal and
 swapping them maps the nubs onto the nubs (``core._twin_classes``).  The
@@ -61,7 +63,8 @@ and every orbit one member.  ``MobiusFamily`` and the leaves of
 ``mobius_polynomial`` walk the least members of the independent orbits
 (``core.enumerate_independence_sets`` given the classes); the family
 takes them from ``core._orbit_family``, as ``probspace`` and
-``structure`` do, and a leaf finds its own classes.  The family's
+``structure`` do, and each wide restriction finds its own classes,
+which decide whether it is a leaf.  The family's
 table is keyed by them in (size, mask) order, in which every shape first
 meets a least member, so shapes keep the order and numbering of a table
 over all members.  Digit j of orbit c is the sum of prod_i C(s_i - c_i,
@@ -70,9 +73,9 @@ transformed one class at a time (``_orbit_transform``, Yates' step for a
 class of one vertex) on the same packed digits and width.  The family is
 refused once its members, not its orbits, number more than
 ``core.MEMBER_BUDGET``; a leaf, which sums prod_i C(s_i, d_i) D f(d) by
-size, only past that many orbits.  The canonical spaces of ``probspace``
-transform the same orbits with signs, and ``_expand`` lists the members
-of orbits only for output.
+size, has at most ``_LEAF_ORBITS`` orbits and is never refused.  The
+canonical spaces of ``probspace`` transform the same orbits with signs,
+and ``_expand`` lists the members of orbits only for output.
 
 The critical root is searched lazily: only polynomials that may have a
 root at or below the best one found are isolated (see
@@ -312,10 +315,7 @@ def _graph_mu(n: int, edges: Sequence[int], weights: Sequence[Fraction]) -> Poly
     and :class:`TooLarge` is raised once more than
     ``core.MEMBER_BUDGET`` masks are memoised.
     """
-    near = [1 << v for v in range(n)]
-    for edge in edges:
-        near[(edge & -edge).bit_length() - 1] |= edge
-        near[edge.bit_length() - 1] |= edge
+    near, _ = core._neighbourhoods(n, edges)
     degree = list(map(int.bit_count, near))
     order, seen = [], 0
     for start in sorted(range(n), key=degree.__getitem__):
@@ -362,8 +362,9 @@ def _graph_mu(n: int, edges: Sequence[int], weights: Sequence[Fraction]) -> Poly
     return Polynomial(sums)
 
 
-#: Restrictions with at most this many vertices are enumerated, not split.
-_LEAF_VERTICES = 12
+#: A restriction is walked, not split, when its twin classes give at most
+#: this many count vectors, prod (s_i + 1).
+_LEAF_ORBITS = 2**12
 
 
 def mobius_polynomial(config: Configuration, valuation: Valuation | None = None) -> Polynomial:
@@ -377,16 +378,14 @@ def mobius_polynomial(config: Configuration, valuation: Valuation | None = None)
     disjoint union is the product over its nub-connected components.
     A restriction whose nubs are all pairs, the input or one reached
     below, is a dependence graph and goes whole to ``_graph_mu``, which
-    eliminates on vertex masks and walks no leaf.  Of the others, a
-    restriction with at least as many nubs as vertices, or at most
-    ``_LEAF_VERTICES`` of them, is a leaf and summed by
-    ``_enumerated_mu``: there a walk over few members is cheaper than
-    re-indexing many nubs per step.  The sets below the smallest nub are
-    all members, so when they number more than ``core.MEMBER_BUDGET``
-    the walk is certain to be refused and the restriction is eliminated
-    instead (``star-30-28``: 2^30 - 31 such sets, 30 nubs).  Otherwise a
-    split restriction multiplies its components, and a connected one
-    eliminates vertex 0.
+    eliminates on vertex masks and walks no leaf.  Any other is a leaf
+    when its twin classes (``core._twin_classes``) of s_i vertices give
+    at most ``_LEAF_ORBITS`` count vectors, prod (s_i + 1), which is 2^n
+    without twins: ``_enumerated_mu`` walks its orbits, at most that
+    many, so a leaf is never refused.  Every restriction of at most 12
+    vertices is one, and so is a star, one class (``star-19-8``: 9
+    orbits, 92,378 nubs).  Otherwise a split restriction multiplies its
+    components, and a connected one eliminates vertex 0.
 
     Restrictions are bare keys (vertex count, nubs, weights), the weights
     as indices into the distinct weights so that keys hash as integers:
@@ -409,15 +408,13 @@ def mobius_polynomial(config: Configuration, valuation: Valuation | None = None)
             return found
         if all(nub.bit_count() == 2 for nub in nubs):
             found = _graph_mu(n, nubs, [values[k] for k in classes])
-        elif n <= _LEAF_VERTICES or len(nubs) >= n and (
-            sum(math.comb(n, j) for j in range(nubs[0].bit_count())) <= core.MEMBER_BUDGET
-        ):
-            leaf = Configuration(n, core.default_labels(n), nubs)
-            weights = [values[k] for k in classes]
-            found = _enumerated_mu(leaf, weights, core._twin_classes(n, nubs, classes))
         else:
-            parts = core._split(n, nubs)
-            if len(parts) > 1:
+            twins = core._twin_classes(n, nubs, classes)
+            vectors = math.prod(twin.bit_count() + 1 for twin in twins) if twins else 1 << n
+            if vectors <= _LEAF_ORBITS:
+                leaf = Configuration(n, core.default_labels(n), nubs)
+                found = _enumerated_mu(leaf, [values[k] for k in classes], twins)
+            elif len(parts := core._split(n, nubs)) > 1:
                 found = Polynomial([1])
                 for part, inside in parts.items():
                     found = found * restricted(part, inside, classes)

@@ -153,14 +153,15 @@ def trace_count_cf(
         raise ValueError("length must be nonnegative")
     zero = 0 if valuation is None else Fraction(0)
     # (clique, size, weight, mask the next clique must fit inside: the
-    # clique together with every nub that meets it)
+    # clique together with every nub that meets it, the union of its
+    # vertices' neighbourhoods)
+    near, _ = core._neighbourhoods(config.n, config.nubs)
     cliques = []
     for c in enumerate_independence_sets(config):
         if c:
-            after = c
-            for nub in config.nubs:
-                if nub & c:
-                    after |= nub
+            after = 0
+            for v in core.indices_of(c):
+                after |= near[v]
             weight = 1 if valuation is None else valuation.of(c)
             cliques.append((c, c.bit_count(), weight, after))
     # counts[k % span][allowed]: weighted number of clique sequences of

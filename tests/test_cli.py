@@ -854,6 +854,49 @@ def test_wide_star_past_the_budget(capsys):
     assert err == "error: the independence family exceeds the member budget of 131072\n"
 
 
+def cyclic_triples(copies):
+    """Disjoint copies of the 13 triples {i, i + 1, i + 3} mod 13, which
+    have no twins (2,276 members a copy), as input JSON."""
+    labels = [f"c{c}v{i}" for c in range(copies) for i in range(13)]
+    nubs = [
+        [f"c{c}v{i}", f"c{c}v{(i + 1) % 13}", f"c{c}v{(i + 3) % 13}"]
+        for c in range(copies)
+        for i in range(13)
+    ]
+    return json.dumps({"vertices": labels, "nubs": nubs})
+
+
+@pytest.mark.parametrize(
+    "name", ["star-19-8", "star-30-28", "star-64-63", "deep-triple", "two-copies", "three-copies"]
+)
+def test_mobius_past_the_budget(capsys, tmp_path, name):
+    # Every family here is past the member budget; the expected bytes come
+    # from closed forms and products, not from the program's route.  A
+    # star is one twin class, walked as one leaf of n + 1 orbits: its mu is
+    # the sum over j <= k of C(n, j) (-t)^j.  The deep triple has two
+    # classes, 38 * 4 count vectors: (1 - t)^37 (1 - 3t + 3t^2).  A copy
+    # of the cyclic triples has 2^13 count vectors and is eliminated; the
+    # copies multiply, so the union's mu is a power of one copy's.
+    if name.startswith("star-"):
+        n, k = map(int, name.split("-")[1:])
+        argv = ("mobius", "--name", name)
+        expected = [str((-1) ** j * math.comb(n, j)) for j in range(k + 1)]
+    else:
+        path = tmp_path / "input.json"
+        argv = ("mobius", "--input", str(path))
+        if name == "deep-triple":
+            path.write_text(DEEP_TRIPLE)
+            mu = Polynomial((-1) ** j * math.comb(37, j) for j in range(38)) * Polynomial([1, -3, 3])
+        else:
+            copies = ["two-copies", "three-copies"].index(name) + 2
+            path.write_text(cyclic_triples(copies))
+            one, _ = parse_config(cyclic_triples(1))
+            mu = math.prod([mobius._enumerated_mu(one, [Fraction(1)] * one.n)] * copies)
+        expected = poly_to_strings(mu)
+    code, out, err = run(capsys, *argv)
+    assert (code, payload_of(out)["mu"], err) == (0, expected, "")
+
+
 def test_product_check_catches_wrong_elimination(capsys, monkeypatch, tmp_path):
     # path-13 and a disjoint pair: both components are dependence graphs,
     # eliminated by the graph kernel.  Widen the path's first nub by a far

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -181,33 +182,48 @@ def test_elimination_matches_leaf_kernel(rng, routes):
 
 
 @pytest.mark.parametrize(
-    "config, route",
+    "config, uniform_route, weighted_route",
     [
-        (builtin("path-13"), [("graph", 13, 13)]),
-        (builtin("path-20"), [("graph", 20, 20)]),
+        (builtin("path-13"), [("graph", 13, 13)], [("graph", 13, 13)]),
+        (builtin("path-20"), [("graph", 20, 20)], [("graph", 20, 20)]),
         # The path component is a graph, star(4, 3) a leaf of one nub.
-        (disjoint_union(builtin("path-14"), star(4, 3)), [("graph", 14, 14)]),
-        # Two links down to the leaf star(12, 11); the deletions have
-        # no nubs left, so they are graphs without edges.
-        (star(14, 13), [("link", 1), ("link", 1), ("graph", 12, 12), ("graph", 13, 13)]),
+        (disjoint_union(builtin("path-14"), star(4, 3)), [("graph", 14, 14)], [("graph", 14, 14)]),
+        # Uniform, star(14, 13) is one twin class: one leaf of 15 orbits.
+        # The weights below leave three classes of two, 3^3 2^8 = 6,912
+        # count vectors: two links down to the leaf star(12, 11), 2,304
+        # count vectors; the deletions have no nubs left, so they are
+        # graphs without edges.
+        (
+            star(14, 13),
+            [],
+            [("link", 1), ("link", 1), ("graph", 12, 12), ("graph", 13, 13)],
+        ),
     ],
     ids=["path-13", "path-20", "union", "star-14-13"],
 )
-def test_elimination_on_built_ins(config, route, routes):
+def test_elimination_on_built_ins(config, uniform_route, weighted_route, routes):
     uniform = Valuation.uniform(config.n)
     weighted = Valuation(tuple(Fraction(1 + i % 3, 2 + i % 5) for i in range(config.n)))
-    for f in (uniform, weighted):
+    for f, route in ((uniform, uniform_route), (weighted, weighted_route)):
         routes.clear()
         assert mobius_polynomial(config, f) == _enumerated_mu(config, f.weights)
         assert [step[:3] for step in routes] == route
 
 
 def test_star_closed_form_by_elimination(routes):
-    # star(n, n - 1): mu is (1 - t)^n without its top term.
+    # star(n, n - 1): mu is (1 - t)^n without its top term, or prod (1 -
+    # f(v) t) without it.  Uniform, the star is one twin class and a leaf
+    # of n + 1 orbits; with distinct weights it has no twins and 2^n
+    # count vectors, so it is eliminated by links.
     for n in (13, 16, 24):
+        routes.clear()
         full = [(-1) ** k * math.comb(n, k) for k in range(n)]
         assert mobius_polynomial(star(n, n - 1)) == P(full)
-    assert ("link", 1) in routes
+        assert routes == []
+        f = Valuation(tuple(Fraction(v + 1) for v in range(n)))
+        product = math.prod((P([1, -w]) for w in f.weights), start=P([1]))
+        assert mobius_polynomial(star(n, n - 1), f) == P(product.coefficients[:n])
+        assert ("link", 1) in routes
 
 
 def test_elimination_builds_no_restriction(monkeypatch):
@@ -243,27 +259,91 @@ def test_leaf_rule(monkeypatch, routes):
         routes.clear()
         mobius_polynomial(builtin(name))
         assert leaves == [] and [route[:2] for route in routes] == [("graph", builtin(name).n)]
-    # At least as many nubs as vertices, some wider than a pair, and a
-    # family within the budget: one whole leaf, even where the sets
-    # below the smallest nub outnumber the nubs (star-14-5: 3,473 sets,
-    # 3,003 nubs).  The 13 triples {i, i + 1, i + 3} mod 13 leave no
-    # twins and walk the members; the stars are one twin class each and
-    # walk their orbits.
-    for config, route in (
-        (from_nubs(13, [(i, (i + 1) % 13, (i + 3) % 13) for i in range(13)]), "members"),
-        (builtin("star-64-2"), "orbits"),
-        (builtin("star-14-5"), "orbits"),
-    ):
+    # Twin orbits: a star is one class of n vertices, n + 1 count vectors
+    # however many nubs and members it has.  star-30-28 has about 2^30
+    # members and star-14-5 3,003 nubs; each is one whole leaf.
+    for name in ("star-64-2", "star-14-5", "star-30-28"):
+        config = builtin(name)
         leaves.clear()
         routes.clear()
-        mobius_polynomial(config)
-        assert leaves == [(route, config.n)] and routes == [], config
-    # star(n, n - 2) has 2^n - n - 1 sets below its n nubs, past the
-    # budget from n = 18: star-30-28 eliminates down to star(17, 15).
-    leaves.clear()
-    mu = mobius_polynomial(star(30, 28))
+        mu = mobius_polynomial(config)
+        assert leaves == [("orbits", config.n)] and routes == [], name
     assert mu == P([(-1) ** k * math.comb(30, k) for k in range(29)])
-    assert max(n for _, n in leaves) == 17
+    # The 13 triples {i, i + 1, i + 3} mod 13 leave no twins: 2^13 count
+    # vectors, past the leaf bound, so vertex 0 is eliminated and the
+    # members are walked on restrictions of at most 12 vertices.
+    config = from_nubs(13, [(i, (i + 1) % 13, (i + 3) % 13) for i in range(13)])
+    expected = _enumerated_mu(config, Valuation.uniform(13).weights)
+    leaves.clear()
+    routes.clear()
+    assert mobius_polynomial(config) == expected
+    assert routes[0] == ("link", 1) and ("members", 12) in leaves
+    assert all(route == "members" and n <= 12 for route, n in leaves)
+
+
+def wide_input(rng):
+    """Nubs of three or four vertices on 13 to 16 vertices: a plain draw,
+    or a draw on 4 to 7 vertices with each vertex blown up into a class
+    of up to four copies, twins that share no nub."""
+    if rng.random() < 0.5:
+        n = rng.randint(13, 16)
+        draws = rng.randint(n, 3 * n)
+        return from_nubs(n, [rng.sample(range(n), rng.choice((3, 4))) for _ in range(draws)])
+    k = rng.randint(4, 7)
+    sizes = [1] * k
+    for _ in range(rng.randint(13, 16) - k):
+        v = rng.choice([v for v in range(k) if sizes[v] < 4])
+        sizes[v] += 1
+    copies = [range(sum(sizes[:v]), sum(sizes[: v + 1])) for v in range(k)]
+    nubs = []
+    for _ in range(rng.randint(k, 3 * k)):
+        base = rng.sample(range(k), rng.choice((3, 4)))
+        nubs += itertools.product(*(copies[v] for v in base))
+    return from_nubs(sum(sizes), nubs)
+
+
+def test_leaf_walks_are_bounded(monkeypatch, rng):
+    # No leaf walk yields more than 2^12 sets, members or orbits, so no
+    # leaf is refused: on the built-ins and on 200 random wide inputs,
+    # uniform or weighted.  The oracle is the power set up to 12
+    # vertices, and the member walk of the whole on the first 40 inputs
+    # where it fits the budget; the stars' closed forms are checked in
+    # tests/test_cli.py.
+    yields = []
+    walk = mobius_module.enumerate_independence_sets
+
+    def counted(config, twins=None):
+        yields.append(0)
+        for x in walk(config, twins):
+            yields[-1] += 1
+            yield x
+
+    names = ["fig1-left", "dodecahedron", "path-20", "star-12-6", "star-16-8", "star-19-8"]
+    names += ["star-30-28", "star-64-2", "star-64-63"]
+    inputs = [(builtin(name), None) for name in names]
+    for _ in range(200):
+        config = wide_input(rng)
+        inputs.append((config, random_valuation(config, rng) if rng.random() < 0.5 else None))
+    walked, checked = 0, 0
+    for i, (config, f) in enumerate(inputs):
+        weights = (f or Valuation.uniform(config.n)).weights
+        expected = None
+        if config.n <= 12:
+            expected = powerset_mobius(config, f)
+        elif i < 40:
+            try:
+                expected = _enumerated_mu(config, weights)
+            except TooLarge:
+                pass
+        checked += expected is not None
+        yields.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(mobius_module, "enumerate_independence_sets", counted)
+            mu = mobius_polynomial(config, f)
+        assert expected is None or mu == expected, config
+        assert max(yields, default=0) <= mobius_module._LEAF_ORBITS, config
+        walked += len(yields)
+    assert walked > 200 and checked > 30
 
 
 def test_graph_kernel_recursion_depth(routes):
