@@ -30,10 +30,11 @@ N(x) alone and f(z) / f(x) = f(z - x), so coefficient d of mu^{|x} is
 N(z), which fits in B bits, so no carry crosses digits.  No relative
 configuration is built.  The entry of x shifted down by B |x| is its
 digit key.  Each distinct key is decoded once, while the transform is
-read, into content-free integers, its shape: keys that differ by a
-factor (the same link, another f(x)) have one shape.  The family keeps
-only the shapes and, per member, the index of its shape; anchors with
-one shape share one polynomial object, and no key is kept.
+read, into a ``Polynomial``: its signed digits over digit 0, reduced
+by one gcd.  Keys that differ by a factor (the same link, another
+f(x)) give equal polynomials and share one.  The family keeps only its
+table of distinct polynomials and, per member, an index into it; no
+key is kept.
 
 mu alone needs no transform.  Deleting vertex v splits the family into
 the sets that miss v and the sets v | y with y independent in the link
@@ -63,14 +64,15 @@ and every orbit one member.  ``MobiusFamily`` and the leaves of
 ``mobius_polynomial`` walk the least members of the independent orbits
 (``core.enumerate_independence_sets`` given the classes); the family
 takes them from ``core._orbit_family``, as ``probspace`` and
-``structure`` do, and each wide restriction finds its own classes,
-which decide whether it is a leaf.  The family's
-table is keyed by them in (size, mask) order, in which every shape first
-meets a least member, so shapes keep the order and numbering of a table
-over all members.  Digit j of orbit c is the sum of prod_i C(s_i - c_i,
-d_i - c_i) D f(d) over the independent orbits d >= c with |d| = |c| + j,
-transformed one class at a time (``_orbit_transform``, Yates' step for a
-class of one vertex) on the same packed digits and width.  The family is
+``structure`` do, and each wide restriction finds its own classes, which
+decide whether it is a leaf.  The family's table is keyed by them in
+(size, mask) order, in which every polynomial first meets a least
+member, so the polynomials keep the order and numbering of a table over
+all members.  Digit j of orbit c is the sum of prod_i
+C(s_i - c_i, d_i - c_i) D f(d) over the independent orbits d >= c with
+|d| = |c| + j, transformed one class at a time (``_orbit_transform``,
+Yates' step for a class of one vertex) on the same packed digits and
+width.  The family is
 refused once its members, not its orbits, number more than
 ``core.MEMBER_BUDGET``; a leaf, which sums prod_i C(s_i, d_i) D f(d) by
 size, has at most ``_LEAF_ORBITS`` orbits and is never refused.  The
@@ -115,7 +117,6 @@ from .core import (
 from .poly import (
     AlgebraicRoot,
     Polynomial,
-    _content_free,
     _descartes_root_free,
     _enclosures,
     compare_roots,
@@ -240,7 +241,7 @@ def _enumerated_mu(
             w = weights[top]
             branch.append((z, branch[-1][1] // w.denominator * w.numerator))
         sums[z.bit_count()] += branch[-1][1]
-    return Polynomial(Fraction(-total if k % 2 else total, scale) for k, total in enumerate(sums))
+    return Polynomial._of([-total if k % 2 else total for k, total in enumerate(sums)], scale)
 
 
 def _orbit_transform(
@@ -357,9 +358,9 @@ def _graph_mu(n: int, edges: Sequence[int], weights: Sequence[Fraction]) -> Poly
     whole = (1 << n) - 1
     total, digit, sums = memo.get(whole) or packed(whole), (1 << width) - 1, []
     while total:
-        sums.append(Fraction(-(total & digit) if len(sums) % 2 else total & digit, scale))
+        sums.append(-(total & digit) if len(sums) % 2 else total & digit)
         total >>= width
-    return Polynomial(sums)
+    return Polynomial._of(sums, scale)
 
 
 #: A restriction is walked, not split, when its twin classes give at most
@@ -376,16 +377,16 @@ def mobius_polynomial(config: Configuration, valuation: Valuation | None = None)
     of C - 0, or are 0 plus an independence set of the link of 0, so
     mu_C = mu_{C - 0} - f(0) t mu_{link(0)}; and the polynomial of a
     disjoint union is the product over its nub-connected components.
-    A restriction whose nubs are all pairs, the input or one reached
-    below, is a dependence graph and goes whole to ``_graph_mu``, which
-    eliminates on vertex masks and walks no leaf.  Any other is a leaf
-    when its twin classes (``core._twin_classes``) of s_i vertices give
-    at most ``_LEAF_ORBITS`` count vectors, prod (s_i + 1), which is 2^n
-    without twins: ``_enumerated_mu`` walks its orbits, at most that
-    many, so a leaf is never refused.  Every restriction of at most 12
-    vertices is one, and so is a star, one class (``star-19-8``: 9
-    orbits, 92,378 nubs).  Otherwise a split restriction multiplies its
-    components, and a connected one eliminates vertex 0.
+    A restriction whose nubs are all pairs, the input (before any memo key
+    is built) or one reached below, is a dependence graph and goes whole to
+    ``_graph_mu``, which eliminates on vertex masks and walks no leaf.  Any
+    other is a leaf when its twin classes (``core._twin_classes``) of s_i
+    vertices give at most ``_LEAF_ORBITS`` count vectors, prod (s_i + 1),
+    which is 2^n without twins: ``_enumerated_mu`` walks its orbits, at most
+    that many, so a leaf is never refused.  Every restriction of at most 12
+    vertices is one, and so is a star, one class (``star-19-8``: 9 orbits,
+    92,378 nubs).  Otherwise a split restriction multiplies its components,
+    and a connected one eliminates vertex 0.
 
     Restrictions are bare keys (vertex count, nubs, weights), the weights
     as indices into the distinct weights so that keys hash as integers:
@@ -397,6 +398,8 @@ def mobius_polynomial(config: Configuration, valuation: Valuation | None = None)
     a graph's more than that many masks.
     """
     weights = (valuation if valuation is not None else Valuation.uniform(config.n)).weights
+    if core.is_right_angled(config):
+        return _graph_mu(config.n, config.nubs, weights)
     values = list(dict.fromkeys(weights))
     index = {w: i for i, w in enumerate(values)}
     memo: dict[tuple[int, tuple[int, ...], tuple[int, ...]], Polynomial] = {}
@@ -442,11 +445,11 @@ class MobiusFamily:
     The independent orbits of the twin classes (see the module
     docstring; without twins, the members) and their packed zeta
     transform are built on first use and kept.  The transform is read
-    once into one table, each anchor's index into the distinct shapes
-    (``_anchor_ids``), and relative polynomials equal in value are one
-    object, built from their shape, with one Sturm chain and one
-    isolation.  Everything kept is write-once: racing writers would
-    store identical values, so concurrent reads are safe.
+    once into one table, each anchor's index into the distinct relative
+    polynomials (``_anchor_ids``), so polynomials equal in value are one
+    object, with one Sturm chain and one isolation.  Everything kept is
+    write-once: racing writers would store identical values, so
+    concurrent reads are safe.
     """
 
     def __init__(self, config: Configuration, valuation: Valuation | None = None):
@@ -454,8 +457,7 @@ class MobiusFamily:
         self.valuation = valuation if valuation is not None else Valuation.uniform(config.n)
         self._members: list[int] | None = None
         self._ids: dict[int, int] | None = None
-        self._shapes: list[tuple[int, ...]] = []
-        self._polynomials: dict[int, Polynomial] = {}
+        self._shapes: list[Polynomial] = []
         # The twin classes, each vertex its own class where it has no twin.
         self._classes: list[int] = []
 
@@ -466,18 +468,19 @@ class MobiusFamily:
         return self._members
 
     def _anchor_ids(self) -> dict[int, int]:
-        """Per anchor x, in (size, mask) order, the index in ``_shapes``
-        of the shape of mu^{|x}: content-free signed integers, shape[0] >
-        0, coefficient d being shape[d] / shape[0].  Shapes are listed in
-        order of first anchor.  The anchors are the least members of the
-        independent orbits (see the module docstring), which every shape
-        first meets: without twins, the members.
+        """Per anchor x, in (size, mask) order, the index of mu^{|x} in
+        ``_shapes``, the table of distinct relative polynomials in order
+        of first anchor.  The anchors are the least members of the
+        independent orbits (see the module docstring), which every
+        polynomial first meets: without twins, the members.
 
         The packed transform leaves at x its digit key, digit d the sum
         of D f(z) over members z containing x with |z| = |x| + d (see the
-        module docstring).  Each distinct key is decoded once, keys that
-        differ by a factor (the same link, another f(x)) get one shape,
-        and no key outlives the build.
+        module docstring).  Each distinct key is decoded once, straight
+        into a ``Polynomial``: coefficient d is (-1)^d digit_d / digit_0,
+        reduced by one gcd, which also leaves ``primitive()``.  Keys that
+        differ by a factor (the same link, another f(x)) give equal
+        polynomials and so one index, and no key outlives the build.
         """
         if self._ids is None:
             weights = self.valuation.weights
@@ -496,25 +499,21 @@ class MobiusFamily:
                     while rest:
                         digits.append(-(rest & low) if len(digits) % 2 else rest & low)
                         rest >>= width
-                    decoded[key] = ids.setdefault(_content_free(digits), len(ids))
+                    decoded[key] = ids.setdefault(Polynomial._of(digits, digits[0]), len(ids))
                 table[z] = decoded[key]
             self._shapes, self._ids = list(ids), table
         return self._ids
 
     def relative(self, x: int) -> Polynomial:
-        """mu^{|x}: the Mobius polynomial of the configuration relative to x."""
+        """mu^{|x}: the Mobius polynomial of the configuration relative to
+        x, the entry of the family's table for x's orbit."""
         ids = self._anchor_ids()
         if x not in ids:
             if not self.config.is_independent(x):
                 labels = ",".join(self.config.labels_of(x))
                 raise NotIndependent(f"{labels} is not an independence set")
             x = self._orbit_of(x)
-        poly = self._polynomials.get(ids[x])
-        if poly is None:
-            shape = self._shapes[ids[x]]
-            poly = self._polynomials[ids[x]] = Polynomial([Fraction(c, shape[0]) for c in shape])
-            poly._primitive = shape  # what primitive() would return
-        return poly
+        return self._shapes[ids[x]]
 
     def _orbit_of(self, x: int) -> int:
         """The least member of x's orbit: the lowest vertices of each
@@ -563,16 +562,16 @@ class MobiusFamily:
         linear (drop one vertex from a maximal independence set), so the
         minimum always exists for a non-trivial configuration.
 
-        Equal shapes are equal polynomials (see ``_anchor_ids``), so each
-        shape is visited once, at its first anchor in (size, mask) order,
-        and ``attained_at`` is read off the shape indices, the attaining
+        Equal relative polynomials have one index (see ``_anchor_ids``),
+        so each is visited once, at its first anchor in (size, mask)
+        order, and ``attained_at`` is read off the indices, the attaining
         orbits expanded into their members when there are twins.  One with no
         root in (0, best.hi] cannot reach the minimum (the best root only
-        decreases) and is never isolated: Descartes' rule on the integer
-        shape decides that first (``_descartes_root_free``), and a Sturm
-        count (``sturm_count``) only where the rule leaves it open;
-        ``relative`` builds a :class:`Polynomial` only for a Sturm count
-        or an isolation.  The others are isolated coarsely
+        decreases) and is never isolated: Descartes' rule on its primitive
+        integer coefficients decides that first (``_descartes_root_free``),
+        and a Sturm count (``sturm_count``) only where the rule leaves it
+        open; ``relative`` is asked only for a Sturm count or an
+        isolation.  The others are isolated coarsely
         (``isolate_first_root``: until one root is left in the interval)
         and compared exactly with the best by ``compare_roots``, which
         halves only until the intervals separate.  Only a polynomial that
@@ -589,12 +588,12 @@ class MobiusFamily:
         ids = self._anchor_ids()
         best: AlgebraicRoot | None = None
         attaining: set[int] = set()
-        fresh = 0  # shapes are numbered in order of first anchor
+        fresh = 0  # polynomials are numbered in order of first anchor
         for x, i in ids.items():
             if i != fresh:
                 continue
             fresh += 1
-            free = best is not None and _descartes_root_free(self._shapes[i], best.hi)
+            free = best is not None and _descartes_root_free(self._shapes[i].primitive(), best.hi)
             if free:
                 continue
             poly = self.relative(x)

@@ -1,22 +1,26 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Coefficients are `fractions.Fraction`; a polynomial is an immutable
-dense coefficient tuple in ascending degree with no trailing zeros.
-Real roots are located with Sturm sequences on the squarefree part and
-reported as :class:`AlgebraicRoot` values, a squarefree witness
-polynomial plus an isolating rational interval.  A rational root
-collapses to a point interval (``lo == hi``).
+A polynomial is immutable: integer numerators in ascending degree, no
+trailing zeros, over one positive denominator, in lowest terms.
+Arithmetic, ``derivative``, ``shifted``, evaluation, equality and
+hashing run on those integers.  The ``Fraction`` coefficients are built
+on first use, for printing and for division, series inversion and
+interval evaluation.  Real roots are located with Sturm sequences on
+the squarefree part and reported as :class:`AlgebraicRoot` values, a
+squarefree witness polynomial plus an isolating rational interval.  A
+rational root collapses to a point interval (``lo == hi``).
 
 Every sign decision of root isolation is one integer computation.  A
-polynomial keeps its primitive integer coefficients (``primitive``),
-and the sign of q(a/b), b > 0, is the sign of b^d q(a/b), evaluated by
-Horner's rule in integers (``_int_value``).  Bisection of (0, B], B
-the Cauchy bound, visits the dyadic points j B / 2^k; they are carried
-as integer numerators over one common denominator, and a ``Fraction``
-is built only for a reported endpoint.  A first positive root is then
-narrowed to the cell that halving reaches at width 2**-128, found on
-that level's grid by quadratic interval refinement: a secant guesses
-the cell and exact integer signs certify it, so the cell is the one
+polynomial keeps its primitive integer coefficients (``primitive``:
+the numerators over their content, one gcd), and the sign of q(a/b),
+b > 0, is the sign of b^d q(a/b), evaluated by Horner's rule in
+integers (``_int_value``).  Bisection of (0, B], B the Cauchy bound,
+visits the dyadic points j B / 2^k; they are carried as integer
+numerators over one common denominator, and a ``Fraction`` is built
+only for a reported endpoint.  A first positive root is then narrowed
+to the cell that halving reaches at width 2**-128, found on that
+level's grid by quadratic interval refinement: a secant guesses the
+cell and exact integer signs certify it, so the cell is the one
 bisection returns.
 
 Whether (0, hi] holds no root is asked of Descartes' rule on the
@@ -92,78 +96,93 @@ def _frac(value: CoefficientLike) -> Fraction:
 
 
 class Polynomial:
-    """Immutable dense polynomial with Fraction coefficients."""
+    """Immutable dense polynomial with rational coefficients: integer
+    numerators over one positive denominator, in lowest terms."""
 
-    # Write-once caches of primitive(), _squarefree_chain and
-    # isolate_first_root (a 1-tuple, as None is a result); None until used.
-    __slots__ = ("_coeffs", "_primitive", "_squarefree", "_first_root")
+    # _nums and _den are the value.  The rest are write-once caches of
+    # coefficients, primitive(), _squarefree_chain and isolate_first_root
+    # (a 1-tuple, as None is a result); None until used.
+    __slots__ = ("_nums", "_den", "_coeffs", "_primitive", "_squarefree", "_first_root")
 
     def __init__(self, coefficients: Iterable[CoefficientLike] = ()):
         coeffs = [_frac(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self._coeffs: tuple[Fraction, ...] = tuple(coeffs)
-        self._primitive = self._squarefree = self._first_root = None
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self._reduce([c.numerator * (den // c.denominator) for c in coeffs], den)
+
+    @classmethod
+    def _of(cls, nums: Iterable[int], den: int) -> Polynomial:
+        """The polynomial with coefficients nums[k] / den, den != 0."""
+        self = cls.__new__(cls)
+        self._reduce(list(nums), den)
+        return self
+
+    def _reduce(self, nums: list[int], den: int) -> None:
+        """Keep nums / den in lowest terms, by one gcd.  When that gcd
+        takes the whole content of ``nums``, the reduced numerators are
+        ``primitive()`` as well."""
+        while nums and not nums[-1]:
+            nums.pop()
+        content = math.gcd(*nums)
+        common = math.gcd(content, den) * (-1 if den < 0 else 1)
+        self._nums, self._den = tuple(c // common for c in nums), den // common
+        self._primitive = self._nums if content == abs(common) else None
+        self._coeffs = self._squarefree = self._first_root = None
 
     def primitive(self) -> tuple[int, ...]:
         """Coprime integer coefficients, the polynomial times a positive
         rational: every sign is kept.  Computed once."""
         if self._primitive is None:
-            common = math.lcm(*(c.denominator for c in self._coeffs))
-            self._primitive = _content_free(
-                [c.numerator * (common // c.denominator) for c in self._coeffs]
-            )
+            self._primitive = _content_free(list(self._nums))
         return self._primitive
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(c, self._den) for c in self._nums)
         return self._coeffs
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial reported as -1."""
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self._coeffs:
-            return Fraction(0)
-        return self._coeffs[-1]
+        return Fraction(self._nums[-1] if self._nums else 0, self._den)
 
     @property
     def constant_term(self) -> Fraction:
-        if not self._coeffs:
-            return Fraction(0)
-        return self._coeffs[0]
+        return Fraction(self._nums[0] if self._nums else 0, self._den)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._nums)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
-            return self._coeffs == other._coeffs
+            return self._den == other._den and self._nums == other._nums
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        common = math.gcd(self._den, other._den)
+        a = [c * (other._den // common) for c in self._nums]
+        b = [c * (self._den // common) for c in other._nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+            a[i] += c
+        return Polynomial._of(a, self._den // common * other._den)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self._coeffs)
+        return Polynomial._of([-c for c in self._nums], self._den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -172,43 +191,38 @@ class Polynomial:
 
     def __mul__(self, other: Polynomial | CoefficientLike) -> Polynomial:
         if isinstance(other, Polynomial):
-            if not self._coeffs or not other._coeffs:
+            if not self._nums or not other._nums:
                 return Polynomial()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
-        scalar = _frac(other)
-        return Polynomial(c * scalar for c in self._coeffs)
+            out = [0] * (len(self._nums) + len(other._nums) - 1)
+            for i, a in enumerate(self._nums):
+                if a:
+                    for j, b in enumerate(other._nums, i):
+                        out[j] += a * b
+            return Polynomial._of(out, self._den * other._den)
+        s = _frac(other)
+        return Polynomial._of([c * s.numerator for c in self._nums], self._den * s.denominator)
 
     def __rmul__(self, other: CoefficientLike) -> "Polynomial":
         return self * other
 
     def __call__(self, t: CoefficientLike) -> Fraction:
-        """Exact evaluation by Horner's rule."""
+        """Exact evaluation, by Horner's rule in integers (``_int_value``)."""
         point = _frac(t)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * point + c
-        return acc
+        value = _int_value(self._nums, point.numerator, point.denominator)
+        return Fraction(value, self._den * point.denominator ** max(self.degree, 0))
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(k * c for k, c in enumerate(self._coeffs) if k >= 1)
+        return Polynomial._of([k * c for k, c in enumerate(self._nums)][1:], self._den)
 
     def shifted(self, power: int) -> "Polynomial":
         """Multiply by t**power."""
-        if not self._coeffs:
-            return self
-        return Polynomial((Fraction(0),) * power + self._coeffs)
+        return Polynomial._of((0,) * power + self._nums, self._den)
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._nums:
             return "0"
         parts = []
-        for k, c in enumerate(self._coeffs):
+        for k, c in enumerate(self.coefficients):
             if c == 0:
                 continue
             mag = abs(c)
@@ -317,16 +331,15 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     a, b = p.primitive(), q.primitive()
     while b:
         a, b = b, _negated_remainder(a, b)
-    return Polynomial(Fraction(c, a[-1]) for c in a)
+    return Polynomial._of(a, a[-1])
 
 
 def cauchy_root_bound(p: Polynomial) -> Fraction:
     """A rational B with every real root of p strictly inside (-B, B)."""
     if p.degree < 1:
         raise ValueError("root bound needs degree >= 1")
-    lead = abs(p.leading_coefficient)
-    bound = 1 + max(abs(c) for c in p.coefficients[:-1]) / lead
-    return bound + 1
+    nums = p.primitive()
+    return Fraction(max(map(abs, nums[:-1])), abs(nums[-1])) + 2
 
 
 def series_inverse(p: Polynomial, order: int) -> tuple[Fraction, ...]:
@@ -389,7 +402,7 @@ def _squarefree_chain(p: Polynomial) -> tuple[Polynomial, list[tuple[int, ...]]]
         q, chain = p, _sturm_chain(p)
         if len(chain[-1]) > 1:
             g = chain[-1]
-            q, rem = poly_divmod(p, Polynomial(Fraction(c, g[-1]) for c in g))
+            q, rem = poly_divmod(p, Polynomial._of(g, g[-1]))
             if not rem.is_zero:
                 raise AssertionError("gcd does not divide its argument")
             chain = _squarefree_chain(q)[1]

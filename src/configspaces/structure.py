@@ -241,12 +241,14 @@ def _monotone_under_inclusion(family: MobiusFamily, lo: Fraction) -> bool:
     """(d) of ``right_angled_properties``: for every member x and vertex
     v of x, mu^{|x - v} <= mu^{|x} at the points lo * k/4, k = 1..4.
 
-    In integers on the family's shapes (``MobiusFamily._anchor_ids``).
-    With the points a_k / b, b = 4 lo.denominator, b^deg p(a_k / b) is
-    the dot product of a shape with a_k^j b^(deg - j), over the shape's
+    In integers on the primitive coefficients (shapes) of the family's
+    distinct relative polynomials (``MobiusFamily._anchor_ids``).  With
+    the points a_k / b, b = 4 lo.denominator, b^deg p(a_k / b) is the
+    dot product of a shape with a_k^j b^(deg - j), over the shape's
     positive lead shape[0].  Each shape is evaluated once, into a list
-    indexed by shape, and each distinct (below, above) pair of shape
-    indices is compared once, by cross-multiplying with the two leads.
+    indexed like the family's table, and each distinct (below, above)
+    pair of indices is compared once, by cross-multiplying with the two
+    leads.
     The keys are the least members of the twin orbits, and x - v runs
     over the keys one smaller: v the top of one of x's classes.
     """
@@ -259,7 +261,7 @@ def _monotone_under_inclusion(family: MobiusFamily, lo: Fraction) -> bool:
         rows.append([a**j * b ** (degree - j) for j in range(degree + 1)])
     values = [
         (shape[0], [sum(map(operator.mul, shape, row)) for row in rows])
-        for shape in family._shapes
+        for shape in (poly.primitive() for poly in family._shapes)
     ]
     pairs = set()
     for x, above in ids.items():
@@ -416,17 +418,14 @@ def builtin(name: str) -> Configuration:
 
 
 def random_configuration(
-    n: int,
-    rng: random.Random,
-    include_probability: float = 0.25,
-    sizes: tuple[int, ...] = (2, 3, 4),
+    n: int, rng: random.Random, include_probability: float = 0.25
 ) -> Configuration:
-    """Random nub family: each candidate subset of the given sizes is
+    """Random nub family: each candidate subset of 2, 3 or 4 vertices is
     included independently, then reduced to an antichain.  The vertex
     count is checked before the first draw."""
     core.check_vertex_count(n)
     nubs = []
-    for size in sizes:
+    for size in (2, 3, 4):
         if size > n:
             continue
         for combo in combinations(range(n), size):

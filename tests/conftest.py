@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -209,6 +210,20 @@ def disjoint_union(left: Configuration, right: Configuration) -> Configuration:
     return from_nubs(n, nubs, default_labels(n))
 
 
+def random_sized_configuration(n: int, rng, include_probability: float, sizes) -> Configuration:
+    """``structure.random_configuration`` with the nub sizes chosen: each
+    candidate subset of a size in ``sizes`` is drawn in the same order,
+    then the nubs are reduced to an antichain."""
+    nubs = [
+        core.mask_from_indices(combo)
+        for size in sizes
+        if size <= n
+        for combo in itertools.combinations(range(n), size)
+        if rng.random() < include_probability
+    ]
+    return from_nubs(n, nubs)
+
+
 def brute_twin_classes(config: Configuration, weights) -> list[int] | None:
     """Oracle for ``core._twin_classes``: every pair of equal weights is
     swapped in every nub and the nub set compared; classes by least
@@ -233,8 +248,8 @@ def brute_twin_classes(config: Configuration, weights) -> list[int] | None:
 
 def shape_ids(family) -> dict[int, int]:
     """Per member of a ``MobiusFamily``, in (size, mask) order, the index
-    of its shape: the anchor table spread from each twin orbit's least
-    member over the orbit's members."""
+    of its relative polynomial in the family's table: the anchor table
+    spread from each twin orbit's least member over the orbit's members."""
     ids = family._anchor_ids()
     return {z: ids[family._orbit_of(z)] for z in family.members()}
 

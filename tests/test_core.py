@@ -28,7 +28,12 @@ from configspaces.core import (
 )
 from configspaces.structure import builtin, from_dependence_graph, random_configuration, star
 
-from conftest import brute_independence_family, merged_split, nub_scan_enumeration
+from conftest import (
+    brute_independence_family,
+    merged_split,
+    nub_scan_enumeration,
+    random_sized_configuration,
+)
 
 FIG1_LEFT_FAMILY = (
     [()]
@@ -126,7 +131,8 @@ def test_enumeration_matches_nub_scan_on_mixed_nubs(rng):
     size_mixes = [(2, 3), (2, 3, 4), (3, 4), (2, 4), (3,), (4,)]
     for trial in range(240):
         n = rng.randint(0, 12)
-        c = random_configuration(n, rng, rng.choice([0.05, 0.1, 0.25]), size_mixes[trial % 6])
+        probability = rng.choice([0.05, 0.1, 0.25])
+        c = random_sized_configuration(n, rng, probability, size_mixes[trial % 6])
         assert list(enumerate_independence_sets(c)) == list(nub_scan_enumeration(c)), c
 
 
@@ -209,7 +215,9 @@ def test_split_matches_merging(rng):
     # their original order, on 2- and 3-vertex nubs and the built-ins.
     names = ("fig1-left", "fig1-right", "dodecahedron", "path-64", "complete-20", "star-9-4")
     configs = [builtin(name) for name in names]
-    configs += [random_configuration(n, rng, 0.12, (2, 3)) for n in range(15) for _ in range(24)]
+    configs += [
+        random_sized_configuration(n, rng, 0.12, (2, 3)) for n in range(15) for _ in range(24)
+    ]
     configs.append(from_nubs(0, []))
     split = 0
     for config in configs:
@@ -288,7 +296,7 @@ def test_relative_configuration_matches_brute_force(rng):
     # a set of the link.
     for _ in range(60):
         n = rng.randint(0, 10)
-        c = random_configuration(n, rng, rng.choice((0.05, 0.1, 0.2)), (2, 3, 4))
+        c = random_configuration(n, rng, rng.choice((0.05, 0.1, 0.2)))
         family = brute_independence_family(c)
         for x in range(1 << n):
             if x not in family:

@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -270,6 +272,104 @@ def test_evaluate_matches_power_sum(p, t):
 def test_mul_evaluates_pointwise(p, q):
     t = Fraction(3, 7)
     assert (p * q)(t) == p(t) * q(t)
+
+
+def _stripped(coeffs):
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+# Oracle: each operation on plain Fraction coefficient tuples, the form
+# Polynomial held before it kept integer numerators over one denominator.
+def _ref_add(a, b):
+    return _stripped(x + y for x, y in zip_longest(a, b, fillvalue=Fraction(0)))
+
+
+def _ref_scale(a, s):
+    return _stripped(c * s for c in a)
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _stripped(out)
+
+
+def _ref_derivative(a):
+    return _stripped(k * c for k, c in enumerate(a) if k)
+
+
+def _ref_shift(a, power):
+    a = _stripped(a)
+    return (Fraction(0),) * power + a if a else ()
+
+
+def _ref_value(a, t):
+    return sum((c * t**k for k, c in enumerate(a)), Fraction(0))
+
+
+def _ref_primitive(a):
+    scale = math.lcm(*(c.denominator for c in a))
+    ints = [int(c * scale) for c in _stripped(a)]
+    return tuple(v // math.gcd(*ints) for v in ints)
+
+
+def _random_fractions(rng):
+    """Mixed denominators, negative and zero coefficients, trailing zeros
+    now and then, and the zero polynomial."""
+    if rng.random() < 0.1:
+        return (Fraction(0),) * rng.randint(0, 2)
+    dens = (1, 2, 3, 4, 6, 7, 9, 12, 2**70)
+    return tuple(
+        Fraction(0) if rng.random() < 0.25 else Fraction(rng.randint(-30, 30), rng.choice(dens))
+        for _ in range(rng.randint(1, 7))
+    )
+
+
+def _from_sums(coeffs, rng):
+    """The same value from integer sums: numerators over a denominator
+    with a spare common factor, of either sign, and trailing zeros."""
+    den = math.lcm(*(c.denominator for c in coeffs)) * rng.choice((1, 3, -1, -10))
+    return Polynomial._of([int(c * den) for c in coeffs] + [0] * rng.randint(0, 2), den)
+
+
+def test_integer_form_matches_fraction_reference(rng):
+    for _ in range(400):
+        a = _random_fractions(rng)
+        b = a if rng.random() < 0.15 else _random_fractions(rng)
+        p, q = P(a), P(b)
+        s = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        power = rng.randint(0, 3)
+        cases = [
+            (p, _stripped(a)),
+            (p + q, _ref_add(a, b)),
+            (p - q, _ref_add(a, _ref_scale(b, -1))),
+            (-p, _ref_scale(a, -1)),
+            (p * q, _ref_mul(a, b)),
+            (p * s, _ref_scale(a, s)),
+            (s.numerator * p, _ref_scale(a, s.numerator)),
+            (p.derivative(), _ref_derivative(a)),
+            (p.shifted(power), _ref_shift(a, power)),
+        ]
+        for got, want in cases:
+            assert got.coefficients == want
+            assert all(type(c) is Fraction for c in got.coefficients)
+            assert got.degree == len(want) - 1
+            assert got.constant_term == (want[0] if want else 0)
+            assert got.leading_coefficient == (want[-1] if want else 0)
+            same = [P(want), _from_sums(want, rng), _from_sums(got.coefficients, rng)]
+            assert all(got == other and hash(got) == hash(other) for other in same)
+            assert all(other.primitive() == _ref_primitive(want) for other in [got, *same])
+            assert str(got) == str(same[1])
+        t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        assert p(t) == _ref_value(a, t) == _from_sums(p.coefficients, rng)(t)
+        assert (p == q) == (_stripped(a) == _stripped(b))
+        assert p != q or hash(p) == hash(q)
+        assert (p * s == p) == (s == 1 or not _stripped(a))
 
 
 def _fraction_gcd(p, q):

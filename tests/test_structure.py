@@ -304,12 +304,18 @@ def test_integer_monotone_check_matches_fractions(rng):
 def test_each_digit_key_is_decoded_once(monkeypatch):
     # (d) of right_angled_properties, then relative at every member, all
     # read one memoised decode per distinct digit key, and no relative
-    # polynomial recomputes the primitive coefficients its shape gave.
+    # polynomial computes a gcd for primitive() after its decode.
     decoded, families = [], []
-    original = mobius_module._content_free
-    monkeypatch.setattr(
-        mobius_module, "_content_free", lambda digits: decoded.append(1) or original(digits)
-    )
+
+    class Counted(Polynomial):
+        __slots__ = ()
+
+        @classmethod
+        def _of(cls, nums, den):
+            decoded.append(1)
+            return Polynomial._of(nums, den)
+
+    monkeypatch.setattr(mobius_module, "Polynomial", Counted)
     monkeypatch.setattr(
         structure_module,
         "MobiusFamily",
